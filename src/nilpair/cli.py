@@ -161,20 +161,17 @@ def cmd_pair(args, config):
 def cmd_verify(args, config):
     if (args.diagram is None) == (args.all is None):
         raise UsageError("give exactly one of --diagram or --all N")
-    if args.suite == "multiplicity":
-        if args.diagram is not None:
+    if args.diagram is not None:
+        if args.suite == "multiplicity":
             if args.highest_weight is None:
                 raise UsageError("--lambda is required with --diagram")
             lam = tuple(int(x) for x in args.highest_weight.split(","))
-            rep = surveys.multiplicity_checks_for(
-                args.diagram, lam, alt=args.alt_positive_system
+            rep = surveys.judge_multiplicity(
+                surveys.multiplicity_checks_for(
+                    args.diagram, lam, alt=args.alt_positive_system
+                )
             )
-            rep["ok"] = rep["equal_at_dominant"] and rep["classical_specialization"]
             return rep, rep["ok"]
-        config_bound = args.all
-        rep = surveys.multiplicity_suite(config_bound, jobs=config.jobs)
-        return rep, rep["ok"]
-    if args.diagram is not None:
         check = {
             "structure": surveys.structure_checks,
             "skew": surveys.skew_checks,
@@ -186,7 +183,9 @@ def cmd_verify(args, config):
     bound = args.all
     config.max_boxes = bound
     config.check_bounds()
-    if args.suite == "structure":
+    if args.suite == "multiplicity":
+        rep = surveys.multiplicity_suite(bound, jobs=config.jobs)
+    elif args.suite == "structure":
         rep = surveys.structure_suite(bound, jobs=config.jobs)
     elif args.suite == "skew":
         rep = surveys.skew_suite(min(bound, 7), jobs=config.jobs)

@@ -10,23 +10,8 @@ from math import factorial
 
 from .diagrams import ShapeClass, classify_shape
 from .linalg import Matrix, frac
+from .multiplicity import _perm_sign
 from .polys import MultivariatePoly
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _compositions(total, parts):

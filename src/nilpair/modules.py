@@ -16,6 +16,7 @@ from itertools import permutations
 from .linalg import Matrix, Subspace, frac
 from .multiplicity import (
     PartitionTable,
+    _perm_sign,
     multiplicity_formula,
     required_height,
     dominant_rearrangement,
@@ -24,6 +25,10 @@ from .multiplicity import (
     root_data,
 )
 from .polys import BivariatePoly
+
+
+# resource bound on the tensor degree a module is built in
+MAX_TENSOR_DEGREE = 8
 
 
 def weyl_dimension(n, lam):
@@ -38,22 +43,6 @@ def weyl_dimension(n, lam):
     if num % den:
         raise ArithmeticError("dimension formula did not divide")
     return num // den
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _highest_weight_tensor(n, lam):
@@ -84,7 +73,7 @@ def _content(key, n):
 class WeightModule:
     """A simple module realised in a tensor power with exact matrices."""
 
-    def __init__(self, n, lam, max_size=8):
+    def __init__(self, n, lam, max_size=MAX_TENSOR_DEGREE):
         lam = tuple(int(x) for x in lam)
         if any(l < 0 for l in lam) or list(lam) != sorted(lam, reverse=True):
             raise ValueError("highest weight must be a partition")
@@ -230,7 +219,7 @@ class WeightModule:
 
     def weight_space_indices(self, mu):
         mu = tuple(mu)
-        return [i for i, (w, _, _) in enumerate(self.basis) if w == mu]
+        return tuple(i for i, (w, _, _) in enumerate(self.basis) if w == mu)
 
     def weight_multiplicity(self, mu):
         return len(self.weight_space_indices(mu))
@@ -248,7 +237,12 @@ class WeightModule:
 
 @dataclass
 class PairAction:
-    """A pair acting on a module, with cached operator powers."""
+    """A pair acting on a module.
+
+    ``e1`` and ``e2`` are the dense module matrices; the operator towers the
+    bifiltration needs are built from sparse columns ``{row: Fraction}``
+    and memoized per (i, j, columns), so no module-size product is formed.
+    """
 
     module: WeightModule
     e1: Matrix
@@ -259,54 +253,89 @@ class PairAction:
         return cls(module, module.act_matrix(pair.e1), module.act_matrix(pair.e2))
 
     def __post_init__(self):
-        self.pow1 = _nilpotent_powers(self.e1)
-        self.pow2 = _nilpotent_powers(self.e2)
+        self.sparse1 = _sparse_columns(self.e1)
+        self.sparse2 = _sparse_columns(self.e2)
+        self.index1 = _nilpotency_index(self.sparse1)
+        self.index2 = _nilpotency_index(self.sparse2)
+        self._towers = {}
 
-    @property
-    def index1(self):
-        return len(self.pow1) - 1
+    def product_power(self, i, j, cols):
+        """Columns ``cols`` (a tuple of basis indices) of e1^i e2^j as sparse
+        vectors, one per column.  The returned dicts are shared by the memo
+        and must not be mutated.
 
-    @property
-    def index2(self):
-        return len(self.pow2) - 1
+        Block (i, j) is e1 applied to block (i-1, j), and block (0, j) is e2
+        applied to block (0, j-1); the two operators commute, so this is the
+        product in either order.  Basis vectors are weight vectors, so each
+        column lies in one weight space of the module.
+        """
+        key = (i, j, cols)
+        block = self._towers.get(key)
+        if block is None:
+            if i > self.index1 or j > self.index2:
+                block = tuple({} for _ in cols)
+            elif i:
+                prev = self.product_power(i - 1, j, cols)
+                block = tuple(_apply_sparse(self.sparse1, v) for v in prev)
+            elif j:
+                prev = self.product_power(0, j - 1, cols)
+                block = tuple(_apply_sparse(self.sparse2, v) for v in prev)
+            else:
+                block = tuple({c: Fraction(1)} for c in cols)
+            self._towers[key] = block
+        return block
 
-    def product_power(self, i, j):
-        a = self.pow1[min(i, self.index1)] if i <= self.index1 else None
-        b = self.pow2[min(j, self.index2)] if j <= self.index2 else None
-        if a is None or b is None:
-            return Matrix.zero(self.module.dim)
-        return a * b
+
+def _sparse_columns(m):
+    return [{r: x for r, x in enumerate(col) if x} for col in zip(*m.data)]
 
 
-def _nilpotent_powers(m):
-    out = [Matrix.identity(m.rows)]
-    while not out[-1].is_zero():
-        out.append(out[-1] * m)
-        if len(out) > m.rows + 2:
-            raise ValueError("operator is not nilpotent on the module")
+def _apply_sparse(columns, vec):
+    """The operator with the given sparse columns applied to a sparse vector."""
+    out = {}
+    for c, x in vec.items():
+        for r, y in columns[c].items():
+            nv = out.get(r, 0) + x * y
+            if nv:
+                out[r] = nv
+            else:
+                del out[r]
     return out
 
 
+def _nilpotency_index(columns):
+    """Least k with the operator's k-th power zero, found by applying it to
+    the basis until every image vanishes."""
+    vecs = [{c: Fraction(1)} for c in range(len(columns))]
+    k = 0
+    while vecs:
+        if k > len(columns):
+            raise ValueError("operator is not nilpotent on the module")
+        vecs = [w for w in (_apply_sparse(columns, v) for v in vecs) if w]
+        k += 1
+    return k
+
+
 def filtration_piece_on_weight(action, i, j, mu_cols):
-    """F_{i,j} intersected with a weight space, via kernels restricted to the
-    weight-space columns.  Boundary conventions: F_{-1,j} = ker e2^j and
-    F_{i,-1} = ker e1^i."""
-    dim = action.module.dim
+    """F_{i,j} intersected with a weight space, as the kernel of the
+    operator blocks on the weight-space columns ``mu_cols`` (a tuple).
+    Boundary conventions: F_{-1,j} = ker e2^j and F_{i,-1} = ker e1^i."""
     if (i == -1 and j <= 0) or (j == -1 and i <= 0):
         return Subspace.zero(len(mu_cols))
     if i == -1:
-        rows = [_restrict_row(r, mu_cols) for r in action.product_power(0, j).data]
+        blocks = [action.product_power(0, j, mu_cols)]
     elif j == -1:
-        rows = [_restrict_row(r, mu_cols) for r in action.product_power(i, 0).data]
+        blocks = [action.product_power(i, 0, mu_cols)]
     else:
-        rows = [
-            _restrict_row(r, mu_cols) for r in action.product_power(i + 1, j).data
-        ] + [_restrict_row(r, mu_cols) for r in action.product_power(i, j + 1).data]
+        blocks = [
+            action.product_power(i + 1, j, mu_cols),
+            action.product_power(i, j + 1, mu_cols),
+        ]
+    rows = []
+    for block in blocks:
+        for r in sorted({r for v in block for r in v}):
+            rows.append([v.get(r, 0) for v in block])
     return Matrix(rows).kernel() if rows else Subspace.full(len(mu_cols))
-
-
-def _restrict_row(row, cols):
-    return [row[c] for c in cols]
 
 
 def direct_multiplicity(action, mu):

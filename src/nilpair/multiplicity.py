@@ -94,7 +94,8 @@ def root_data(h, alt=False):
                     interior.append((i, j))
     positive.sort()
     pos_set = set(positive)
-    assert all(r in pos_set for r in ne)
+    if not all(r in pos_set for r in ne):
+        raise RegularityError("a root with non-negative values is not positive")
     simple = _simple_roots(positive, n)
     rho2 = [0] * n
     for (i, j) in positive:
@@ -382,7 +383,8 @@ def multiplicity_formula(rd, table, lam, mu):
     for perm in permutations(range(n)):
         w2 = [lam2[perm[i]] for i in range(n)]
         arg2 = [a - 2 * m - r for a, m, r in zip(w2, mu, rd.rho2)]
-        assert all(x % 2 == 0 for x in arg2)
+        if any(x % 2 for x in arg2):
+            raise ArithmeticError("shifted Weyl argument is not integral")
         arg = tuple(x // 2 for x in arg2)
         val = table.value(arg)
         if val:

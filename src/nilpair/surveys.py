@@ -17,6 +17,7 @@ from . import rectangular as re_
 from .diagrams import Diagram, ShapeClass, enumerate_diagrams
 from .linalg import Matrix, Subspace
 from .modules import (
+    MAX_TENSOR_DEGREE,
     WeightModule,
     module_limit_check,
     multiplicity_crosscheck,
@@ -303,9 +304,11 @@ def admissible_highest_weights(n, max_size):
 
 def multiplicity_checks_for(spec, lam, alt=False):
     from .diagrams import parse
-    from .multiplicity import _perm_sign, height
-    from itertools import permutations
 
+    if sum(lam) > MAX_TENSOR_DEGREE:
+        raise ResourceLimit(
+            f"tensor degree {sum(lam)} over the bound {MAX_TENSOR_DEGREE}"
+        )
     d = parse(spec)
     pair, h = build_pair(d)
     rep = multiplicity_crosscheck(pair, h, lam, alt=alt)
@@ -360,37 +363,46 @@ def _classical_kostant_value(rd, lam_dom, mu):
     return total
 
 
+def judge_multiplicity(rep):
+    """Attach the regime and the pass flag to a ``multiplicity_checks_for``
+    row, by the one rule the suite and the single-diagram command share.
+
+    A single row or column gives a degenerate pair (one operator is zero):
+    the one-variable regime, where the filtration theorem is proven, so the
+    routes must agree at every dominant weight.  Other pairs are the
+    proposed regime: a dominant-weight discrepancy fails the row only when
+    the highest weight lies in the quadrant cone (``in_scope``).  Both
+    regimes need the classical specialisation and the classical oracle.
+    """
+    from .diagrams import parse
+
+    boxes = parse(rep["diagram"]).boxes
+    degenerate = len({p for p, _ in boxes}) == 1 or len({q for _, q in boxes}) == 1
+    classical = rep["classical_specialization"] and rep["classical_oracle"]
+    if degenerate:
+        rep["regime"] = "proven"
+        rep["ok"] = (
+            classical
+            and rep["equal_at_dominant"]
+            and rep["direct_counts_dominant_weights"]
+        )
+    else:
+        rep["regime"] = "proposed"
+        rep["in_scope"] = rep["in_ne_cone"]
+        rep["ok"] = classical and (rep["equal_at_dominant"] or not rep["in_scope"])
+    return rep
+
+
 def multiplicity_suite(max_size=6, jobs=1):
     """Degenerate pairs are the proven regime and must agree everywhere
     dominant; the two-variable pairs are compared and any dominant-weight
     discrepancy for a quadrant-cone highest weight is reported as a finding
     (the suite then fails with the payload attached)."""
-    rows = []
-    degenerate = [("2", lam) for lam in admissible_highest_weights(2, max_size)]
-    degenerate += [("3", lam) for lam in admissible_highest_weights(3, max_size)]
-    for spec, lam in degenerate:
-        rep = multiplicity_checks_for(spec, lam)
-        rep["regime"] = "proven"
-        rep["ok"] = (
-            rep["equal_at_dominant"]
-            and rep["classical_specialization"]
-            and rep["classical_oracle"]
-            and rep["direct_counts_dominant_weights"]
-        )
-        rows.append(rep)
-    two_dim = [("2,1", lam) for lam in admissible_highest_weights(3, max_size)]
-    two_dim += [("2,2", lam) for lam in admissible_highest_weights(4, max_size)]
-    for spec, lam in two_dim:
-        rep = multiplicity_checks_for(spec, lam)
-        rep["regime"] = "proposed"
-        in_scope = rep["in_ne_cone"]
-        rep["in_scope"] = in_scope
-        rep["ok"] = (
-            rep["classical_specialization"]
-            and rep["classical_oracle"]
-            and (rep["equal_at_dominant"] or not in_scope)
-        )
-        rows.append(rep)
+    cases = [("2", lam) for lam in admissible_highest_weights(2, max_size)]
+    cases += [("3", lam) for lam in admissible_highest_weights(3, max_size)]
+    cases += [("2,1", lam) for lam in admissible_highest_weights(3, max_size)]
+    cases += [("2,2", lam) for lam in admissible_highest_weights(4, max_size)]
+    rows = [judge_multiplicity(multiplicity_checks_for(spec, lam)) for spec, lam in cases]
     report = _suite_report("multiplicity", rows)
     report["findings"] = [
         {

@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).parent / "data" / "multiplicity_suite_6.json"
 
 
 def run_cli(*args):
@@ -98,3 +101,32 @@ def test_jobs_flag_matches_serial():
     a = run_cli("verify", "structure", "--all", "4", "--format", "json")
     b = run_cli("verify", "structure", "--all", "4", "--format", "json", "--jobs", "2")
     assert a.stdout == b.stdout
+
+
+def test_multiplicity_tensor_degree_exits_three():
+    proc = run_cli("verify", "multiplicity", "--diagram", "2,1", "--lambda", "9,0,0")
+    assert proc.returncode == 3
+    assert "resource bound" in proc.stderr
+
+
+def test_multiplicity_empty_bound_exits_three():
+    for bound in ("0", "-1"):
+        proc = run_cli("verify", "multiplicity", "--all", bound, "--format", "json")
+        assert proc.returncode == 3, bound
+        assert proc.stdout == ""
+
+
+def test_multiplicity_single_diagram_uses_suite_rule():
+    suite_rows = json.loads(GOLDEN.read_text())["rows"]
+    for spec, lam, code in (("2,1", "3", 0), ("2,2", "2,2", 1), ("3", "2,1", 0)):
+        proc = run_cli(
+            "verify", "multiplicity", "--diagram", spec, "--lambda", lam,
+            "--format", "json",
+        )
+        assert proc.returncode == code, (spec, lam)
+        row = next(
+            r
+            for r in suite_rows
+            if r["diagram"] == spec and r["lambda"] == [int(x) for x in lam.split(",")]
+        )
+        assert json.loads(proc.stdout) == row

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilpair.characters import kostka, partitions_of
-from nilpair.diagrams import parse
+from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
+from nilpair.linalg import Matrix, Subspace
 from nilpair.modules import (
     PairAction,
     WeightModule,
@@ -113,3 +116,81 @@ def test_module_rejects_bad_weight():
         WeightModule(2, (1, 2))
     with pytest.raises(ValueError):
         WeightModule(2, (1, 1, 1))
+
+
+# -- sparse operator towers against the dense Fraction reference -----------
+
+SMALL_CASES = [
+    (d, lam)
+    for n in range(1, 5)
+    for cls in (ShapeClass.YOUNG, ShapeClass.SKEW)
+    for d in enumerate_diagrams(n, cls)
+    for size in range(1, 5)
+    for lam in partitions_of(size)
+    if len(lam) <= n
+]
+
+
+def _dense_case(d, lam):
+    """The action with the dense products (e1^i)(e2^j), one step past each
+    nilpotency index, and the indices read off the dense powers."""
+    pair, _ = build_pair(d)
+    act = PairAction.build(WeightModule(pair.n, lam), pair)
+    dim = act.module.dim
+    pows = []
+    for e in (act.e1, act.e2):
+        p = [Matrix.identity(dim)]
+        while not p[-1].is_zero():
+            p.append(p[-1] * e)
+        p.append(p[-1] * e)
+        pows.append(p)
+    prods = {
+        (i, j): a * b for i, a in enumerate(pows[0]) for j, b in enumerate(pows[1])
+    }
+    return act, prods, (len(pows[0]) - 2, len(pows[1]) - 2)
+
+
+@given(st.sampled_from(SMALL_CASES))
+@settings(max_examples=12, deadline=None)
+def test_product_power_matches_dense_products(case):
+    act, prods, indices = _dense_case(*case)
+    assert (act.index1, act.index2) == indices
+    for mu in act.module.weights:
+        cols = act.module.weight_space_indices(mu)
+        for (i, j), prod in prods.items():
+            block = act.product_power(i, j, cols)
+            dense = [
+                {r: prod.data[r][c] for r in range(prod.rows) if prod.data[r][c]}
+                for c in cols
+            ]
+            assert list(block) == dense, (i, j, mu)
+
+
+def _dense_piece(prods, cols, i, j):
+    if (i == -1 and j <= 0) or (j == -1 and i <= 0):
+        return Subspace.zero(len(cols))
+    if i == -1:
+        mats = [prods[(0, j)]]
+    elif j == -1:
+        mats = [prods[(i, 0)]]
+    else:
+        mats = [prods[(i + 1, j)], prods[(i, j + 1)]]
+    return Matrix([[row[c] for c in cols] for m in mats for row in m.data]).kernel()
+
+
+@given(st.sampled_from(SMALL_CASES))
+@settings(max_examples=12, deadline=None)
+def test_direct_multiplicity_matches_dense_kernels(case):
+    act, prods, (index1, index2) = _dense_case(*case)
+    for mu in act.module.weights:
+        cols = act.module.weight_space_indices(mu)
+        expected = BivariatePoly.zero()
+        for i in range(index1 + 1):
+            for j in range(index2 + 1):
+                below = _dense_piece(prods, cols, i - 1, j) + _dense_piece(
+                    prods, cols, i, j - 1
+                )
+                d = _dense_piece(prods, cols, i, j).dim - below.dim
+                if d:
+                    expected = expected + BivariatePoly.term(i, j, d)
+        assert direct_multiplicity(act, mu) == expected, mu

@@ -159,3 +159,28 @@ def test_formula_sl2_adjoint_zero_weight():
     table = PartitionTable(rd, 6)
     lam = dominant_rearrangement(rd, (2, 0))
     assert multiplicity_formula(rd, table, lam, (1, 1)) == BivariatePoly({(1, 0): 1})
+
+
+class _ZeroGradingClaimedRegular:
+    """A grading that wrongly reports itself regular."""
+
+    n = 2
+    h1 = (0, 0)
+    h2 = (0, 0)
+
+    def is_regular(self):
+        return True
+
+
+def test_root_data_rejects_nonpositive_quadrant_root():
+    with pytest.raises(RegularityError):
+        root_data(_ZeroGradingClaimedRegular())
+
+
+def test_multiplicity_formula_rejects_non_integral_argument():
+    import dataclasses
+
+    rd = dataclasses.replace(hook_data(), rho2=(1, 0, 0))
+    table = PartitionTable(rd, 4)
+    with pytest.raises(ArithmeticError):
+        multiplicity_formula(rd, table, (0, 1, 0), (0, 1, 0))

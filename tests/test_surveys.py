@@ -1,9 +1,13 @@
 import os
+from pathlib import Path
 
 import pytest
 
 from nilpair import surveys
+from nilpair.cli import canonical_json
 from nilpair.diagrams import parse
+
+GOLDEN = Path(__file__).parent / "data" / "multiplicity_suite_6.json"
 
 
 def test_admissible_highest_weights():
@@ -53,3 +57,13 @@ def test_run_config_env_cap(monkeypatch):
         cfg.check_bounds()
     cfg2 = surveys.RunConfig(max_boxes=3)
     cfg2.check_bounds()
+
+
+def test_multiplicity_suite_matches_golden():
+    text = canonical_json(surveys.multiplicity_suite(6))
+    assert text.encode() == GOLDEN.read_bytes()
+
+
+def test_multiplicity_tensor_degree_is_a_resource_bound():
+    with pytest.raises(surveys.ResourceLimit):
+        surveys.multiplicity_checks_for("2,1", (9,))
