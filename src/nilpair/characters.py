@@ -7,19 +7,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .diagrams import ShapeClass, classify_shape, column_lengths, row_lengths
-
-
-@lru_cache(maxsize=None)
-def partitions_of(n, cap=None):
-    if n == 0:
-        return ((),)
-    cap = n if cap is None else min(cap, n)
-    out = []
-    for first in range(cap, 0, -1):
-        for rest in partitions_of(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+from .diagrams import ShapeClass, classify_shape, column_lengths, partitions, row_lengths
 
 
 def class_size(mu):
@@ -65,15 +53,9 @@ def _border_strip_removals(lam, k):
     return out
 
 
-def character_table(n):
-    """{(lam, mu): value} over all partition pairs."""
-    parts = partitions_of(n)
-    return {(lam, mu): character_value(lam, mu) for lam in parts for mu in parts}
-
-
 def inner_product(n, chi1, chi2):
     total = sum(
-        class_size(mu) * chi1[mu] * chi2[mu] for mu in partitions_of(n)
+        class_size(mu) * chi1[mu] * chi2[mu] for mu in partitions(n)
     )
     fact = factorial(n)
     if total % fact:
@@ -82,15 +64,11 @@ def inner_product(n, chi1, chi2):
 
 
 def irreducible_character(n, lam):
-    return {mu: character_value(lam, mu) for mu in partitions_of(n)}
+    return {mu: character_value(lam, mu) for mu in partitions(n)}
 
 
 def sign_character(n):
-    return {mu: (-1) ** (sum(mu) - len(mu)) for mu in partitions_of(n)}
-
-
-def multiply_characters(a, b):
-    return {mu: a[mu] * b[mu] for mu in a}
+    return {mu: (-1) ** (sum(mu) - len(mu)) for mu in partitions(n)}
 
 
 @lru_cache(maxsize=None)
@@ -140,8 +118,8 @@ def _horizontal_strip_removals(lam, k):
 def induced_from_young_trivial(n, mu):
     """Character of the permutation module on cosets of the Young subgroup of
     type mu (induced trivial character), via Kostka multiplicities."""
-    out = {nu: 0 for nu in partitions_of(n)}
-    for lam in partitions_of(n):
+    out = {nu: 0 for nu in partitions(n)}
+    for lam in partitions(n):
         mult = kostka(lam, tuple(sorted(mu, reverse=True)))
         if mult:
             chi = irreducible_character(n, lam)
@@ -152,8 +130,8 @@ def induced_from_young_trivial(n, mu):
 
 def induced_from_young_sign(n, mu):
     """Induced sign character from the Young subgroup of type mu."""
-    out = {nu: 0 for nu in partitions_of(n)}
-    for lam in partitions_of(n):
+    out = {nu: 0 for nu in partitions(n)}
+    for lam in partitions(n):
         mult = kostka(conjugate(lam), tuple(sorted(mu, reverse=True)))
         if mult:
             chi = irreducible_character(n, lam)
@@ -183,7 +161,7 @@ def common_constituent_report(d):
     ind_triv = induced_from_young_trivial(n, rows)
     ind_sign = induced_from_young_sign(n, cols)
     common = []
-    for lam in partitions_of(n):
+    for lam in partitions(n):
         chi = irreducible_character(n, lam)
         m1 = inner_product(n, ind_triv, chi)
         m2 = inner_product(n, ind_sign, chi)
@@ -192,7 +170,7 @@ def common_constituent_report(d):
     # independent oracle: positivity of Kostka numbers pins the constituent
     kostka_common = [
         lam
-        for lam in partitions_of(n)
+        for lam in partitions(n)
         if kostka(lam, rows) > 0 and kostka(conjugate(lam), cols) > 0
     ]
     unique = len(common) == 1 and common[0][1] == 1 and common[0][2] == 1
@@ -212,7 +190,7 @@ def common_constituent_report(d):
 
 def character_table_checks(n):
     """Orthonormality of the table and the standard sanity identities."""
-    parts = partitions_of(n)
+    parts = partitions(n)
     ok = True
     for lam in parts:
         chi = irreducible_character(n, lam)

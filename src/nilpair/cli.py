@@ -165,7 +165,7 @@ def cmd_verify(args, config):
         if args.suite == "multiplicity":
             if args.highest_weight is None:
                 raise UsageError("--lambda is required with --diagram")
-            lam = tuple(int(x) for x in args.highest_weight.split(","))
+            lam = _highest_weight(args.highest_weight, parse(args.diagram).n)
             rep = surveys.judge_multiplicity(
                 surveys.multiplicity_checks_for(
                     args.diagram, lam, alt=args.alt_positive_system
@@ -196,6 +196,19 @@ def cmd_verify(args, config):
             min(bound, 5), common_bound=8 if bound >= 5 else bound, jobs=config.jobs
         )
     return rep, rep["ok"]
+
+
+def _highest_weight(text, n):
+    """The --lambda weight: a partition with at most n parts."""
+    try:
+        lam = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"--lambda {text!r} is not a list of integers") from None
+    if lam[-1] < 0 or any(a < b for a, b in zip(lam, lam[1:])):
+        raise UsageError(f"--lambda {text} is not a partition")
+    if len(lam) > n:
+        raise UsageError(f"--lambda {text} has more than {n} parts")
+    return lam
 
 
 def cmd_rect(args, config):

@@ -16,67 +16,35 @@ generating identity below forces axis classes.)
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .diagrams import Diagram, ShapeClass, classify_shape
-from .linalg import Matrix, Subspace, bracket, complement
+from .linalg import Matrix, Subspace, bracket, complement, kernel_in, lift
 from .pairs import (
-    ad_matrix,
+    ad,
+    ad_image,
+    ad_map_between,
     bigraded_pieces,
     centralizer_bigraded,
+    joint_centralizer,
     provenance_grading,
 )
 from .polys import BivariatePoly, one_minus, prod_poly
-
-
-def _pieces(pair, h):
-    return bigraded_pieces(h, ambient="sl")
 
 
 def _kernel_blocks(pair, h, member, ambient="sl"):
     """Bigraded kernels of one bracket action: {(p,q): Subspace}."""
     pieces = bigraded_pieces(h, ambient=ambient)
     zero = Subspace.zero(pair.n**2)
-    x = pair.e1 if member == 1 else pair.e2
-    shift = (1, 0) if member == 1 else (0, 1)
+    x, (a, b) = (pair.e1, (1, 0)) if member == 1 else (pair.e2, (0, 1))
     out = {}
-    for key, piece in pieces.items():
-        tgt = pieces.get((key[0] + shift[0], key[1] + shift[1]), zero)
-        vecs = []
-        for v in piece.basis:
-            w = bracket(x, Matrix.unflatten(v, pair.n)).flatten()
-            vecs.append(w)
-        if tgt.dim == 0:
-            kern = piece
-        else:
-            m = Matrix([tgt.coordinates(w) for w in vecs]).transpose()
-            coeff = m.kernel()
-            kern = _combine(piece, coeff)
+    for (p, q), piece in pieces.items():
+        tgt = pieces.get((p + a, q + b), zero)
+        kern = kernel_in(piece, [ad_map_between(x, piece, tgt)])
         if kern.dim:
-            out[key] = kern
+            out[(p, q)] = kern
     return out
-
-
-def _combine(piece, coeff_space):
-    vecs = []
-    for coeffs in coeff_space.basis:
-        v = [Fraction(0)] * piece.ambient_dim
-        for c, b in zip(coeffs, piece.basis):
-            if c:
-                for j, x in enumerate(b):
-                    if x:
-                        v[j] += c * x
-        vecs.append(v)
-    return Subspace(piece.ambient_dim, vecs)
-
-
-def _image(x, space, n):
-    return Subspace(
-        n * n, [bracket(x, Matrix.unflatten(v, n)).flatten() for v in space.basis]
-    )
-
-
-_H1_CACHE = {}
 
 
 def h1_table(pair, h=None):
@@ -88,13 +56,15 @@ def h1_table(pair, h=None):
     """
     if h is None:
         h = provenance_grading(pair)
-    cache_key = (pair.e1, pair.e2, h)
-    cached = _H1_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    n = pair.n
-    pieces = _pieces(pair, h)
-    zero = Subspace.zero(n * n)
+    return _h1_table(pair.e1, pair.e2, h)
+
+
+@lru_cache(maxsize=64)
+def _h1_table(e1, e2, h):
+    nn = e1.rows**2
+    pieces = bigraded_pieces(h, "sl")
+    zero = Subspace.zero(nn)
+    pad = (Fraction(0),) * nn
     keys = set()
     for (p, q) in pieces:
         keys.update({(p, q), (p + 1, q), (p, q + 1), (p + 1, q + 1)})
@@ -104,48 +74,19 @@ def h1_table(pair, h=None):
         mid2 = pieces.get((p - 1, q), zero)
         if mid1.dim + mid2.dim == 0:
             continue
-        tgt = pieces.get((p, q), zero)
         src = pieces.get((p - 1, q - 1), zero)
         # cocycles: [e2,u] = [e1,v] inside g_{p,q}
-        rows = []
-        for v in mid1.basis:
-            w = bracket(pair.e2, Matrix.unflatten(v, n)).flatten()
-            rows.append(list(w))
-        for v in mid2.basis:
-            w = bracket(pair.e1, Matrix.unflatten(v, n)).flatten()
-            rows.append([-x for x in w])
-        coeff_kernel = Matrix(list(zip(*rows))).kernel() if rows else Subspace.zero(0)
-        amb = 2 * n * n
-        cocycles = []
-        for coeffs in coeff_kernel.basis:
-            vec = [Fraction(0)] * amb
-            for c, b in zip(coeffs[: mid1.dim], mid1.basis):
-                if c:
-                    for j, x in enumerate(b):
-                        if x:
-                            vec[j] += c * x
-            for c, b in zip(coeffs[mid1.dim :], mid2.basis):
-                if c:
-                    for j, x in enumerate(b):
-                        if x:
-                            vec[n * n + j] += c * x
-            cocycles.append(vec)
-        cocycle_space = Subspace(amb, cocycles)
-        boundaries = []
-        for v in src.basis:
-            m = Matrix.unflatten(v, n)
-            w1 = bracket(pair.e1, m).flatten()
-            w2 = bracket(pair.e2, m).flatten()
-            boundaries.append(list(w1) + list(w2))
-        boundary_space = Subspace(amb, boundaries)
-        assert cocycle_space.contains_subspace(boundary_space)
+        cols = [ad(e2, u) for u in mid1.basis]
+        cols += [[-x for x in ad(e1, v)] for v in mid2.basis]
+        doubled = [u + pad for u in mid1.basis] + [pad + v for v in mid2.basis]
+        cocycle_space = lift(Matrix(list(zip(*cols))).kernel(), doubled, 2 * nn)
+        boundary_space = Subspace(2 * nn, [ad(e1, s) + ad(e2, s) for s in src.basis])
+        if not cocycle_space.contains_subspace(boundary_space):
+            raise ArithmeticError("a coboundary is not a cocycle")
         dim = cocycle_space.dim - boundary_space.dim
         if dim:
             reps = complement(boundary_space, cocycle_space)
             out[(p, q)] = (dim, reps)
-    if len(_H1_CACHE) > 64:
-        _H1_CACHE.clear()
-    _H1_CACHE[cache_key] = out
     return out
 
 
@@ -190,12 +131,12 @@ def coker_formula_check(pair, h=None):
         if p <= 0 and q >= 1:
             tgt = k2.get((p, q - 1), zero)
             src = k2.get((p - 1, q - 1), zero)
-            img = _image(pair.e1, src, n)
+            img = ad_image(pair.e1, src)
             expect = tgt.dim - img.intersect(tgt).dim
         elif p >= 1 and q <= 0:
             tgt = k1.get((p - 1, q), zero)
             src = k1.get((p - 1, q - 1), zero)
-            img = _image(pair.e2, src, n)
+            img = ad_image(pair.e2, src)
             expect = tgt.dim - img.intersect(tgt).dim
         else:
             expect = 0
@@ -416,13 +357,13 @@ def slice_basis(pair, h=None, quadrant="se", reverse=False):
                 continue
             tgt = blocks.get((p - 1, q), zero)
             src = blocks.get((p - 1, q - 1), zero)
-            img = _image(pair.e2, src, n).intersect(tgt)
+            img = ad_image(pair.e2, src).intersect(tgt)
         else:
             if not (p <= 0 and q >= 1):
                 continue
             tgt = blocks.get((p, q - 1), zero)
             src = blocks.get((p - 1, q - 1), zero)
-            img = _image(pair.e1, src, n).intersect(tgt)
+            img = ad_image(pair.e1, src).intersect(tgt)
         if tgt.dim == img.dim:
             continue
         comp = complement(img, tgt, reverse=reverse)
@@ -460,11 +401,6 @@ def young_se_slice(pair, include_skipped=False):
     return out
 
 
-def _joint_centralizer_gl(x1, x2):
-    rows = list(ad_matrix(x1).data) + list(ad_matrix(x2).data)
-    return Matrix(rows).kernel()
-
-
 def slice_report(pair, h=None, quadrant="se", reverse=False):
     """Build the slice, check the commuting property and regularity of the
     deterministic sample points, and compare the graded centralizer of each
@@ -496,7 +432,7 @@ def slice_report(pair, h=None, quadrant="se", reverse=False):
         else:
             x1, x2 = pair.e1 + s, pair.e2
         commutes = bracket(x1, x2).is_zero()
-        zx = _joint_centralizer_gl(x1, x2)
+        zx = joint_centralizer(x1, x2)
         zdim = zx.dim - 1  # the identity always centralises, trace cuts one
         corners_ok = (
             _corner_containment_ok(pair, h, zx) if pick in deep else None
@@ -546,7 +482,7 @@ def _recipe_is_complement(pair, h, recipe):
     for (p, q), vecs in by_class.items():
         tgt = blocks.get((p - 1, q), zero)
         src = blocks.get((p - 1, q - 1), zero)
-        img = _image(pair.e2, src, n).intersect(tgt)
+        img = ad_image(pair.e2, src).intersect(tgt)
         span = Subspace(n * n, vecs)
         if span.dim != len(vecs) or span.intersect(img).dim:
             return False

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from .diagrams import ShapeClass, classify_shape
+from .diagrams import ShapeClass, classify_shape, partitions
 from .linalg import Matrix, frac
 from .multiplicity import _perm_sign
 from .polys import MultivariatePoly
@@ -90,7 +90,8 @@ def pair_alternant(d):
     d1, d2 = exponent_sums(d)
     alt = alternant(a, b, d1, d2)
     det = vandermonde_determinant(d)
-    assert alt == det, "alternant does not match its determinant form"
+    if alt != det:
+        raise ArithmeticError("alternant does not match its determinant form")
     return det
 
 
@@ -238,10 +239,8 @@ def perm_of_partition(mu, n):
 
 def side_character(span, n, side):
     """Character of one factor action on a two-sided span, per cycle type."""
-    from .characters import partitions_of
-
     values = {}
-    for mu in partitions_of(n):
+    for mu in partitions(n):
         base = perm_of_partition(mu, n)
         if side == "u":
             perm = tuple(list(base) + list(range(n, 2 * n)))
@@ -271,21 +270,6 @@ def coroot_product_polys(h):
             elif v2 > 0 and v1 == 0:
                 pi2 = pi2 * diff
     return pi1, pi2
-
-
-def embed_vars(p, n, side):
-    """View a polynomial in n variables inside the 2n-variable ring."""
-    out = {}
-    for e, c in p.coeffs.items():
-        if side == "u":
-            out[tuple(list(e) + [0] * n)] = c
-        else:
-            out[tuple([0] * n + list(e))] = c
-    return MultivariatePoly(2 * n, out)
-
-
-def sign_line_check(p, n):
-    return is_diagonally_skew(p, n)
 
 
 def c_regular_samples(d, count=3):

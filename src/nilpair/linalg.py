@@ -201,6 +201,30 @@ class EchelonBasis:
         return Subspace(self.ambient_dim, list(self.rows.values()))
 
 
+def lift(coeff_space, basis, ambient_dim):
+    """The span of sum_i c_i basis[i] over the coefficient vectors c of
+    coeff_space, as a Subspace of Q^ambient_dim."""
+    vecs = []
+    for coeffs in coeff_space.basis:
+        v = [Fraction(0)] * ambient_dim
+        for c, b in zip(coeffs, basis):
+            if c:
+                for j, x in enumerate(b):
+                    if x:
+                        v[j] += c * x
+        vecs.append(v)
+    return Subspace(ambient_dim, vecs)
+
+
+def kernel_in(piece, maps):
+    """The vectors of `piece` sent to zero by every map, each map a Matrix
+    acting on the coordinates of piece's canonical basis."""
+    rows = [row for m in maps for row in m.data]
+    if not rows:
+        return piece
+    return lift(Matrix(rows).kernel(), piece.basis, piece.ambient_dim)
+
+
 def complement(sub, within, reverse=False):
     """A deterministic complement of `sub` inside `within`.
 

@@ -252,12 +252,14 @@ def _expand(rd, bound):
     return acc
 
 
-def classical_partition_count(rd, vec, _cache={}):
+def classical_partition_count(rd, vec):
     """Independent oracle: the number of ways to write vec as a multiset of
     positive roots, by direct dynamic programming."""
-    key = (rd.positive, tuple(vec))
-    if key in _cache:
-        return _cache[key]
+    return _classical_partition_count(rd, tuple(vec))
+
+
+@lru_cache(maxsize=None)
+def _classical_partition_count(rd, vec):
     roots = [rd.root_vector(r) for r in rd.positive]
 
     def count(idx, target):
@@ -277,9 +279,7 @@ def classical_partition_count(rd, vec, _cache={}):
             total += count(idx + 1, rest)
         return total
 
-    out = count(0, tuple(vec))
-    _cache[key] = out
-    return out
+    return count(0, vec)
 
 
 def _perm_sign(perm):

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 
 from .diagrams import Diagram, ShapeClass, SKEWISH, classify_shape, subset_pairs
-from .linalg import Matrix, Subspace, bracket, frac
+from .linalg import Matrix, Subspace, bracket, frac, kernel_in
 
 
 class ShapeError(ValueError):
@@ -30,6 +31,10 @@ class HypothesisError(ValueError):
 
 
 class ClassificationError(ValueError):
+    pass
+
+
+class GradingError(ValueError):
     pass
 
 
@@ -138,10 +143,13 @@ def build_pair(d):
 
 def _check_grading(pair, h):
     h1m, h2m = h.matrices()
-    assert bracket(h1m, pair.e1) == pair.e1
-    assert bracket(h2m, pair.e2) == pair.e2
-    assert bracket(h1m, pair.e2).is_zero()
-    assert bracket(h2m, pair.e1).is_zero()
+    if not (
+        bracket(h1m, pair.e1) == pair.e1
+        and bracket(h2m, pair.e2) == pair.e2
+        and bracket(h1m, pair.e2).is_zero()
+        and bracket(h2m, pair.e1).is_zero()
+    ):
+        raise GradingError("the semisimple pair does not grade the nilpotent pair")
 
 
 def direct_sum(pairs_and_gradings):
@@ -190,46 +198,34 @@ def ad_matrix(x):
     return Matrix(rows)
 
 
+def ad(x, v):
+    """[x, v] for a flattened matrix v, flattened."""
+    return bracket(x, Matrix.unflatten(v, x.rows)).flatten()
+
+
+def ad_image(x, space):
+    """[x, space] as a subspace of flattened matrices."""
+    return Subspace(space.ambient_dim, [ad(x, v) for v in space.basis])
+
+
 def trace_row(n):
     return tuple(1 if i % (n + 1) == 0 else 0 for i in range(n * n))
 
 
 def traceless_cut(space):
     """Intersect a subspace of flattened matrices with the trace hyperplane."""
-    n2 = space.ambient_dim
-    tr = trace_row(isqrt(n2))
-    # solve sum c_i tr(b_i) = 0 in the coefficient space
+    tr = trace_row(isqrt(space.ambient_dim))
     vals = [sum(t * x for t, x in zip(tr, b)) for b in space.basis]
-    coeff_kernel = Matrix([vals]).kernel()
-    vecs = []
-    for coeffs in coeff_kernel.basis:
-        v = [Fraction(0)] * n2
-        for c, b in zip(coeffs, space.basis):
-            if c:
-                for j, x in enumerate(b):
-                    if x:
-                        v[j] += c * x
-        vecs.append(v)
-    return Subspace(n2, vecs)
-
-
-_PIECES_CACHE = {}
+    return kernel_in(space, [Matrix([vals])])
 
 
 def bigraded_pieces(h, ambient="gl"):
     """Decomposition of gl_n (or its trace-zero part) by (ad h1, ad h2)
     bidegree.  Returns {(p, q): Subspace of flattened matrices}."""
-    key = (h, ambient)
-    cached = _PIECES_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = _bigraded_pieces(h, ambient)
-    if len(_PIECES_CACHE) > 64:
-        _PIECES_CACHE.clear()
-    _PIECES_CACHE[key] = out
-    return out
+    return _bigraded_pieces(h, ambient)
 
 
+@lru_cache(maxsize=64)
 def _bigraded_pieces(h, ambient):
     n = h.n
     groups = {}
@@ -263,61 +259,46 @@ def _int_key(key):
 
 def ad_map_between(x, source, target):
     """Matrix of [x, .] from a source subspace to a target subspace, in their
-    canonical bases.  Raises if the image leaves the target."""
-    n = x.rows
+    canonical bases.  Raises StabilityError if the image leaves the target."""
     cols = []
     for v in source.basis:
-        m = Matrix.unflatten(v, n)
-        w = bracket(x, m).flatten()
-        cols.append(target.coordinates(w))
+        w = ad(x, v)
+        try:
+            cols.append(target.coordinates(w))
+        except ValueError:
+            raise StabilityError("bracket image leaves the target piece") from None
     if not cols:
         return Matrix.zero(target.dim, 0)
     return Matrix(list(zip(*cols))) if target.dim else Matrix.zero(0, len(cols))
 
 
-_CENT_CACHE = {}
+def joint_centralizer(x1, x2, extra_rows=()):
+    """Common kernel of ad x1 and ad x2 on flattened matrices, cut by the
+    extra linear conditions given as rows."""
+    rows = list(ad_matrix(x1).data) + list(ad_matrix(x2).data) + list(extra_rows)
+    return Matrix(rows).kernel()
 
 
 def centralizer_bigraded(pair, h, ambient="sl"):
     """Bigraded joint centralizer: {(p, q): Subspace}, computed blockwise."""
-    key = (pair.e1, pair.e2, h, ambient)
-    cached = _CENT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = _centralizer_bigraded(pair, h, ambient)
-    if len(_CENT_CACHE) > 64:
-        _CENT_CACHE.clear()
-    _CENT_CACHE[key] = out
-    return out
+    return _centralizer_bigraded(pair.e1, pair.e2, h, ambient)
 
 
-def _centralizer_bigraded(pair, h, ambient):
+@lru_cache(maxsize=64)
+def _centralizer_bigraded(e1, e2, h, ambient):
     pieces = bigraded_pieces(h, ambient)
-    zero = Subspace.zero(pair.n**2)
+    zero = Subspace.zero(e1.rows**2)
     out = {}
-    for key, piece in pieces.items():
-        t1 = pieces.get((key[0] + 1, key[1]), zero)
-        t2 = pieces.get((key[0], key[1] + 1), zero)
-        rows = []
-        m1 = ad_map_between(pair.e1, piece, t1)
-        m2 = ad_map_between(pair.e2, piece, t2)
-        rows.extend(m1.data)
-        rows.extend(m2.data)
-        if not rows:
-            kern_coeffs = Subspace.full(piece.dim)
-        else:
-            kern_coeffs = Matrix(rows).kernel()
-        vecs = []
-        for coeffs in kern_coeffs.basis:
-            v = [Fraction(0)] * pair.n**2
-            for c, b in zip(coeffs, piece.basis):
-                if c:
-                    for j, x in enumerate(b):
-                        if x:
-                            v[j] += c * x
-            vecs.append(v)
-        if vecs:
-            out[key] = Subspace(pair.n**2, vecs)
+    for (p, q), piece in pieces.items():
+        kern = kernel_in(
+            piece,
+            [
+                ad_map_between(e1, piece, pieces.get((p + 1, q), zero)),
+                ad_map_between(e2, piece, pieces.get((p, q + 1), zero)),
+            ],
+        )
+        if kern.dim:
+            out[(p, q)] = kern
     return out
 
 
@@ -329,10 +310,8 @@ def centralizer(pair, ambient="sl", h=None):
         blocks = centralizer_bigraded(pair, h, ambient)
         vecs = [v for sp in blocks.values() for v in sp.basis]
         return Subspace(pair.n**2, vecs)
-    rows = list(ad_matrix(pair.e1).data) + list(ad_matrix(pair.e2).data)
-    if ambient == "sl":
-        rows.append(trace_row(pair.n))
-    return Matrix(rows).kernel()
+    extra = [trace_row(pair.n)] if ambient == "sl" else ()
+    return joint_centralizer(pair.e1, pair.e2, extra)
 
 
 def bigrade(space, h, ambient="gl"):
@@ -412,7 +391,7 @@ def classify_pair(pair, h=None):
         blocks = bigrade(z_sl, h, ambient="sl")
         if all(p >= 0 and q >= 0 and (p, q) != (0, 0) for p, q in blocks):
             return "principal"
-    if have_regular_h and is_nilpotent_family(centralizer(pair, "sl", h=h), pair.n):
+    if have_regular_h and is_nilpotent_family(z_sl, pair.n):
         return "distinguished"
     return "nil_pair"
 
@@ -453,10 +432,6 @@ def shift_basis_check(pair, p, q):
     return span == comp, span.dim
 
 
-def bigraded_dims(h, ambient="sl"):
-    return {k: sp.dim for k, sp in bigraded_pieces(h, ambient).items() if sp.dim}
-
-
 def weak_lefschetz_report(pair, h=None):
     """Injectivity/surjectivity pattern of both bracket actions across the
     bigrading; returns one record per checked map."""
@@ -471,8 +446,7 @@ def weak_lefschetz_report(pair, h=None):
             continue
         for which, x, shift in (("e1", pair.e1, (1, 0)), ("e2", pair.e2, (0, 1))):
             tgt = pieces.get((key[0] + shift[0], key[1] + shift[1]), zero)
-            m = _ad_map_or_zero(x, src, tgt)
-            rank = m.rank()
+            rank = ad_map_between(x, src, tgt).rank()
             level = key[0] if which == "e1" else key[1]
             expected = "injective" if level < 0 else "surjective"
             ok = rank == src.dim if level < 0 else rank == tgt.dim
@@ -485,22 +459,6 @@ def weak_lefschetz_report(pair, h=None):
                 }
             )
     return records
-
-
-def _ad_map_or_zero(x, src, tgt):
-    n = x.rows
-    cols = []
-    for v in src.basis:
-        w = bracket(x, Matrix.unflatten(v, n)).flatten()
-        if tgt.dim == 0:
-            if any(w):
-                raise StabilityError("bracket image leaves the graded piece")
-            cols.append(())
-        else:
-            cols.append(tgt.coordinates(w))
-    if tgt.dim == 0:
-        return Matrix.zero(0, len(cols)) if cols else Matrix.zero(0, 0)
-    return Matrix(list(zip(*cols)))
 
 
 def levi_subalgebra(h, which, pieces=None):
@@ -516,25 +474,13 @@ def levi_subalgebra(h, which, pieces=None):
 def center_of(space, n):
     """Center of a matrix subalgebra given as a subspace: the elements of the
     space whose bracket with every basis element vanishes."""
-    mats = [Matrix.unflatten(v, n) for v in space.basis]
-    sys_rows = []
-    for m in mats:
-        images = [bracket(m, Matrix.unflatten(v, n)).flatten() for v in space.basis]
-        # constraint on coefficients c: sum_j c_j [m, b_j] = 0
-        sys_rows.extend(zip(*images))
-    coeff_kernel = (
-        Matrix([list(r) for r in sys_rows]).kernel() if sys_rows else Subspace.full(space.dim)
-    )
-    vecs = []
-    for coeffs in coeff_kernel.basis:
-        v = [Fraction(0)] * (n * n)
-        for c, b in zip(coeffs, space.basis):
-            if c:
-                for j, x in enumerate(b):
-                    if x:
-                        v[j] += c * x
-        vecs.append(v)
-    return Subspace(n * n, vecs)
+    # constraint on coefficients c, for each basis element m:
+    # sum_j c_j [m, b_j] = 0
+    rows = []
+    for u in space.basis:
+        m = Matrix.unflatten(u, n)
+        rows.extend(zip(*(ad(m, v) for v in space.basis)))
+    return kernel_in(space, [Matrix(rows)])
 
 
 def lie_closure(vectors, n):
@@ -575,12 +521,8 @@ def parabolic_checks(pair, h=None):
                 vecs.extend(sp.basis)
         return Subspace(n * n, vecs)
 
-    bracket_e1_g2 = Subspace(
-        n * n, [bracket(pair.e1, Matrix.unflatten(v, n)).flatten() for v in g2.basis]
-    )
-    bracket_e2_g1 = Subspace(
-        n * n, [bracket(pair.e2, Matrix.unflatten(v, n)).flatten() for v in g1.basis]
-    )
+    bracket_e1_g2 = ad_image(pair.e1, g2)
+    bracket_e2_g1 = ad_image(pair.e2, g1)
     c1 = center_of(g1, n)
     c2 = center_of(g2, n)
     checks = {
@@ -602,13 +544,6 @@ def parabolic_checks(pair, h=None):
 
 # ---------------------------------------------------------------------------
 # bifiltration limits
-
-
-def _power_cache(op, max_pow):
-    out = [Matrix.identity(op.rows)]
-    for _ in range(max_pow):
-        out.append(out[-1] * op)
-    return out
 
 
 def nilpotency_index(op):
@@ -723,7 +658,8 @@ def grassmannian_limit(ops, E):
                     if x:
                         cur[k] += c * x
         merged = {d: w for d, w in merged.items() if any(w)}
-        assert degs[top] not in merged
+        if degs[top] in merged:
+            raise ArithmeticError("the top-degree term did not cancel")
         rows[top] = merged
 
 

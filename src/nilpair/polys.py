@@ -4,7 +4,6 @@ rational-coefficient polynomials in many variables."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .linalg import frac
 
@@ -293,10 +292,3 @@ class MultivariatePoly:
         if not self.coeffs:
             return "0"
         return " + ".join(f"{c}*x^{e}" for e, c in self.monomials_sorted())
-
-
-def factorial_fraction(*ns):
-    out = 1
-    for n in ns:
-        out *= factorial(n)
-    return Fraction(1, out)

@@ -13,11 +13,21 @@ silent change in behaviour fails the suite in either direction.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from nilpair import surveys
+from nilpair.cli import canonical_json
 from nilpair.diagrams import ShapeClass, enumerate_diagrams
+
+# canonical reports of the structure, skew and cohomology suites at their
+# acceptance bounds; a change that alters a single byte of one fails here
+DATA = Path(__file__).parent / "data"
+
+
+def _matches_golden(rep, name):
+    return canonical_json(rep).encode() == (DATA / name).read_bytes()
 
 
 def _report(name, ok, detail=""):
@@ -40,6 +50,7 @@ def test_criterion_1_structure():
     )
     ok = all(all(r[k] for k in keys) for r in rep["rows"]) and rep["ok"]
     assert _report("criterion-1 structure-suite (66 diagrams, <=8 boxes)", ok)
+    assert _matches_golden(rep, "structure_suite_8.json")
 
 
 def test_criterion_2_skew():
@@ -50,6 +61,7 @@ def test_criterion_2_skew():
         f"criterion-2 skew-suite ({len(rep['rows'])} strict skew shapes, <=7 boxes)",
         ok,
     )
+    assert _matches_golden(rep, "skew_suite_7.json")
 
 
 def test_criterion_3_cohomology():
@@ -67,6 +79,7 @@ def test_criterion_3_cohomology():
     )
     ok = all(all(r[k] for k in keys) for r in rep["rows"]) and rep["ok"]
     assert _report("criterion-3 cohomology-suite (<=8 boxes)", ok)
+    assert _matches_golden(rep, "cohomology_suite_8.json")
 
 
 def test_criterion_4_multiplicity():

@@ -11,9 +11,8 @@ from nilpair.characters import (
     inner_product,
     irreducible_character,
     kostka,
-    partitions_of,
 )
-from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
+from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse, partitions
 
 
 def test_known_table_s3():
@@ -25,13 +24,13 @@ def test_known_table_s3():
 
 def test_dimension_sum_of_squares():
     for n in (3, 4, 5, 6):
-        dims = [character_value(lam, tuple([1] * n)) for lam in partitions_of(n)]
+        dims = [character_value(lam, tuple([1] * n)) for lam in partitions(n)]
         assert sum(d * d for d in dims) == factorial(n)
 
 
 def test_class_sizes_sum():
     for n in (3, 4, 5, 6, 7):
-        assert sum(class_size(mu) for mu in partitions_of(n)) == factorial(n)
+        assert sum(class_size(mu) for mu in partitions(n)) == factorial(n)
 
 
 def test_orthonormality_bound_eight():
@@ -41,9 +40,9 @@ def test_orthonormality_bound_eight():
 
 def test_kostka_triangularity():
     for n in (3, 4, 5):
-        for lam in partitions_of(n):
+        for lam in partitions(n):
             assert kostka(lam, lam) == 1
-            for mu in partitions_of(n):
+            for mu in partitions(n):
                 if kostka(lam, mu):
                     # positivity happens only below in dominance order
                     partial = [sum(lam[: k + 1]) for k in range(len(lam))]
@@ -57,7 +56,7 @@ def test_kostka_counts_weight_multiplicities():
     from nilpair.modules import WeightModule
 
     m = WeightModule(3, (2, 1))
-    for mu in partitions_of(3):
+    for mu in partitions(3):
         padded = tuple(list(mu) + [0] * (3 - len(mu)))
         assert kostka((2, 1), mu) == m.weight_multiplicity(padded)
 

@@ -109,6 +109,24 @@ def test_multiplicity_tensor_degree_exits_three():
     assert "resource bound" in proc.stderr
 
 
+def test_multiplicity_lambda_not_a_partition_exits_two():
+    proc = run_cli("verify", "multiplicity", "--diagram", "2,1", "--lambda", "1,2")
+    assert proc.returncode == 2
+    assert "not a partition" in proc.stderr
+
+
+def test_multiplicity_lambda_too_many_parts_exits_two():
+    proc = run_cli("verify", "multiplicity", "--diagram", "2,1", "--lambda", "1,1,1,1")
+    assert proc.returncode == 2
+    assert "more than 3 parts" in proc.stderr
+
+
+def test_multiplicity_lambda_not_integers_exits_two():
+    proc = run_cli("verify", "multiplicity", "--diagram", "2,1", "--lambda", "a,b")
+    assert proc.returncode == 2
+    assert "not a list of integers" in proc.stderr
+
+
 def test_multiplicity_empty_bound_exits_three():
     for bound in ("0", "-1"):
         proc = run_cli("verify", "multiplicity", "--all", bound, "--format", "json")

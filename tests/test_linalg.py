@@ -3,7 +3,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilpair.linalg import Matrix, Subspace, bracket, complement, jordan_type, rref, solve_affine
+from nilpair.linalg import (
+    Matrix,
+    Subspace,
+    bracket,
+    complement,
+    jordan_type,
+    kernel_in,
+    rref,
+    solve_affine,
+)
 
 
 def test_kernel_zero_matrix():
@@ -100,6 +109,14 @@ def test_complement_is_deterministic_and_splits():
     assert comp.dim == 2
     assert (sub + comp) == whole
     assert complement(sub, whole) == comp
+
+
+def test_kernel_in_lifts_back_into_the_piece():
+    piece = Subspace(3, [(1, 1, 0), (0, 0, 1)])
+    # first coordinate minus second, in piece's canonical basis
+    assert kernel_in(piece, [Matrix([[1, -1]])]) == Subspace(3, [(1, 1, 1)])
+    assert kernel_in(piece, [Matrix([[1, 0]]), Matrix([[0, 1]])]).dim == 0
+    assert kernel_in(piece, []) is piece
 
 
 def test_solve_affine_picks_particular_solution():

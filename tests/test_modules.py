@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilpair.characters import kostka, partitions_of
-from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
+from nilpair.characters import kostka
+from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse, partitions
 from nilpair.linalg import Matrix, Subspace
 from nilpair.modules import (
     PairAction,
@@ -33,7 +33,7 @@ def test_module_dims_match_formula():
 
 def test_weight_multiplicities_are_kostka():
     m = WeightModule(3, (2, 1))
-    for mu in partitions_of(3):
+    for mu in partitions(3):
         padded = tuple(list(mu) + [0] * (3 - len(mu)))
         assert m.weight_multiplicity(padded) == kostka((2, 1), mu)
 
@@ -126,7 +126,7 @@ SMALL_CASES = [
     for cls in (ShapeClass.YOUNG, ShapeClass.SKEW)
     for d in enumerate_diagrams(n, cls)
     for size in range(1, 5)
-    for lam in partitions_of(size)
+    for lam in partitions(size)
     if len(lam) <= n
 ]
 

@@ -257,6 +257,24 @@ def test_bigrade_rejects_unstable_space():
         bigrade(tilted, h, ambient="gl")
 
 
+def test_ad_map_between_rejects_wrong_target():
+    from nilpair.pairs import StabilityError, ad_map_between
+
+    pair, h = build_pair(parse("2,1"))
+    pieces = bigraded_pieces(h, "gl")
+    assert ad_map_between(pair.e1, pieces[(0, 0)], pieces[(1, 0)]).rank() == 1
+    with pytest.raises(StabilityError):
+        ad_map_between(pair.e1, pieces[(0, 0)], pieces[(0, 1)])
+
+
+def test_classify_rejects_zero_grading():
+    from nilpair.pairs import GradingError, SemisimplePair
+
+    pair, _ = build_pair(parse("2,1"))
+    with pytest.raises(GradingError):
+        classify_pair(pair, SemisimplePair([0] * pair.n, [0] * pair.n))
+
+
 def test_biexponents_gl_convention_adds_origin():
     pair, h = build_pair(parse("2,1"))
     assert biexponents(pair, h, convention="gl") == ((0, 0), (0, 1), (1, 0))

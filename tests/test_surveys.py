@@ -64,6 +64,11 @@ def test_multiplicity_suite_matches_golden():
     assert text.encode() == GOLDEN.read_bytes()
 
 
+def test_multiplicity_suite_jobs_match_serial():
+    serial = canonical_json(surveys.multiplicity_suite(4, jobs=1))
+    assert canonical_json(surveys.multiplicity_suite(4, jobs=2)) == serial
+
+
 def test_multiplicity_tensor_degree_is_a_resource_bound():
     with pytest.raises(surveys.ResourceLimit):
         surveys.multiplicity_checks_for("2,1", (9,))
