@@ -26,7 +26,7 @@ from .pairs import (
     ad_pair_operators,
     weak_lefschetz_report,
 )
-from .surveys import ResourceLimit, RunConfig
+from .surveys import ResourceLimit, RunConfig, UsageError
 
 
 def canonical_json(payload):
@@ -111,7 +111,6 @@ def build_parser():
     p_ver.add_argument("--diagram", default=None)
     p_ver.add_argument("--all", type=int, default=None, metavar="N")
     p_ver.add_argument("--lambda", dest="highest_weight", default=None)
-    p_ver.add_argument("--mu", default=None)
     p_ver.add_argument("--alt-positive-system", action="store_true")
 
     p_rect = sub.add_parser(
@@ -188,12 +187,12 @@ def cmd_verify(args, config):
     elif args.suite == "structure":
         rep = surveys.structure_suite(bound, jobs=config.jobs)
     elif args.suite == "skew":
-        rep = surveys.skew_suite(min(bound, 7), jobs=config.jobs)
+        rep = surveys.skew_suite(bound, jobs=config.jobs)
     elif args.suite == "cohomology":
         rep = surveys.cohomology_suite(bound, jobs=config.jobs)
     else:
         rep = surveys.harmonics_suite(
-            min(bound, 5), common_bound=8 if bound >= 5 else bound, jobs=config.jobs
+            bound, common_bound=8 if bound >= 5 else bound, jobs=config.jobs
         )
     return rep, rep["ok"]
 
@@ -218,10 +217,6 @@ def cmd_rect(args, config):
     return rep, rep["ok"]
 
 
-class UsageError(ValueError):
-    pass
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -232,7 +227,6 @@ def main(argv=None):
         output_format=args.format,
         jobs=args.jobs,
         out_path=args.out,
-        alt_positive_system=getattr(args, "alt_positive_system", False),
     )
     try:
         if args.command == "pair":

@@ -9,7 +9,7 @@ from itertools import permutations
 from math import factorial
 
 from .diagrams import ShapeClass, classify_shape, partitions
-from .linalg import Matrix, frac
+from .linalg import EchelonBasis, Matrix, frac
 from .multiplicity import _perm_sign
 from .polys import MultivariatePoly
 
@@ -130,100 +130,64 @@ def harmonicity(p, n):
     return True
 
 
-def _span_closure(polys, n, side="both"):
-    """Span of the S_n x S_n translates, grown by adjacent transpositions."""
-    basis = []  # list of (pivot monomial, normalised poly)
-
-    def reduce(p):
-        q = MultivariatePoly(p.nvars, dict(p.coeffs))
-        for pivot, row in basis:
-            c = q.coeffs.get(pivot)
-            if c:
-                q = q - row.scale(c)
-        return q
-
-    def insert(p):
-        q = reduce(p)
-        if not q:
-            return False
-        pivot = min(q.coeffs)
-        q = q.scale(1 / q.coeffs[pivot])
-        for i, (piv, row) in enumerate(basis):
-            c = row.coeffs.get(pivot)
-            if c:
-                basis[i] = (piv, row - q.scale(c))
-        basis.append((pivot, q))
-        return True
-
+def _span_closure(poly, n, side):
+    """Span of the S_n x S_n translates (one-sided: S_n on the first n
+    variables), grown by adjacent transpositions, as an EchelonBasis over
+    exponent tuples."""
     gens = []
-    if side == "both":
-        for k in range(n - 1):
-            perm = list(range(2 * n))
-            perm[k], perm[k + 1] = perm[k + 1], perm[k]
-            gens.append(tuple(perm))
-            perm = list(range(2 * n))
+    for k in range(n - 1):
+        perm = list(range(poly.nvars))
+        perm[k], perm[k + 1] = perm[k + 1], perm[k]
+        gens.append(tuple(perm))
+        if side == "both":
+            perm = list(range(poly.nvars))
             perm[n + k], perm[n + k + 1] = perm[n + k + 1], perm[n + k]
             gens.append(tuple(perm))
-    else:
-        nv = polys[0].nvars
-        for k in range(n - 1):
-            perm = list(range(nv))
-            perm[k], perm[k + 1] = perm[k + 1], perm[k]
-            gens.append(tuple(perm))
-    frontier = []
-    for p in polys:
-        if insert(p):
-            frontier.append(p)
+    span = EchelonBasis()
+    frontier = [poly] if span.add(poly.coeffs) else []
     while frontier:
         new = []
         for p in frontier:
             for g in gens:
                 q = p.permute_variables(g)
-                if insert(q):
+                if span.add(q.coeffs):
                     new.append(q)
         frontier = new
-    return basis
+    return span
 
 
 class SpanModule:
-    """A finite-dimensional permutation-stable space of polynomials."""
+    """A finite-dimensional permutation-stable space of polynomials, held as
+    the fully reduced rows of an EchelonBasis."""
 
-    def __init__(self, basis):
-        self.basis = basis  # list of (pivot, poly) fully reduced
+    def __init__(self, span):
+        self.span = span
 
     @property
     def dim(self):
-        return len(self.basis)
-
-    def coordinates(self, p):
-        coords = [Fraction(0)] * self.dim
-        q = MultivariatePoly(p.nvars, dict(p.coeffs))
-        for i, (pivot, row) in enumerate(self.basis):
-            c = q.coeffs.get(pivot)
-            if c:
-                coords[i] = c
-                q = q - row.scale(c)
-        if q:
-            raise ValueError("polynomial is outside the span")
-        return coords
-
-    def action_matrix(self, perm):
-        cols = [self.coordinates(row.permute_variables(perm)) for _, row in self.basis]
-        return Matrix(list(zip(*cols)))
+        return self.span.dim
 
     def trace_of(self, perm):
-        m = self.action_matrix(perm)
-        return m.trace()
+        """Trace of a variable permutation that keeps the span stable: the
+        sum, over the rows, of each permuted row's coordinate at its own
+        pivot.  The rows vanish at each other's pivots, so that coordinate
+        is the permuted row's coefficient there, which is the row's own
+        coefficient at the pivot's preimage under x_i -> x_{perm[i]}
+        (entries of perm past the number of variables are ignored)."""
+        return sum(
+            row.get(tuple(pivot[j] for j in perm[: len(pivot)]), 0)
+            for pivot, row in self.span.rows.items()
+        )
 
 
 def wxw_span(p, n):
     """Span of the two-sided translates; returns the SpanModule."""
-    return SpanModule(_span_closure([p], n, side="both"))
+    return SpanModule(_span_closure(p, n, side="both"))
 
 
 def u_side_span(p, n):
     """Span of one-sided translates of a polynomial in n variables."""
-    return SpanModule(_span_closure([p], n, side="u"))
+    return SpanModule(_span_closure(p, n, side="u"))
 
 
 def perm_of_partition(mu, n):

@@ -162,43 +162,86 @@ class Subspace:
         return Subspace(ambient_dim, eye)
 
 
-class EchelonBasis:
-    """Incrementally grown echelon basis, for span closures."""
+def sparse(vec):
+    """A flattened vector as a sparse row {index: Fraction}."""
+    return {i: frac(x) for i, x in enumerate(vec) if x}
 
-    def __init__(self, ambient_dim):
-        self.ambient_dim = ambient_dim
-        self.rows = {}  # pivot -> reduced row (list)
+
+def dense(vec, dim):
+    """A sparse row {index: value} as a flattened vector of length dim."""
+    out = [Fraction(0)] * dim
+    for i, x in vec.items():
+        out[i] = x
+    return tuple(out)
+
+
+class EchelonBasis:
+    """An incrementally grown basis of sparse rows {key: Fraction}.
+
+    Keys are any mutually orderable values (flat indices, tensor indices,
+    exponent tuples).  Each row's pivot is its least key, normalised to 1,
+    and no other row has an entry there, so the rows are the unique reduced
+    row echelon form of the span whatever the insertion order.
+    """
+
+    def __init__(self):
+        self.rows = {}  # pivot -> row
 
     @property
     def dim(self):
         return len(self.rows)
 
     def reduce(self, vec):
-        v = [frac(x) for x in vec]
-        for p in sorted(self.rows):
-            c = v[p]
-            if c:
-                row = self.rows[p]
-                for j in range(p, self.ambient_dim):
-                    if row[j]:
-                        v[j] -= c * row[j]
+        """Remainder of vec after elimination against the rows.  The rows
+        vanish at each other's pivots, so each one is subtracted once, with
+        vec's own entry at its pivot."""
+        v = {k: x for k, x in vec.items() if x}
+        for p in [p for p in v if p in self.rows]:
+            c = vec[p]
+            for k, x in self.rows[p].items():
+                nv = v.get(k, 0) - c * x
+                if nv:
+                    v[k] = nv
+                else:
+                    del v[k]
         return v
 
     def add(self, vec):
-        """Insert a vector; returns True when it enlarged the span."""
-        v = self.reduce(vec)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
-            return False
-        inv = 1 / v[pivot]
-        self.rows[pivot] = [x * inv for x in v]
-        return True
+        """Insert a vector; returns its remainder, empty when vec already
+        lies in the span."""
+        rem = self.reduce(vec)
+        if not rem:
+            return rem
+        pivot = min(rem)
+        inv = 1 / frac(rem[pivot])
+        new = {k: x * inv for k, x in rem.items()}
+        for row in self.rows.values():
+            c = row.get(pivot)
+            if c:
+                for k, x in new.items():
+                    nv = row.get(k, 0) - c * x
+                    if nv:
+                        row[k] = nv
+                    else:
+                        del row[k]
+        self.rows[pivot] = new
+        return rem
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not self.reduce(vec)
 
-    def to_subspace(self):
-        return Subspace(self.ambient_dim, list(self.rows.values()))
+    def coordinates(self, vec):
+        """Coefficients {pivot: c} of vec in the rows; raises ValueError when
+        vec is off the span."""
+        coords = {p: x for p, x in vec.items() if x and p in self.rows}
+        if self.reduce(vec):
+            raise ValueError("vector is not in the span")
+        return coords
+
+    def to_subspace(self, ambient_dim):
+        """The span as a Subspace; keys must be indices below ambient_dim."""
+        rows = [dense(r, ambient_dim) for r in self.rows.values()]
+        return Subspace(ambient_dim, rows)
 
 
 def lift(coeff_space, basis, ambient_dim):
@@ -233,15 +276,11 @@ def complement(sub, within, reverse=False):
     """
     if not within.contains_subspace(sub):
         raise ValueError("first space is not contained in the second")
-    acc = list(sub.basis)
-    span = Subspace(sub.ambient_dim, acc)
-    picked = []
+    span = EchelonBasis()
+    for v in sub.basis:
+        span.add(sparse(v))
     candidates = within.basis[::-1] if reverse else within.basis
-    for v in candidates:
-        if not span.contains(v):
-            acc.append(v)
-            picked.append(v)
-            span = Subspace(sub.ambient_dim, acc)
+    picked = [v for v in candidates if span.add(sparse(v))]
     return Subspace(sub.ambient_dim, picked)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .linalg import Matrix, Subspace, frac
+from .linalg import EchelonBasis, Matrix, Subspace
 from .multiplicity import (
     PartitionTable,
     _perm_sign,
@@ -73,13 +73,13 @@ def _content(key, n):
 class WeightModule:
     """A simple module realised in a tensor power with exact matrices."""
 
-    def __init__(self, n, lam, max_size=MAX_TENSOR_DEGREE):
+    def __init__(self, n, lam):
         lam = tuple(int(x) for x in lam)
         if any(l < 0 for l in lam) or list(lam) != sorted(lam, reverse=True):
             raise ValueError("highest weight must be a partition")
         if len([l for l in lam if l]) > n:
             raise ValueError("too many parts")
-        if sum(lam) > max_size:
+        if sum(lam) > MAX_TENSOR_DEGREE:
             raise ValueError("tensor degree over the configured bound")
         self.n = n
         self.lam = lam
@@ -96,64 +96,27 @@ class WeightModule:
     def _build(self):
         n = self.n
         hw = _highest_weight_tensor(n, self.lam)
-        # echelon[weight] = list of (pivot_key, reduced sparse vector)
-        self.echelon = {}
+        self.echelon = {}  # weight -> EchelonBasis of sparse tensors
         queue = [hw] if hw else []
         while queue:
             vec = queue.pop()
-            rem = self._reduce(vec)
+            weight = _content(next(iter(vec)), n)
+            rem = self.echelon.setdefault(weight, EchelonBasis()).add(vec)
             if not rem:
                 continue
-            self._insert(rem)
             for i in range(n - 1):
                 img = self._apply_unit(rem, i + 1, i)
                 if img:
                     queue.append(img)
         self.basis = []  # (weight, pivot, vector)
         for weight in sorted(self.echelon):
-            for pivot, vec in sorted(self.echelon[weight]):
+            for pivot, vec in sorted(self.echelon[weight].rows.items()):
                 self.basis.append((weight, pivot, vec))
         self.dim = len(self.basis)
         self.index_of = {
             (w, p): i for i, (w, p, _) in enumerate(self.basis)
         }
         self.weights = sorted({w for w, _, _ in self.basis})
-
-    def _reduce(self, vec):
-        if not vec:
-            return {}
-        weight = _content(next(iter(vec)), self.n)
-        v = dict(vec)
-        for pivot, row in self.echelon.get(weight, []):
-            c = v.get(pivot)
-            if c:
-                for k, x in row.items():
-                    nv = v.get(k, 0) - c * x
-                    if nv:
-                        v[k] = nv
-                    else:
-                        v.pop(k, None)
-        return v
-
-    def _insert(self, vec):
-        weight = _content(next(iter(vec)), self.n)
-        pivot = min(vec)
-        c = vec[pivot]
-        row = {k: x / c for k, x in vec.items()}
-        bucket = self.echelon.setdefault(weight, [])
-        # keep the bucket fully reduced so coordinates read off pivots
-        for i, (p, r) in enumerate(bucket):
-            cc = r.get(pivot)
-            if cc:
-                nr = dict(r)
-                for k, x in row.items():
-                    nv = nr.get(k, 0) - cc * x
-                    if nv:
-                        nr[k] = nv
-                    else:
-                        nr.pop(k, None)
-                bucket[i] = (p, nr)
-        bucket.append((pivot, row))
 
     def _apply_unit(self, vec, a, b):
         """Derivation action of the matrix unit E_ab on a sparse tensor."""
@@ -172,30 +135,17 @@ class WeightModule:
     # -- operators -----------------------------------------------------------
 
     def coordinates(self, vec):
-        """Coordinates of a sparse tensor (a weight-homogeneous combination of
-        basis vectors) in the module basis."""
+        """Coordinates of a sparse tensor (a combination of basis vectors) in
+        the module basis, read weight space by weight space."""
+        parts = {}
+        for key, x in vec.items():
+            parts.setdefault(_content(key, self.n), {})[key] = x
         coords = [Fraction(0)] * self.dim
-        v = dict(vec)
-        while v:
-            key = next(iter(v))
-            weight = _content(key, self.n)
-            bucket = self.echelon.get(weight)
-            if bucket is None:
+        for weight, part in parts.items():
+            if weight not in self.echelon:
                 raise ValueError("vector outside the module")
-            changed = False
-            for pivot, row in bucket:
-                c = v.get(pivot)
-                if c:
-                    coords[self.index_of[(weight, pivot)]] += c
-                    changed = True
-                    for k, x in row.items():
-                        nv = v.get(k, 0) - c * x
-                        if nv:
-                            v[k] = nv
-                        else:
-                            v.pop(k, None)
-            if not changed:
-                raise ValueError("vector outside the module")
+            for pivot, c in self.echelon[weight].coordinates(part).items():
+                coords[self.index_of[(weight, pivot)]] = c
         return coords
 
     def act_matrix(self, x):
@@ -364,7 +314,7 @@ def direct_multiplicity(action, mu):
     return out
 
 
-def multiplicity_crosscheck(pair, h, lam, table=None, alt=False):
+def multiplicity_crosscheck(pair, h, lam, alt=False):
     """Compare the direct bifiltration multiplicities against the alternating
     partition-function formula at every weight of the module.
 
@@ -382,9 +332,8 @@ def multiplicity_crosscheck(pair, h, lam, table=None, alt=False):
     equal_dominant = True
     equal_everywhere = True
     weights = sorted({w for w, _, _ in module.basis})
-    if table is None:
-        bound = max(required_height(rd, lam_dom, mu) for mu in weights)
-        table = PartitionTable(rd, bound)
+    bound = max(required_height(rd, lam_dom, mu) for mu in weights)
+    table = PartitionTable(rd, bound)
     shifted = [x - Fraction(sum(lam_content), pair.n) for x in lam_dom]
     hypothesis = in_ne_cone(rd, _ne_test_vector(rd, lam_dom))
     for mu in weights:

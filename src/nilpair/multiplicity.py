@@ -161,23 +161,13 @@ class PartitionTable:
     The support is the full monoid generated by the positive roots: the
     factors attached to positive roots outside the non-negative quadrant
     contribute exponents that leave the quadrant semigroup, and keeping them
-    is what preserves the classical specialisation at s = t = 1.  A flag
-    allows restricting the support to the quadrant semigroup for
-    experiments; that restriction breaks the classical specialisation and is
-    off by default.
+    is what preserves the classical specialisation at s = t = 1.
     """
 
-    def __init__(self, rd, height_bound, restrict_to_ne=False):
+    def __init__(self, rd, height_bound):
         self.rd = rd
         self.height_bound = height_bound
-        self.restrict_to_ne = restrict_to_ne
         self.table = _expand(rd, height_bound)
-        self._ne_memo = {}
-
-    def _in_ne(self, vec):
-        if vec not in self._ne_memo:
-            self._ne_memo[vec] = in_ne_cone(self.rd, vec)
-        return self._ne_memo[vec]
 
     def value(self, vec):
         """Coefficient polynomial at a lattice vector; zero off the support.
@@ -188,8 +178,6 @@ class PartitionTable:
         vec = tuple(int(x) for x in vec)
         h = height(self.rd, vec)
         if h is None:
-            return BivariatePoly.zero()
-        if self.restrict_to_ne and not self._in_ne(vec):
             return BivariatePoly.zero()
         if h > self.height_bound:
             raise BoundError(f"vector at height {h} beyond bound {self.height_bound}")
@@ -342,7 +330,7 @@ def is_dominant(rd, weight):
     return all(weight[i] >= weight[j] for (i, j) in rd.positive)
 
 
-def in_ne_cone(rd, weight, depth=60):
+def in_ne_cone(rd, weight):
     """Membership of a root-lattice vector in the semigroup generated by the
     non-negative-quadrant roots (bounded exact search)."""
     gens = [rd.root_vector(r) for r in sorted(set(rd.ne))]

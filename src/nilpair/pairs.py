@@ -15,7 +15,8 @@ from itertools import combinations
 from math import isqrt
 
 from .diagrams import Diagram, ShapeClass, SKEWISH, classify_shape, subset_pairs
-from .linalg import Matrix, Subspace, bracket, frac, kernel_in
+from .linalg import EchelonBasis, Matrix, Subspace, bracket, dense, frac
+from .linalg import kernel_in, sparse
 
 
 class ShapeError(ValueError):
@@ -353,24 +354,22 @@ def is_nilpotent_family(space, n):
     checks each basis element; on a product-closed span that is enough, since
     the traces of all powers of every element then vanish.
     """
-    from .linalg import EchelonBasis
-
     basis = [Matrix.unflatten(v, n) for v in space.basis]
-    ech = EchelonBasis(n * n)
-    for b in basis:
-        ech.add(b.flatten())
+    ech = EchelonBasis()
+    for v in space.basis:
+        ech.add(sparse(v))
     current = list(basis)
     for _ in range(n):
         new_mats = []
         for a in current:
             for b in basis:
                 m = a * b
-                if ech.add(m.flatten()):
+                if ech.add(sparse(m.flatten())):
                     new_mats.append(m)
         if not new_mats:
             break
         current = new_mats
-    closed = [Matrix.unflatten(list(v), n) for v in ech.rows.values()]
+    closed = [Matrix.unflatten(dense(v, n * n), n) for v in ech.rows.values()]
     return all(m.is_nilpotent() for m in closed)
 
 
@@ -485,12 +484,10 @@ def center_of(space, n):
 
 def lie_closure(vectors, n):
     """Span closure of a set of matrices under the bracket."""
-    from .linalg import EchelonBasis
-
-    ech = EchelonBasis(n * n)
+    ech = EchelonBasis()
     frontier = []
     for v in vectors:
-        if ech.add(v):
+        if ech.add(sparse(v)):
             frontier.append(Matrix.unflatten(v, n))
     base = list(frontier)
     while frontier:
@@ -498,11 +495,11 @@ def lie_closure(vectors, n):
         for a in frontier:
             for b in base:
                 w = bracket(a, b)
-                if ech.add(w.flatten()):
+                if ech.add(sparse(w.flatten())):
                     new.append(w)
         base.extend(new)
         frontier = new
-    return ech.to_subspace()
+    return ech.to_subspace(n * n)
 
 
 def parabolic_checks(pair, h=None):

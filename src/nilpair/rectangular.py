@@ -259,11 +259,11 @@ def is_form_skew_adjoint(x, gram):
     return (gram * x + x.transpose() * gram).is_zero()
 
 
-def so_kernel(gram, extra_rows):
-    """Joint kernel of the given ad-constraints inside the form's algebra."""
+def _skew_adjoint_rows(gram):
+    """Rows on flattened X of the skew-adjointness constraints
+    (G X + X^T G)_{ij} = 0, i <= j."""
     n = gram.rows
-    rows = list(extra_rows)
-    # skew-adjointness constraints: (G X + X^T G)_{ij} = 0
+    rows = []
     for i in range(n):
         for j in range(i, n):
             row = [Fraction(0)] * (n * n)
@@ -273,7 +273,12 @@ def so_kernel(gram, extra_rows):
                 if gram.data[j][k]:
                     row[k * n + i] += gram.data[j][k]
             rows.append(row)
-    return Matrix(rows).kernel()
+    return rows
+
+
+def so_kernel(gram, extra_rows):
+    """Joint kernel of the given ad-constraints inside the form's algebra."""
+    return Matrix(list(extra_rows) + _skew_adjoint_rows(gram)).kernel()
 
 
 def even_orthogonal_pair(n):
@@ -373,25 +378,16 @@ def _associated_grading_candidate(e1, e2, gram):
     """Solve the affine systems [h, e_i] = delta e_i inside the orthogonal
     algebra; returns one deterministic solution pair or None."""
     N = e1.rows
+    form_rows = _skew_adjoint_rows(gram)
     sols = []
     for target_first in (True, False):
-        rows = []
-        rhs = []
+        rows = list(form_rows)
+        rhs = [Fraction(0)] * len(form_rows)
         for x, is_target in ((e1, target_first), (e2, not target_first)):
             adx = ad_matrix(x)
             for r, row in enumerate(adx.data):
                 rows.append([-v for v in row])
                 rhs.append(x.flatten()[r] if is_target else Fraction(0))
-        for i in range(N):
-            for j in range(i, N):
-                row = [Fraction(0)] * (N * N)
-                for k in range(N):
-                    if gram.data[i][k]:
-                        row[k * N + j] += gram.data[i][k]
-                    if gram.data[j][k]:
-                        row[k * N + i] += gram.data[j][k]
-                rows.append(row)
-                rhs.append(Fraction(0))
         sol = solve_affine(rows, rhs)
         if sol is None:
             return None

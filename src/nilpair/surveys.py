@@ -54,7 +54,6 @@ class RunConfig:
     max_boxes: int = 6
     output_format: str = "table"
     jobs: int = 1
-    alt_positive_system: bool = False
     out_path: str | None = None
     size_limit: int = field(default_factory=size_cap)
 
@@ -66,6 +65,10 @@ class RunConfig:
 
 
 class ResourceLimit(ValueError):
+    pass
+
+
+class UsageError(ValueError):
     pass
 
 
@@ -207,6 +210,8 @@ def skew_checks(d):
 
 
 def skew_suite(max_boxes, jobs=1):
+    if max_boxes > 7:
+        raise ResourceLimit(f"skew bound {max_boxes} over the limit 7")
     shapes = []
     for n in range(2, max_boxes + 1):
         shapes.extend(enumerate_diagrams(n, ShapeClass.SKEW))
@@ -468,6 +473,8 @@ def harmonics_checks(d):
 
 
 def harmonics_suite(max_boxes=5, common_bound=8, jobs=1):
+    if max_boxes > 5:
+        raise ResourceLimit(f"harmonics bound {max_boxes} over the limit 5")
     rows = _map_diagrams(harmonics_checks, _young_diagrams(max_boxes), jobs)
     for d in _young_diagrams(common_bound):
         rep = ch.common_constituent_report(d)
@@ -554,4 +561,6 @@ def _map_diagrams(func, diagrams, jobs):
 
 
 def _suite_report(name, rows):
+    if not rows:
+        raise UsageError(f"the {name} suite has no cases at this bound")
     return {"suite": name, "rows": rows, "ok": all(r["ok"] for r in rows)}

@@ -21,8 +21,9 @@ from nilpair import surveys
 from nilpair.cli import canonical_json
 from nilpair.diagrams import ShapeClass, enumerate_diagrams
 
-# canonical reports of the structure, skew and cohomology suites at their
-# acceptance bounds; a change that alters a single byte of one fails here
+# canonical reports of the structure, skew, cohomology, harmonics and
+# rectangular suites at their acceptance bounds; a change that alters a
+# single byte of one fails here
 DATA = Path(__file__).parent / "data"
 
 
@@ -130,6 +131,7 @@ def test_criterion_5_harmonics():
     rep = surveys.harmonics_suite(5, common_bound=8)
     ok = rep["ok"]
     assert _report("criterion-5 harmonics-suite (n<=5, constituents <=8)", ok)
+    assert _matches_golden(rep, "harmonics_suite_5.json")
 
 
 def test_criterion_6_rectangular():
@@ -143,6 +145,7 @@ def test_criterion_6_rectangular():
         assert r["detail"]["centralizer_dim"] == r["detail"]["rank"]
         assert r["detail"]["basis_spans"]
     assert _report("criterion-6 rectangular-suite (bound 20, orthogonal n=1,2,3)", ok)
+    assert _matches_golden(rep, "rect_suite_20.json")
 
 
 def test_criterion_7_strictness_witness():

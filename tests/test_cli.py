@@ -148,3 +148,31 @@ def test_multiplicity_single_diagram_uses_suite_rule():
             if r["diagram"] == spec and r["lambda"] == [int(x) for x in lam.split(",")]
         )
         assert json.loads(proc.stdout) == row
+
+
+def test_empty_suite_exits_two():
+    cases = (("skew", "1"), ("skew", "3"), ("multiplicity", "1"))
+    for suite, bound in cases:
+        args = (suite, "--all", bound)
+        proc = run_cli("verify", *args, "--format", "json")
+        assert proc.returncode == 2, args
+        assert proc.stdout == ""
+        assert "no cases" in proc.stderr
+
+
+def test_suite_bound_over_limit_exits_three():
+    for suite, bound in (("skew", "9"), ("harmonics", "6")):
+        args = (suite, "--all", bound)
+        proc = run_cli("verify", *args, "--format", "json")
+        assert proc.returncode == 3, args
+        assert proc.stdout == ""
+        assert "over the limit" in proc.stderr
+
+
+def test_mu_flag_is_gone():
+    proc = run_cli(
+        "verify", "multiplicity", "--diagram", "2,1", "--lambda", "2,1,0",
+        "--mu", "9,9,9",
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""

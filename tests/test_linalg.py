@@ -1,17 +1,21 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilpair.linalg import (
+    EchelonBasis,
     Matrix,
     Subspace,
     bracket,
     complement,
     jordan_type,
     kernel_in,
+    dense,
     rref,
     solve_affine,
+    sparse,
 )
 
 
@@ -143,3 +147,89 @@ def test_rref_canonical_pivots():
     rows, piv = rref([[2, 4], [1, 2]])
     assert rows == [(1, 2)]
     assert piv == [0]
+
+
+# EchelonBasis against the dense Subspace reference.  Vectors are small
+# integer lists; the tuple-key variant relabels position i by the i-th key of
+# a sorted list of distinct tuples, so the key order is the position order.
+
+
+@st.composite
+def vector_families(draw, max_dim=5, max_count=6):
+    dim = draw(st.integers(1, max_dim))
+    vec = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    vecs = draw(st.lists(vec, min_size=0, max_size=max_count))
+    probes = draw(st.lists(vec, min_size=1, max_size=3))
+    # sums of family members, so some probes lie in the span
+    if vecs:
+        probes.append([sum(c) for c in zip(*vecs)])
+    return dim, vecs, probes
+
+
+@given(vector_families())
+@settings(max_examples=80, deadline=None)
+def test_echelon_basis_matches_subspace(case):
+    dim, vecs, probes = case
+    ech = EchelonBasis()
+    for v in vecs:
+        before = ech.dim
+        assert bool(ech.add(sparse(v))) == (ech.dim == before + 1)
+    ref = Subspace(dim, vecs)
+    assert ech.to_subspace(dim) == ref
+    # the rows already are the canonical basis, in pivot order
+    assert [dense(ech.rows[p], dim) for p in sorted(ech.rows)] == list(ref.basis)
+    for w in probes:
+        assert ech.contains(sparse(w)) == ref.contains(w)
+        if ref.contains(w):
+            coords = ech.coordinates(sparse(w))
+            rebuilt = [Fraction(0)] * dim
+            for p, c in coords.items():
+                for k, x in ech.rows[p].items():
+                    rebuilt[k] += c * x
+            assert rebuilt == list(w)
+        else:
+            with pytest.raises(ValueError):
+                ech.coordinates(sparse(w))
+
+
+@given(
+    vector_families(),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        min_size=5,
+        max_size=5,
+        unique=True,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_echelon_basis_tuple_keys(case, keys):
+    dim, vecs, probes = case
+    keys = sorted(keys)[:dim]
+
+    def keyed(v):
+        return {keys[i]: Fraction(x) for i, x in enumerate(v) if x}
+
+    ech = EchelonBasis()
+    for v in vecs:
+        ech.add(keyed(v))
+    ref = Subspace(dim, vecs)
+    rows = [ech.rows[p] for p in sorted(ech.rows)]
+    assert [tuple(r.get(k, 0) for k in keys) for r in rows] == list(ref.basis)
+    for w in probes:
+        assert ech.contains(keyed(w)) == ref.contains(w)
+        if ref.contains(w):
+            coords = ech.coordinates(keyed(w))
+            rebuilt = {}
+            for p, c in coords.items():
+                for k, x in ech.rows[p].items():
+                    rebuilt[k] = rebuilt.get(k, 0) + c * x
+            assert {k: x for k, x in rebuilt.items() if x} == keyed(w)
+
+
+def test_echelon_basis_add_returns_remainder():
+    ech = EchelonBasis()
+    assert ech.add({0: Fraction(2), 1: Fraction(2)}) == {0: 2, 1: 2}
+    assert ech.add({0: Fraction(1), 1: Fraction(1)}) == {}
+    assert ech.add({0: Fraction(1), 2: Fraction(3)}) == {1: -1, 2: 3}
+    # fully reduced: the first row lost its entry at the new pivot 1
+    assert ech.rows == {0: {0: 1, 2: 3}, 1: {1: 1, 2: -3}}
