@@ -12,11 +12,11 @@ import json
 import sys
 
 from . import surveys
-from .diagrams import ParseError, ResourceError, parse
-from .diagrams import ShapeError as DiagramShapeError
+from .diagrams import ParseError, ResourceError, ShapeClass, ShapeError
+from .diagrams import classify_shape, parse
 from .linalg import Matrix
 from .pairs import (
-    ShapeError,
+    ClassificationError,
     biexponents,
     build_pair,
     centralizer,
@@ -171,13 +171,20 @@ def cmd_verify(args, config):
                 )
             )
             return rep, rep["ok"]
-        check = {
-            "structure": surveys.structure_checks,
-            "skew": surveys.skew_checks,
-            "cohomology": surveys.cohomology_checks,
-            "harmonics": surveys.harmonics_checks,
+        check, domain = {
+            "structure": (surveys.structure_checks, ShapeClass.YOUNG),
+            "skew": (surveys.skew_checks, ShapeClass.SKEW),
+            "cohomology": (surveys.cohomology_checks, ShapeClass.YOUNG),
+            "harmonics": (surveys.harmonics_checks, ShapeClass.YOUNG),
         }[args.suite]
-        rep = check(parse(args.diagram))
+        d = parse(args.diagram)
+        shape = classify_shape(d)
+        if shape != domain:
+            raise UsageError(
+                f"the {args.suite} checks cover {domain.value} shapes, "
+                f"not {shape.value}"
+            )
+        rep = check(d)
         return rep, rep["ok"]
     bound = args.all
     config.max_boxes = bound
@@ -235,7 +242,7 @@ def main(argv=None):
             payload, ok = cmd_verify(args, config)
         else:
             payload, ok = cmd_rect(args, config)
-    except (ParseError, ShapeError, DiagramShapeError, UsageError) as exc:
+    except (ParseError, ShapeError, ClassificationError, UsageError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (ResourceError, ResourceLimit) as exc:

@@ -20,31 +20,41 @@ from functools import lru_cache
 from itertools import combinations
 
 from .diagrams import Diagram, ShapeClass, classify_shape
-from .linalg import Matrix, Subspace, bracket, complement, kernel_in, lift
+from .linalg import Matrix, Subspace, bracket, complement, lift
 from .pairs import (
     ad,
     ad_image,
-    ad_map_between,
     bigraded_pieces,
     centralizer_bigraded,
+    graded_kernels,
     joint_centralizer,
     provenance_grading,
 )
 from .polys import BivariatePoly, one_minus, prod_poly
 
 
-def _kernel_blocks(pair, h, member, ambient="sl"):
-    """Bigraded kernels of one bracket action: {(p,q): Subspace}."""
-    pieces = bigraded_pieces(h, ambient=ambient)
+def tower_steps(pair, h, member, ambient="sl"):
+    """One step of the kernel tower K = K_member per class bidegree:
+    {(p, q): (tgt, img)} for every (p, q) next to a block of K.
+
+    For member 2 (the {p<=0, q>=1} family) tgt = K_{p,q-1} and img is
+    [e1, K_{p-1,q-1}] inside tgt; member 1 (the {p>=1, q<=0} family) is the
+    mirror, with tgt = K_{p-1,q} and e2 in place of e1.
+    """
+    k1, k2, _ = graded_kernels(pair, h, ambient)
+    if member == 1:
+        blocks, x, (a, b) = k1, pair.e2, (1, 0)
+    else:
+        blocks, x, (a, b) = k2, pair.e1, (0, 1)
     zero = Subspace.zero(pair.n**2)
-    x, (a, b) = (pair.e1, (1, 0)) if member == 1 else (pair.e2, (0, 1))
-    out = {}
-    for (p, q), piece in pieces.items():
-        tgt = pieces.get((p + a, q + b), zero)
-        kern = kernel_in(piece, [ad_map_between(x, piece, tgt)])
-        if kern.dim:
-            out[(p, q)] = kern
-    return out
+    steps = {}
+    for (p, q) in blocks:
+        for key in ((p + a, q + b), (p + 1, q + 1)):
+            if key not in steps:
+                tgt = blocks.get((key[0] - a, key[1] - b), zero)
+                src = blocks.get((key[0] - 1, key[1] - 1), zero)
+                steps[key] = (tgt, ad_image(x, src).intersect(tgt))
+    return steps
 
 
 def h1_table(pair, h=None):
@@ -113,33 +123,19 @@ def coker_formula_check(pair, h=None):
     mirror for {p>=1,q<=0}."""
     if h is None:
         h = provenance_grading(pair)
-    n = pair.n
     dims = h1_dims(pair, h)
-    k2 = _kernel_blocks(pair, h, 2)  # bigraded centralizer of e2
-    k1 = _kernel_blocks(pair, h, 1)
-    zero = Subspace.zero(n * n)
+    nw = tower_steps(pair, h, 2)
+    se = tower_steps(pair, h, 1)
     ok = True
     checked = {}
-    keys = set(dims)
-    for (p, q), blk in k2.items():
-        keys.add((p + 1, q + 1))
-        keys.add((p, q + 1))
-    for (p, q), blk in k1.items():
-        keys.add((p + 1, q + 1))
-        keys.add((p + 1, q))
-    for (p, q) in sorted(keys):
+    for (p, q) in sorted(set(dims) | set(nw) | set(se)):
         if p <= 0 and q >= 1:
-            tgt = k2.get((p, q - 1), zero)
-            src = k2.get((p - 1, q - 1), zero)
-            img = ad_image(pair.e1, src)
-            expect = tgt.dim - img.intersect(tgt).dim
+            step = nw.get((p, q))
         elif p >= 1 and q <= 0:
-            tgt = k1.get((p - 1, q), zero)
-            src = k1.get((p - 1, q - 1), zero)
-            img = ad_image(pair.e2, src)
-            expect = tgt.dim - img.intersect(tgt).dim
+            step = se.get((p, q))
         else:
-            expect = 0
+            step = None
+        expect = step[0].dim - step[1].dim if step else 0
         got = dims.get((p, q), 0)
         checked[(p, q)] = (got, expect)
         ok = ok and got == expect
@@ -342,29 +338,11 @@ def slice_basis(pair, h=None, quadrant="se", reverse=False):
     if h is None:
         h = provenance_grading(pair)
     n = pair.n
-    member = 1 if quadrant == "se" else 2
-    other = pair.e2 if quadrant == "se" else pair.e1
-    blocks = _kernel_blocks(pair, h, member)
-    zero = Subspace.zero(n * n)
+    steps = tower_steps(pair, h, 1 if quadrant == "se" else 2)
     entries = []
-    keys = set()
-    for (p, q) in blocks:
-        keys.update({(p, q), (p + 1, q), (p, q + 1), (p + 1, q + 1)})
-    for key in sorted(keys):
-        p, q = key
-        if quadrant == "se":
-            if not (p >= 1 and q <= 0):
-                continue
-            tgt = blocks.get((p - 1, q), zero)
-            src = blocks.get((p - 1, q - 1), zero)
-            img = ad_image(pair.e2, src).intersect(tgt)
-        else:
-            if not (p <= 0 and q >= 1):
-                continue
-            tgt = blocks.get((p, q - 1), zero)
-            src = blocks.get((p - 1, q - 1), zero)
-            img = ad_image(pair.e1, src).intersect(tgt)
-        if tgt.dim == img.dim:
+    for (p, q), (tgt, img) in sorted(steps.items()):
+        in_family = (p >= 1 and q <= 0) if quadrant == "se" else (p <= 0 and q >= 1)
+        if not in_family or tgt.dim == img.dim:
             continue
         comp = complement(img, tgt, reverse=reverse)
         for v in comp.basis:
@@ -466,7 +444,7 @@ def _recipe_is_complement(pair, h, recipe):
     class per box; the trace-zero cut is taken afterwards, so the check runs
     against the gl kernel towers (the center adds one class at (1, 0))."""
     n = pair.n
-    blocks = _kernel_blocks(pair, h, 1, ambient="gl")
+    steps = tower_steps(pair, h, 1, ambient="gl")
     zero = Subspace.zero(n * n)
     d = pair.provenance
     col_top = {pp: max(qs) for pp, qs in d.columns().items()}
@@ -480,9 +458,7 @@ def _recipe_is_complement(pair, h, recipe):
         b = q - col_top[p]
         by_class.setdefault((a + 1, b), []).append(m.flatten())
     for (p, q), vecs in by_class.items():
-        tgt = blocks.get((p - 1, q), zero)
-        src = blocks.get((p - 1, q - 1), zero)
-        img = ad_image(pair.e2, src).intersect(tgt)
+        tgt, img = steps.get((p, q), (zero, zero))
         span = Subspace(n * n, vecs)
         if span.dim != len(vecs) or span.intersect(img).dim:
             return False

@@ -26,14 +26,15 @@ from .multiplicity import classical_partition_count, root_data
 from .pairs import (
     abelian_check,
     ad,
-    ad_image,
     bigraded_pieces,
     biexponents,
     build_pair,
     centralizer,
     centralizer_bigraded,
     classify_pair,
+    graded_kernels,
     is_nilpotent_family,
+    monomial_basis_check,
     shift_basis_check,
     weak_lefschetz_report,
 )
@@ -126,7 +127,7 @@ def structure_checks(d):
         "abelian": abelian_check(z_sl, n),
         "nilpotent": is_nilpotent_family(z_sl, n),
         "biexponents_match_boxes": exps == expected_exps,
-        "monomial_basis": _monomial_ok(pair),
+        "monomial_basis": monomial_basis_check(pair),
         "weak_lefschetz": all(r["ok"] for r in lef),
         "shift_basis_all_bidegrees": shift_ok,
         "trace_pairing": pairing_ok,
@@ -138,18 +139,11 @@ def structure_checks(d):
     return checks
 
 
-def _monomial_ok(pair):
-    from .pairs import monomial_basis_check
-
-    return monomial_basis_check(pair)
-
-
 def _ddbar_identity(pair, h):
     """ker(ad e1 ad e2) = ker(ad e1) + ker(ad e2) per non-negative bidegree."""
     n = pair.n
     pieces = bigraded_pieces(h, "sl")
-    k1 = co._kernel_blocks(pair, h, 1)
-    k2 = co._kernel_blocks(pair, h, 2)
+    k1, k2, _ = graded_kernels(pair, h, "sl")
     zero = Subspace.zero(n * n)
     for (p, q), piece in pieces.items():
         if p < 0 or q < 0:
@@ -165,23 +159,10 @@ def _ddbar_identity(pair, h):
 
 def _centralizer_tower_surjectivity(pair, h):
     """[e1, .] onto the next kernel block of e2 and the mirror, for
-    non-negative bidegrees."""
-    n = pair.n
-    k1 = co._kernel_blocks(pair, h, 1)
-    k2 = co._kernel_blocks(pair, h, 2)
-    zero = Subspace.zero(n * n)
-    for blocks, x in ((k2, pair.e1), (k1, pair.e2)):
-        shift = (1, 0) if x is pair.e1 else (0, 1)
-        keys = set(blocks) | {
-            (p + shift[0], q + shift[1]) for (p, q) in blocks
-        }
-        for (p, q) in keys:
-            if p < 0 or q < 0:
-                # sources with negative entries are not covered by the claim
-                continue
-            src = blocks.get((p, q), zero)
-            tgt = blocks.get((p + shift[0], q + shift[1]), zero)
-            if ad_image(x, src).intersect(tgt).dim != tgt.dim:
+    non-negative source bidegrees (class bidegrees p, q >= 1)."""
+    for member in (1, 2):
+        for (p, q), (tgt, img) in co.tower_steps(pair, h, member).items():
+            if p >= 1 and q >= 1 and img.dim != tgt.dim:
                 return False
     return True
 
@@ -492,7 +473,10 @@ def harmonics_suite(max_boxes=5, common_bound=8, jobs=1):
 # rectangular
 
 
-def rect_suite(dim_bound=20, so_sizes=(1, 2, 3), cross_check_bound=12, algebras=("sl", "sp", "so")):
+RECT_CROSS_CHECK_BOUND = 12  # box bound of the rectangles checked against diagram pairs
+
+
+def rect_suite(dim_bound=20, so_sizes=(1, 2, 3), algebras=("sl", "sp", "so")):
     rows = []
     ok = True
     for alg in algebras:
@@ -507,9 +491,9 @@ def rect_suite(dim_bound=20, so_sizes=(1, 2, 3), cross_check_bound=12, algebras=
             }
         )
     # bi-exponents of rectangles against the diagram pairs
-    for a in range(1, cross_check_bound + 1):
+    for a in range(1, RECT_CROSS_CHECK_BOUND + 1):
         for b in range(1, a + 1):
-            if "sl" not in algebras or a * b > cross_check_bound or a * b < 2:
+            if "sl" not in algebras or a * b > RECT_CROSS_CHECK_BOUND or a * b < 2:
                 continue
             accepted, exps = re_.is_regular_embedding(
                 re_.EmbeddingSpec("sl", ((a, b),))

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 GOLDEN = Path(__file__).parent / "data" / "multiplicity_suite_6.json"
 
 
@@ -176,3 +178,21 @@ def test_mu_flag_is_gone():
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "structure", "--diagram", "3,2/1"),
+        ("verify", "cohomology", "--diagram", "3,2/1"),
+        ("verify", "harmonics", "--diagram", "3,2/1"),
+        ("verify", "skew", "--diagram", "3,2"),
+        ("pair", "biexponents", "--diagram", "3,2/1"),
+    ],
+    ids=["structure", "cohomology", "harmonics", "skew", "biexponents"],
+)
+def test_shape_outside_domain_exits_two(args):
+    proc = run_cli(*args, "--format", "json")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")

@@ -12,9 +12,10 @@ from nilpair.cohomology import (
     slice_basis,
     slice_report,
     support_ok,
+    tower_steps,
     young_se_slice,
 )
-from nilpair.diagrams import parse
+from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
 from nilpair.linalg import bracket
 from nilpair.pairs import build_pair
 
@@ -119,3 +120,23 @@ def test_degenerate_slice_forms():
 
     span = Subspace(n * n, [p.flatten() for p in powers])
     assert span == Subspace(n * n, [m.flatten() for m in se.matrices()])
+
+
+def test_tower_steps_images_lie_in_targets():
+    for n in range(1, 6):
+        shapes = [(d, True) for d in enumerate_diagrams(n, ShapeClass.YOUNG)]
+        if n >= 2:
+            shapes += [(d, False) for d in enumerate_diagrams(n, ShapeClass.SKEW)]
+        for d, young in shapes:
+            pair, h = build_pair(d)
+            for ambient in ("sl", "gl"):
+                totals = []
+                for member in (2, 1):
+                    steps = tower_steps(pair, h, member, ambient)
+                    for tgt, img in steps.values():
+                        assert tgt.contains_subspace(img)
+                    totals.append(sum(t.dim - i.dim for t, i in steps.values()))
+                if young:
+                    # each family carries the rank; in gl the center adds one
+                    rank = n - 1 if ambient == "sl" else n
+                    assert totals == [rank, rank], (d.serialize(), ambient)

@@ -326,3 +326,31 @@ def test_killing_pairing_dims():
                 ]
             )
             assert gram.rank() == dim
+
+
+def _shapes_up_to_five():
+    for n in range(1, 6):
+        yield from enumerate_diagrams(n, ShapeClass.YOUNG)
+        if n >= 2:
+            yield from enumerate_diagrams(n, ShapeClass.SKEW)
+
+
+def _span(blocks, n):
+    return Subspace(n * n, [v for sp in blocks.values() for v in sp.basis])
+
+
+def test_graded_kernels_match_dense_kernels():
+    from nilpair.pairs import ad_matrix, graded_kernels, joint_centralizer, trace_row
+
+    for d in _shapes_up_to_five():
+        pair, h = build_pair(d)
+        n = pair.n
+        for ambient in ("sl", "gl"):
+            extra = [trace_row(n)] if ambient == "sl" else []
+            k1, k2, k12 = graded_kernels(pair, h, ambient)
+            for x, blocks in ((pair.e1, k1), (pair.e2, k2)):
+                dense = Matrix(list(ad_matrix(x).data) + extra).kernel()
+                assert _span(blocks, n) == dense, (d.serialize(), ambient)
+            joint = joint_centralizer(pair.e1, pair.e2, extra)
+            assert _span(k12, n) == joint, (d.serialize(), ambient)
+            assert all(sp.dim for sp in (*k1.values(), *k2.values(), *k12.values()))
