@@ -38,8 +38,9 @@ def tower_steps(pair, h, member, ambient="sl"):
     {(p, q): (tgt, img)} for every (p, q) next to a block of K.
 
     For member 2 (the {p<=0, q>=1} family) tgt = K_{p,q-1} and img is
-    [e1, K_{p-1,q-1}] inside tgt; member 1 (the {p>=1, q<=0} family) is the
-    mirror, with tgt = K_{p-1,q} and e2 in place of e1.
+    [e1, K_{p-1,q-1}], which lies in tgt since [e1, e2] = 0; member 1 (the
+    {p>=1, q<=0} family) is the mirror, with tgt = K_{p-1,q} and e2 in place
+    of e1.
     """
     k1, k2, _ = graded_kernels(pair, h, ambient)
     if member == 1:
@@ -53,7 +54,7 @@ def tower_steps(pair, h, member, ambient="sl"):
             if key not in steps:
                 tgt = blocks.get((key[0] - a, key[1] - b), zero)
                 src = blocks.get((key[0] - 1, key[1] - 1), zero)
-                steps[key] = (tgt, ad_image(x, src).intersect(tgt))
+                steps[key] = (tgt, ad_image(x, src))
     return steps
 
 

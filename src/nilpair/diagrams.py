@@ -71,9 +71,6 @@ class Diagram:
     def n(self):
         return len(self.boxes)
 
-    def box_index(self, box):
-        return self.boxes.index(tuple(box))
-
     def row(self, q):
         return sorted(p for p, qq in self.boxes if qq == q)
 

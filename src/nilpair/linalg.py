@@ -15,39 +15,19 @@ def frac(x):
 
 
 def rref(rows):
-    """Reduced row echelon form.
+    """Reduced row echelon form, computed by one EchelonBasis.
 
     Returns (nonzero rows as tuples, pivot column list).  Pivots are
     normalised to 1 and cleared above and below.
     """
-    m = [[frac(x) for x in r] for r in rows]
-    m = [r for r in m if any(r)]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        piv = m[r][c]
-        if piv != 1:
-            m[r] = [x / piv for x in m[r]]
-        mr = m[r]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                mi = m[i]
-                for j in range(c, ncols):
-                    if mr[j]:
-                        mi[j] -= f * mr[j]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [tuple(row) for row in m[:r] if any(row)], pivots
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged rows")
+    ech = EchelonBasis()
+    for r in rows:
+        ech.add(sparse(r))
+    pivots = sorted(ech.rows)
+    return [dense(ech.rows[p], ncols) for p in pivots], pivots
 
 
 def solve_affine(rows, rhs):

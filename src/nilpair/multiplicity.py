@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 
-from .linalg import Matrix, frac
+from .linalg import frac, solve_affine
 from .polys import BivariatePoly
 
 
@@ -129,19 +129,16 @@ def _simple_roots(positive, n):
     return sorted(r for r in positive if vecs[r] not in sums)
 
 
-def _simple_coordinate_matrix(rd):
-    cols = [rd.root_vector(r) for r in rd.simple]
-    return Matrix(list(zip(*cols)))
-
-
 def cone_coordinates(rd, vec):
     """Coordinates of a root-lattice vector in the simple basis, or None when
     the vector is outside the non-negative integer cone."""
-    mat = _simple_coordinate_matrix(rd)
-    rows = list(mat.data)
-    from .linalg import solve_affine
+    return _cone_coordinates(rd, tuple(vec))
 
-    sol = solve_affine(rows, [frac(x) for x in vec])
+
+@lru_cache(maxsize=None)
+def _cone_coordinates(rd, vec):
+    cols = [rd.root_vector(r) for r in rd.simple]
+    sol = solve_affine(list(zip(*cols)), vec)
     if sol is None:
         return None
     if any(c.denominator != 1 or c < 0 for c in sol):

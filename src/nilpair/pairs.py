@@ -51,11 +51,6 @@ class SemisimplePair:
     def n(self):
         return len(self.h1)
 
-    @property
-    def trace_shift(self):
-        n = self.n
-        return (sum(self.h1) / n, sum(self.h2) / n)
-
     def matrices(self):
         return Matrix.diagonal(self.h1), Matrix.diagonal(self.h2)
 

@@ -3,8 +3,6 @@ rational-coefficient polynomials in many variables."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import frac
 
 
@@ -84,14 +82,6 @@ class BivariatePoly:
 
     def eval_ones(self):
         return sum(self.coeffs.values())
-
-    def min_exponents(self):
-        if not self.coeffs:
-            return (0, 0)
-        return (
-            min(i for i, _ in self.coeffs),
-            min(j for _, j in self.coeffs),
-        )
 
     def items_sorted(self):
         return sorted(self.coeffs.items())
@@ -267,17 +257,6 @@ class MultivariatePoly:
                 if not part:
                     break
             total = total + part.scale(c)
-        return total
-
-    def evaluate(self, point):
-        """Exact value at a rational point."""
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            v = c
-            for x, a in zip(point, e):
-                if a:
-                    v *= frac(x) ** a
-            total += v
         return total
 
     def monomials_sorted(self):

@@ -19,6 +19,37 @@ from nilpair.linalg import (
 )
 
 
+def _dense_rref(rows):
+    """Dense Gauss-Jordan reference for rref: (nonzero rows as tuples, pivot
+    column list), pivots normalised to 1 and cleared above and below."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    m = [r for r in m if any(r)]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m[:r]], pivots
+
+
+def _in_span(vecs, w):
+    return len(_dense_rref(list(vecs) + [w])[0]) == len(_dense_rref(vecs)[0])
+
+
 def test_kernel_zero_matrix():
     assert Matrix.zero(3).kernel().dim == 3
 
@@ -149,7 +180,53 @@ def test_rref_canonical_pivots():
     assert piv == [0]
 
 
-# EchelonBasis against the dense Subspace reference.  Vectors are small
+@st.composite
+def row_lists(draw, max_dim=6):
+    """Rows of one length with sparse Fraction entries, tall or wide, with
+    zero rows and repeats of earlier rows inserted at drawn positions."""
+    c = draw(st.integers(1, max_dim))
+    entry = st.one_of(st.just(Fraction(0)), small_fracs)
+    rows = draw(
+        st.lists(
+            st.lists(entry, min_size=c, max_size=c), min_size=1, max_size=max_dim
+        )
+    )
+    for src in draw(st.lists(st.integers(-1, max_dim), max_size=3)):
+        new = list(rows[src % len(rows)]) if src >= 0 else [0] * c
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return c, rows
+
+
+@given(row_lists(), st.lists(small_fracs, min_size=10, max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_dense_reference(case, rhs):
+    c, rows = case
+    assert rref(rows) == _dense_rref(rows)
+    # solve_affine against the dense reduction of the augmented rows
+    rhs = rhs[: len(rows)]
+    red, piv = _dense_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    sol = solve_affine(rows, rhs)
+    if c in piv:
+        assert sol is None
+    else:
+        expect = [Fraction(0)] * c
+        for row, p in zip(red, piv):
+            expect[p] = row[-1]
+        assert sol == tuple(expect)
+        assert Matrix(rows).apply(sol) == tuple(rhs)
+
+
+@pytest.mark.parametrize("short_at", [0, 1, 2])
+def test_ragged_rows_raise_value_error(short_at):
+    rows = [(1, 0, 0), (0, 0, 1)]
+    rows.insert(short_at, (1, 0))
+    with pytest.raises(ValueError):
+        rref(rows)
+    with pytest.raises(ValueError):
+        Subspace(3, rows)
+
+
+# EchelonBasis against the `_dense_rref` reference.  Vectors are small
 # integer lists; the tuple-key variant relabels position i by the i-th key of
 # a sorted list of distinct tuples, so the key order is the position order.
 
@@ -174,13 +251,13 @@ def test_echelon_basis_matches_subspace(case):
     for v in vecs:
         before = ech.dim
         assert bool(ech.add(sparse(v))) == (ech.dim == before + 1)
-    ref = Subspace(dim, vecs)
-    assert ech.to_subspace(dim) == ref
+    ref, _ = _dense_rref(vecs)
+    assert list(ech.to_subspace(dim).basis) == ref
     # the rows already are the canonical basis, in pivot order
-    assert [dense(ech.rows[p], dim) for p in sorted(ech.rows)] == list(ref.basis)
+    assert [dense(ech.rows[p], dim) for p in sorted(ech.rows)] == ref
     for w in probes:
-        assert ech.contains(sparse(w)) == ref.contains(w)
-        if ref.contains(w):
+        assert ech.contains(sparse(w)) == _in_span(vecs, w)
+        if _in_span(vecs, w):
             coords = ech.coordinates(sparse(w))
             rebuilt = [Fraction(0)] * dim
             for p, c in coords.items():
@@ -212,12 +289,11 @@ def test_echelon_basis_tuple_keys(case, keys):
     ech = EchelonBasis()
     for v in vecs:
         ech.add(keyed(v))
-    ref = Subspace(dim, vecs)
     rows = [ech.rows[p] for p in sorted(ech.rows)]
-    assert [tuple(r.get(k, 0) for k in keys) for r in rows] == list(ref.basis)
+    assert [tuple(r.get(k, 0) for k in keys) for r in rows] == _dense_rref(vecs)[0]
     for w in probes:
-        assert ech.contains(keyed(w)) == ref.contains(w)
-        if ref.contains(w):
+        assert ech.contains(keyed(w)) == _in_span(vecs, w)
+        if _in_span(vecs, w):
             coords = ech.coordinates(keyed(w))
             rebuilt = {}
             for p, c in coords.items():
