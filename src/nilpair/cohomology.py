@@ -20,14 +20,14 @@ from functools import lru_cache
 from itertools import combinations
 
 from .diagrams import Diagram, ShapeClass, classify_shape
-from .linalg import Matrix, Subspace, bracket, complement, lift
+from .linalg import Matrix, Subspace, complement, lift, relations
 from .pairs import (
+    NilPair,
     ad,
     ad_image,
     bigraded_pieces,
     centralizer_bigraded,
     graded_kernels,
-    joint_centralizer,
     provenance_grading,
 )
 from .polys import BivariatePoly, one_minus, prod_poly
@@ -40,14 +40,20 @@ def tower_steps(pair, h, member, ambient="sl"):
     For member 2 (the {p<=0, q>=1} family) tgt = K_{p,q-1} and img is
     [e1, K_{p-1,q-1}], which lies in tgt since [e1, e2] = 0; member 1 (the
     {p>=1, q<=0} family) is the mirror, with tgt = K_{p-1,q} and e2 in place
-    of e1.
+    of e1.  The result is cached per (e1, e2, h, member, ambient) and shared
+    between callers, who must not mutate it.
     """
-    k1, k2, _ = graded_kernels(pair, h, ambient)
+    return _tower_steps(pair.e1, pair.e2, h, member, ambient)
+
+
+@lru_cache(maxsize=64)
+def _tower_steps(e1, e2, h, member, ambient):
+    k1, k2, _ = graded_kernels(NilPair(e1, e2, check=False), h, ambient)
     if member == 1:
-        blocks, x, (a, b) = k1, pair.e2, (1, 0)
+        blocks, x, (a, b) = k1, e2, (1, 0)
     else:
-        blocks, x, (a, b) = k2, pair.e1, (0, 1)
-    zero = Subspace.zero(pair.n**2)
+        blocks, x, (a, b) = k2, e1, (0, 1)
+    zero = Subspace.zero(e1.rows**2)
     steps = {}
     for (p, q) in blocks:
         for key in ((p + a, q + b), (p + 1, q + 1)):
@@ -380,6 +386,39 @@ def young_se_slice(pair, include_skipped=False):
     return out
 
 
+def slice_samples(pair, h, sb):
+    """The deterministic sample points of a slice with their gl centralizers:
+    (members, x1, x2, Z(x1, x2)) for each single member, each pair of
+    members and, beyond two, the full sum.
+
+    The unperturbed member (e1 for "se", e2 for "nw") is h-homogeneous, so
+    its gl centralizer is the sum of its graded kernel blocks, built once
+    per slice; Z(x1, x2) is the kernel of the moved member's bracket on it,
+    with the same canonical basis as the joint kernel of ad x1 and ad x2.
+    """
+    n = pair.n
+    k1, k2, _ = graded_kernels(pair, h, "gl")
+    blocks = k1 if sb.quadrant == "se" else k2
+    z_fixed = Subspace(n * n, [v for sp in blocks.values() for v in sp.basis])
+    mats = sb.matrices()
+    picks = [(i,) for i in range(len(mats))]
+    picks += list(combinations(range(len(mats)), 2))
+    picks += [tuple(range(len(mats)))] if len(mats) > 2 else []
+    for pick in picks:
+        s = Matrix.zero(n)
+        for i in pick:
+            s = s + mats[i]
+        if sb.quadrant == "se":
+            x1, x2 = pair.e1, pair.e2 + s
+            moved = x2
+        else:
+            x1, x2 = pair.e1 + s, pair.e2
+            moved = x1
+        images = [ad(moved, v) for v in z_fixed.basis]
+        zx = lift(relations(images), z_fixed.basis, n * n)
+        yield pick, x1, x2, zx
+
+
 def slice_report(pair, h=None, quadrant="se", reverse=False):
     """Build the slice, check the commuting property and regularity of the
     deterministic sample points, and compare the graded centralizer of each
@@ -394,27 +433,16 @@ def slice_report(pair, h=None, quadrant="se", reverse=False):
         "count_ok": sb.count == n - 1,
         "samples": [],
     }
-    mats = sb.matrices()
-    samples = [(i,) for i in range(len(mats))]
-    samples += [c for c in combinations(range(len(mats)), 2)]
-    samples += [tuple(range(len(mats)))] if len(mats) > 2 else []
     # the symbol-containment pass is the expensive part; run it on the
     # singletons and the full sum, regularity on every sample
-    deep = {(i,) for i in range(len(mats))} | {tuple(range(len(mats)))}
+    deep = {(i,) for i in range(sb.count)} | {tuple(range(sb.count))}
+    frames = _corner_frames(pair, h)
     all_ok = report["count_ok"]
-    for pick in samples:
-        s = Matrix.zero(n)
-        for i in pick:
-            s = s + mats[i]
-        if quadrant == "se":
-            x1, x2 = pair.e1, pair.e2 + s
-        else:
-            x1, x2 = pair.e1 + s, pair.e2
-        commutes = bracket(x1, x2).is_zero()
-        zx = joint_centralizer(x1, x2)
+    for pick, x1, x2, zx in slice_samples(pair, h, sb):
+        commutes = not any(ad(x1, x2.flatten()))
         zdim = zx.dim - 1  # the identity always centralises, trace cuts one
         corners_ok = (
-            _corner_containment_ok(pair, h, zx) if pick in deep else None
+            _corner_containment_ok(n, zx, frames) if pick in deep else None
         )
         ok = commutes and zdim == n - 1 and corners_ok is not False
         all_ok = all_ok and ok
@@ -452,7 +480,7 @@ def _recipe_is_complement(pair, h, recipe):
     row_end = {qq: max(ps) for qq, ps in d.rows().items()}
     by_class = {}
     for (p, q), m in recipe:
-        if not bracket(pair.e1, m).is_zero():
+        if any(ad(pair.e1, m.flatten())):
             return False
         # class bidegree of the translation map: its shift plus (1, 0)
         a = row_end[q] - p
@@ -473,7 +501,28 @@ def _recipe_is_complement(pair, h, recipe):
     return got == se
 
 
-def _corner_containment_ok(pair, h, zx):
+def _corner_frames(pair, h):
+    """The pair's data for _corner_containment_ok, one frame per bidegree
+    (p, q) of gl_n in sorted order: the flat indices outside the rectangle
+    L_{<=p,q}, the indices of its corner (p, q), and the (p, q) block of the
+    pair's gl centralizer."""
+    n = pair.n
+    bid = {}
+    for i in range(n):
+        for j in range(n):
+            d = h.bidegree(i, j)
+            bid[i * n + j] = (int(d[0]), int(d[1]))
+    z_pair = centralizer_bigraded(pair, h, "gl")
+    zero = Subspace.zero(n * n)
+    frames = []
+    for (p, q) in sorted(set(bid.values())):
+        outside = [c for c, d in bid.items() if not (d[0] <= p and d[1] <= q)]
+        corner = [c for c, d in bid.items() if d == (p, q)]
+        frames.append((outside, corner, z_pair.get((p, q), zero)))
+    return frames
+
+
+def _corner_containment_ok(n, zx, frames):
     """Symbol containment for the staircase filtration of the slice-point
     centralizer: for every rectangle, the leading-corner components of its
     members commute with the pair.
@@ -483,23 +532,12 @@ def _corner_containment_ok(pair, h, zx):
     the smallest diagrams, because the perturbed member itself centralises
     the point while mixing bidegrees.
     """
-    n = pair.n
     if zx.dim != n:
         return False
-    bid = {}
-    for i in range(n):
-        for j in range(n):
-            d = h.bidegree(i, j)
-            bid[i * n + j] = (int(d[0]), int(d[1]))
-    z_pair = centralizer_bigraded(pair, h, "gl")
-    zero = Subspace.zero(n * n)
-    for (p, q) in sorted(set(bid.values())):
-        outside = [c for c, d in bid.items() if not (d[0] <= p and d[1] <= q)]
+    for outside, corner, tgt in frames:
         # basis of Z cap L_{<=p,q}: coefficient combos with no outside part
         proj = Matrix([[v[c] for v in zx.basis] for c in outside])
         coeffs = proj.kernel() if outside else Subspace.full(zx.dim)
-        corner = [c for c, d in bid.items() if d == (p, q)]
-        tgt = z_pair.get((p, q), zero)
         for coeff in coeffs.basis:
             comp = [Fraction(0)] * (n * n)
             for c, b in zip(coeff, zx.basis):

@@ -248,6 +248,25 @@ def kernel_in(piece, maps):
     return lift(Matrix(rows).kernel(), piece.basis, piece.ambient_dim)
 
 
+def relations(vectors):
+    """The linear relations among vectors: the coefficient vectors c with
+    sum_j c_j vectors[j] = 0, as a Subspace of Q^len(vectors).
+
+    Each vector goes into one EchelonBasis followed by its unit coefficient
+    vector; the rows whose pivot falls in the coefficient part have no
+    vector part left, and they span the relations.  This is the kernel of
+    the matrix with the vectors as columns, found without forming that
+    matrix or its rows."""
+    m = len(vectors)
+    ech = EchelonBasis()
+    for j, v in enumerate(vectors):
+        row = {(0, k): x for k, x in enumerate(v) if x}
+        row[(1, j)] = Fraction(1)
+        ech.add(row)
+    rels = [r for (part, _), r in ech.rows.items() if part == 1]
+    return Subspace(m, [dense({j: x for (_, j), x in r.items()}, m) for r in rels])
+
+
 def complement(sub, within, reverse=False):
     """A deterministic complement of `sub` inside `within`.
 

@@ -192,8 +192,26 @@ def ad_matrix(x):
 
 
 def ad(x, v):
-    """[x, v] for a flattened matrix v, flattened."""
-    return bracket(x, Matrix.unflatten(v, x.rows)).flatten()
+    """[x, v] for a flattened matrix v, flattened.
+
+    Sparse in both arguments: each nonzero x_ia contributes x_ia V_ab to
+    entry (i, b) and -V_ji x_ia to entry (j, a)."""
+    n = x.rows
+    rows, cols = [[] for _ in range(n)], [[] for _ in range(n)]
+    for k, y in enumerate(v):
+        if y:
+            a, b = divmod(k, n)
+            rows[a].append((b, y))
+            cols[b].append((a, y))
+    out = [Fraction(0)] * (n * n)
+    for i, xrow in enumerate(x.data):
+        for a, c in enumerate(xrow):
+            if c:
+                for b, y in rows[a]:
+                    out[i * n + b] += c * y
+                for j, y in cols[i]:
+                    out[j * n + a] -= y * c
+    return tuple(out)
 
 
 def ad_image(x, space):

@@ -11,13 +11,14 @@ from nilpair.cohomology import (
     se_biexponents,
     slice_basis,
     slice_report,
+    slice_samples,
     support_ok,
     tower_steps,
     young_se_slice,
 )
 from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
 from nilpair.linalg import bracket
-from nilpair.pairs import build_pair
+from nilpair.pairs import build_pair, joint_centralizer
 
 
 def test_hook_table_frozen():
@@ -140,3 +141,22 @@ def test_tower_steps_images_lie_in_targets():
                     # each family carries the rank; in gl the center adds one
                     rank = n - 1 if ambient == "sl" else n
                     assert totals == [rank, rank], (d.serialize(), ambient)
+
+
+def test_slice_centralizers_match_dense_joint_kernel():
+    # the restriction to the fixed member's centralizer must reproduce the
+    # canonical basis of the dense 2n^2 x n^2 joint kernel exactly
+    for n in range(1, 6):
+        for d in enumerate_diagrams(n, ShapeClass.YOUNG):
+            pair, h = build_pair(d)
+            for quad in ("se", "nw"):
+                for reverse in (False, True):
+                    sb = slice_basis(pair, h, quad, reverse=reverse)
+                    k = sb.count
+                    seen = []
+                    for pick, x1, x2, zx in slice_samples(pair, h, sb):
+                        seen.append(pick)
+                        ref = joint_centralizer(x1, x2)
+                        where = (d.serialize(), quad, reverse, pick)
+                        assert zx.basis == ref.basis, where
+                    assert len(seen) == k + k * (k - 1) // 2 + (k > 2)

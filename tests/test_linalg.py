@@ -13,6 +13,7 @@ from nilpair.linalg import (
     jordan_type,
     kernel_in,
     dense,
+    relations,
     rref,
     solve_affine,
     sparse,
@@ -89,6 +90,20 @@ def test_kernel_vectors_annihilate_and_rank_nullity(m):
     for v in ker.basis:
         assert all(x == 0 for x in m.apply(v))
     assert m.rank() + ker.dim == m.cols
+
+
+@given(matrices(max_dim=5), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_relations_match_kernel_of_column_matrix(m, rng):
+    cols = [list(c) for c in zip(*m.data)]
+    # force relations: a zero column and a combination of two columns
+    cols.insert(rng.randrange(len(cols) + 1), [Fraction(0)] * m.rows)
+    i, j = rng.randrange(len(cols)), rng.randrange(len(cols))
+    c = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+    cols.append([a + c * b for a, b in zip(cols[i], cols[j])])
+    rel = relations(cols)
+    assert rel == Matrix(list(zip(*cols))).kernel()
+    assert rel.dim >= 2
 
 
 @given(matrices(max_dim=4), st.randoms(use_true_random=False))

@@ -1,10 +1,15 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
 from nilpair.linalg import Matrix, Subspace, bracket
 from nilpair.pairs import (
     ShapeError,
     abelian_check,
+    ad,
     ad_pair_operators,
     bigrade,
     bigraded_pieces,
@@ -354,3 +359,35 @@ def test_graded_kernels_match_dense_kernels():
             joint = joint_centralizer(pair.e1, pair.e2, extra)
             assert _span(k12, n) == joint, (d.serialize(), ambient)
             assert all(sp.dim for sp in (*k1.values(), *k2.values(), *k12.values()))
+
+
+_entries = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-4, max_value=4, max_denominator=3)
+)
+
+
+@st.composite
+def _ad_cases(draw):
+    """(x, v): x zero, sparse or dense with rational entries; v a flattened
+    matrix mixing integer and rational entries."""
+    n = draw(st.integers(1, 5))
+    density = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    if density == "zero":
+        x = Matrix.zero(n)
+    else:
+        entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        if density == "sparse":
+            entries = st.one_of(st.just(0), st.just(0), entries)
+        row = st.lists(entries, min_size=n, max_size=n)
+        x = Matrix(draw(st.lists(row, min_size=n, max_size=n)))
+    v = draw(st.lists(_entries, min_size=n * n, max_size=n * n))
+    return x, v
+
+
+@given(_ad_cases())
+@settings(max_examples=200, deadline=None)
+def test_sparse_ad_matches_bracket(case):
+    x, v = case
+    got = ad(x, v)
+    assert got == bracket(x, Matrix.unflatten(v, x.rows)).flatten()
+    assert all(type(y) is Fraction for y in got)
