@@ -96,7 +96,7 @@ def _h1_table(e1, e2, h):
         cols = [ad(e2, u) for u in mid1.basis]
         cols += [[-x for x in ad(e1, v)] for v in mid2.basis]
         doubled = [u + pad for u in mid1.basis] + [pad + v for v in mid2.basis]
-        cocycle_space = lift(Matrix(list(zip(*cols))).kernel(), doubled, 2 * nn)
+        cocycle_space = lift(relations(cols), doubled, 2 * nn)
         boundary_space = Subspace(2 * nn, [ad(e1, s) + ad(e2, s) for s in src.basis])
         if not cocycle_space.contains_subspace(boundary_space):
             raise ArithmeticError("a coboundary is not a cocycle")
@@ -266,7 +266,7 @@ def product_identity_nw_check(pair, h=None):
     lhs = [one_minus(p + 1, q + 1) for (p, q) in exps]
     rhs_num = [one_minus(1, 2)] * (n - 1)
     rhs_den = []
-    for (i, j), (v1, v2) in rd.values.items():
+    for v1, v2 in rd.values.values():
         a, b = int(v1), int(v2)
         if a <= -1 and b >= 1:
             # inverse bracket at (a+1, b+1)
@@ -536,8 +536,7 @@ def _corner_containment_ok(n, zx, frames):
         return False
     for outside, corner, tgt in frames:
         # basis of Z cap L_{<=p,q}: coefficient combos with no outside part
-        proj = Matrix([[v[c] for v in zx.basis] for c in outside])
-        coeffs = proj.kernel() if outside else Subspace.full(zx.dim)
+        coeffs = relations([[v[c] for c in outside] for v in zx.basis])
         for coeff in coeffs.basis:
             comp = [Fraction(0)] * (n * n)
             for c, b in zip(coeff, zx.basis):

@@ -240,7 +240,6 @@ def c_regular_samples(d, count=3):
     """Deterministic integer vectors in the regular locus: constant on
     columns with distinct row values for the first member, mirrored for the
     second."""
-    n = d.n
     cols = sorted({p for p, _ in d.boxes})
     rows = sorted({q for _, q in d.boxes})
     samples = []

@@ -239,32 +239,51 @@ def lift(coeff_space, basis, ambient_dim):
     return Subspace(ambient_dim, vecs)
 
 
-def kernel_in(piece, maps):
-    """The vectors of `piece` sent to zero by every map, each map a Matrix
-    acting on the coordinates of piece's canonical basis."""
-    rows = [row for m in maps for row in m.data]
-    if not rows:
+def kernel_in(piece, images):
+    """The vectors of `piece` sent to zero by a linear map, given by the
+    images of piece's canonical basis vectors, one each, in any coordinates.
+
+    A map that kills the whole piece returns `piece` itself: callers cache
+    these kernels beside the pieces, and an equal copy would double that."""
+    if len(images) != piece.dim:
+        raise ValueError("need one image per basis vector of the piece")
+    kern = relations(images)
+    if kern.dim == piece.dim:
         return piece
-    return lift(Matrix(rows).kernel(), piece.basis, piece.ambient_dim)
+    return lift(kern, piece.basis, piece.ambient_dim)
 
 
 def relations(vectors):
     """The linear relations among vectors: the coefficient vectors c with
     sum_j c_j vectors[j] = 0, as a Subspace of Q^len(vectors).
 
-    Each vector goes into one EchelonBasis followed by its unit coefficient
-    vector; the rows whose pivot falls in the coefficient part have no
-    vector part left, and they span the relations.  This is the kernel of
-    the matrix with the vectors as columns, found without forming that
-    matrix or its rows."""
-    m = len(vectors)
-    ech = EchelonBasis()
+    This is the kernel of the matrix with the vectors as columns; its
+    equation rows are read off sparsely, without forming that matrix."""
+    rows = {}
     for j, v in enumerate(vectors):
-        row = {(0, k): x for k, x in enumerate(v) if x}
-        row[(1, j)] = Fraction(1)
-        ech.add(row)
-    rels = [r for (part, _), r in ech.rows.items() if part == 1]
-    return Subspace(m, [dense({j: x for (_, j), x in r.items()}, m) for r in rels])
+        for k, x in enumerate(v):
+            if x:
+                rows.setdefault(k, {})[j] = frac(x)
+    return _null_space(rows.values(), len(vectors))
+
+
+def _null_space(rows, ncols):
+    """The solutions in Q^ncols of the sparse equation rows {column: value}:
+    one EchelonBasis over the rows, then one solution per free column, by
+    back-substitution into the pivot columns."""
+    ech = EchelonBasis()
+    for r in rows:
+        ech.add(r)
+    vecs = []
+    for c in range(ncols):
+        if c not in ech.rows:
+            v = [Fraction(0)] * ncols
+            v[c] = Fraction(1)
+            for p, row in ech.rows.items():
+                if c in row:
+                    v[p] = -row[c]
+            vecs.append(v)
+    return Subspace(ncols, vecs)
 
 
 def complement(sub, within, reverse=False):
@@ -408,16 +427,7 @@ class Matrix:
 
     def kernel(self):
         """Exact null space as a canonical Subspace."""
-        red, pivots = rref(self.data)
-        free = [c for c in range(self.cols) if c not in pivots]
-        vecs = []
-        for c in free:
-            v = [Fraction(0)] * self.cols
-            v[c] = Fraction(1)
-            for row, p in zip(red, pivots):
-                v[p] = -row[c]
-            vecs.append(v)
-        return Subspace(self.cols, vecs)
+        return _null_space(map(sparse, self.data), self.cols)
 
     def flatten(self):
         return tuple(x for row in self.data for x in row)

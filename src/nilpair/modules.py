@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .linalg import EchelonBasis, Matrix, Subspace
+from .linalg import EchelonBasis, Matrix, Subspace, relations
 from .multiplicity import (
     PartitionTable,
     _perm_sign,
@@ -281,11 +281,12 @@ def filtration_piece_on_weight(action, i, j, mu_cols):
             action.product_power(i + 1, j, mu_cols),
             action.product_power(i, j + 1, mu_cols),
         ]
-    rows = []
-    for block in blocks:
-        for r in sorted({r for v in block for r in v}):
-            rows.append([v.get(r, 0) for v in block])
-    return Matrix(rows).kernel() if rows else Subspace.full(len(mu_cols))
+    keys = [sorted({r for v in block for r in v}) for block in blocks]
+    columns = [
+        [block[c].get(r, 0) for block, ks in zip(blocks, keys) for r in ks]
+        for c in range(len(mu_cols))
+    ]
+    return relations(columns)
 
 
 def direct_multiplicity(action, mu):
@@ -398,7 +399,6 @@ def module_limit_check(pair, h, module, mu):
     from .pairs import centralizer
 
     action = PairAction.build(module, pair)
-    ops = (action.e1, action.e2)
     mu = tuple(mu)
     cols = module.weight_space_indices(mu)
     lim = _limit_of_columns(action, cols)
@@ -407,7 +407,6 @@ def module_limit_check(pair, h, module, mu):
     invariants = invariant_subspace(module, z_mats)
     contained = all(invariants.contains(v) for v in lim.basis)
     # zero-weight comparison for the strictness flag
-    avg = Fraction(sum(mu), module.n) if cols else Fraction(0)
     zero_weight = tuple([sum(mu) // module.n] * module.n) if sum(mu) % module.n == 0 else None
     if zero_weight is not None and module.weight_space_indices(zero_weight):
         lim_zero = _limit_of_columns(action, module.weight_space_indices(zero_weight))

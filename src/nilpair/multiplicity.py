@@ -188,7 +188,6 @@ def _factor_terms(rd, root, bound):
     if h is None or h == 0:
         raise ValueError("positive root outside its own cone")
     kmax = bound // h
-    v1, v2 = rd.values[root]
     interior = set(rd.interior)
     ax1, ax2 = set(rd.axis1), set(rd.axis2)
     terms = []

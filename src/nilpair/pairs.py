@@ -17,7 +17,7 @@ from math import isqrt
 from .diagrams import Diagram, ShapeClass, ShapeError, SKEWISH, classify_shape
 from .diagrams import subset_pairs
 from .linalg import EchelonBasis, Matrix, Subspace, bracket, dense, frac
-from .linalg import kernel_in, sparse
+from .linalg import kernel_in, relations, sparse
 
 
 class StabilityError(ValueError):
@@ -226,8 +226,7 @@ def trace_row(n):
 def traceless_cut(space):
     """Intersect a subspace of flattened matrices with the trace hyperplane."""
     tr = trace_row(isqrt(space.ambient_dim))
-    vals = [sum(t * x for t, x in zip(tr, b)) for b in space.basis]
-    return kernel_in(space, [Matrix([vals])])
+    return kernel_in(space, [(sum(t * x for t, x in zip(tr, b)),) for b in space.basis])
 
 
 def bigraded_pieces(h, ambient="gl"):
@@ -269,18 +268,13 @@ def _int_key(key):
 
 
 def ad_map_between(x, source, target):
-    """Matrix of [x, .] from a source subspace to a target subspace, in their
-    canonical bases.  Raises StabilityError if the image leaves the target."""
-    cols = []
-    for v in source.basis:
-        w = ad(x, v)
-        try:
-            cols.append(target.coordinates(w))
-        except ValueError:
-            raise StabilityError("bracket image leaves the target piece") from None
-    if not cols:
-        return Matrix.zero(target.dim, 0)
-    return Matrix(list(zip(*cols))) if target.dim else Matrix.zero(0, len(cols))
+    """The images [x, v] of the source's canonical basis vectors, each in
+    the coordinates of the target's canonical basis.  Raises StabilityError
+    if an image leaves the target."""
+    try:
+        return [target.coordinates(ad(x, v)) for v in source.basis]
+    except ValueError:
+        raise StabilityError("bracket image leaves the target piece") from None
 
 
 def joint_centralizer(x1, x2, extra_rows=()):
@@ -303,10 +297,11 @@ def _graded_kernels(e1, e2, h, ambient):
     zero = Subspace.zero(e1.rows**2)
     k1, k2, k12 = {}, {}, {}
     for (p, q), piece in pieces.items():
-        m1 = ad_map_between(e1, piece, pieces.get((p + 1, q), zero))
-        m2 = ad_map_between(e2, piece, pieces.get((p, q + 1), zero))
-        for out, maps in ((k1, [m1]), (k2, [m2]), (k12, [m1, m2])):
-            kern = kernel_in(piece, maps)
+        im1 = ad_map_between(e1, piece, pieces.get((p + 1, q), zero))
+        im2 = ad_map_between(e2, piece, pieces.get((p, q + 1), zero))
+        both = [a + b for a, b in zip(im1, im2)]
+        for out, images in ((k1, im1), (k2, im2), (k12, both)):
+            kern = kernel_in(piece, images)
             if kern.dim:
                 out[(p, q)] = kern
     return k1, k2, k12
@@ -490,11 +485,8 @@ def center_of(space, n):
     space whose bracket with every basis element vanishes."""
     # constraint on coefficients c, for each basis element m:
     # sum_j c_j [m, b_j] = 0
-    rows = []
-    for u in space.basis:
-        m = Matrix.unflatten(u, n)
-        rows.extend(zip(*(ad(m, v) for v in space.basis)))
-    return kernel_in(space, [Matrix(rows)])
+    mats = [Matrix.unflatten(u, n) for u in space.basis]
+    return kernel_in(space, [[x for m in mats for x in ad(m, v)] for v in space.basis])
 
 
 def lie_closure(vectors, n):
@@ -596,7 +588,6 @@ def limit_space(ops, E):
     N = E.ambient_dim
     ia, ib = nilpotency_index(A), nilpotency_index(B)
     pieces = []
-    total = 0
     vecs = []
     for i in range(ia + 1):
         for j in range(ib + 1):
@@ -611,7 +602,6 @@ def limit_space(ops, E):
             img_vecs = [op.apply(v) for v in Fij.basis]
             img = Subspace(N, img_vecs)
             pieces.append(img)
-            total += img.dim
             vecs.extend(img.basis)
     out = Subspace(N, vecs)
     if out.dim != sum(p.dim for p in pieces) or out.dim != E.dim:
@@ -652,8 +642,7 @@ def grassmannian_limit(ops, E):
         live = [i for i, d in enumerate(degs) if d >= 0]
         if len(live) < E.dim:
             raise ValueError("curve degenerated; input basis was dependent")
-        mat = Matrix([[leads[i][k] for i in live] for k in range(N)])
-        kern = mat.kernel()
+        kern = relations([leads[i] for i in live])
         if kern.dim == 0:
             return Subspace(N, [leads[i] for i in live])
         coeffs = kern.basis[0]

@@ -150,7 +150,7 @@ def _ddbar_identity(pair, h):
             continue
         tgt = pieces.get((p + 1, q + 1), zero)
         images = [tgt.coordinates(ad(pair.e1, ad(pair.e2, v))) for v in piece.basis]
-        kern = kernel_in(piece, [Matrix(images).transpose()])
+        kern = kernel_in(piece, images)
         rhs = k1.get((p, q), zero) + k2.get((p, q), zero)
         if kern != rhs:
             return False
@@ -415,7 +415,7 @@ def strictness_witness():
 
 
 def harmonics_checks(d):
-    pair, h = build_pair(d)
+    _, h = build_pair(d)
     n = d.n
     delta = ha.pair_alternant(d)
     d1, d2 = ha.exponent_sums(d)

@@ -47,6 +47,30 @@ def _dense_rref(rows):
     return [tuple(row) for row in m[:r]], pivots
 
 
+def _dense_kernel(rows, ncols):
+    """Back-substitution reference for the null space of dense rows with
+    ncols columns: one vector per free column of _dense_rref, with 1 there
+    and minus each pivot row's entry in that column at the row's pivot."""
+    red, pivots = _dense_rref(rows)
+    vecs = []
+    for c in range(ncols):
+        if c not in pivots:
+            v = [Fraction(0)] * ncols
+            v[c] = Fraction(1)
+            for row, p in zip(red, pivots):
+                v[p] = -row[c]
+            vecs.append(v)
+    return vecs
+
+
+def _assert_is_kernel(space, rows, ncols):
+    """space is the null space of rows, with the canonical basis of the
+    dense references."""
+    basis, pivots = _dense_rref(_dense_kernel(rows, ncols))
+    assert space.ambient_dim == ncols
+    assert list(space.basis) == basis and list(space.pivots) == pivots
+
+
 def _in_span(vecs, w):
     return len(_dense_rref(list(vecs) + [w])[0]) == len(_dense_rref(vecs)[0])
 
@@ -101,9 +125,33 @@ def test_relations_match_kernel_of_column_matrix(m, rng):
     i, j = rng.randrange(len(cols)), rng.randrange(len(cols))
     c = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
     cols.append([a + c * b for a, b in zip(cols[i], cols[j])])
+    rows = [list(r) for r in zip(*cols)]
     rel = relations(cols)
-    assert rel == Matrix(list(zip(*cols))).kernel()
+    _assert_is_kernel(rel, rows, len(cols))
+    _assert_is_kernel(Matrix(rows).kernel(), rows, len(cols))
     assert rel.dim >= 2
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [
+        [],
+        [(), (), ()],
+        [(0, 0), (0, 0), (0, 0)],
+        [(1, 2), (1, 2)],
+        [(0, 1, 3), (2, 0, 0), (0, 1, 3), (0, 0, 0), (2, 0, 0)],
+    ],
+    ids=["no-vectors", "length-0", "all-zero", "duplicated", "mixed"],
+)
+def test_relations_edge_cases(cols):
+    rows = [list(r) for r in zip(*cols)]
+    rel = relations(cols)
+    _assert_is_kernel(rel, rows, len(cols))
+    if rows:
+        _assert_is_kernel(Matrix(rows).kernel(), rows, len(cols))
+    # every vector of length 0, or zero, is a relation on its own
+    if all(not any(c) for c in cols):
+        assert rel == Subspace.full(len(cols))
 
 
 @given(matrices(max_dim=4), st.randoms(use_true_random=False))
@@ -164,9 +212,13 @@ def test_complement_is_deterministic_and_splits():
 def test_kernel_in_lifts_back_into_the_piece():
     piece = Subspace(3, [(1, 1, 0), (0, 0, 1)])
     # first coordinate minus second, in piece's canonical basis
-    assert kernel_in(piece, [Matrix([[1, -1]])]) == Subspace(3, [(1, 1, 1)])
-    assert kernel_in(piece, [Matrix([[1, 0]]), Matrix([[0, 1]])]).dim == 0
-    assert kernel_in(piece, []) is piece
+    assert kernel_in(piece, [(1,), (-1,)]) == Subspace(3, [(1, 1, 1)])
+    assert kernel_in(piece, [(1, 0), (0, 1)]).dim == 0
+    # images of length 0: the map to the zero space kills the whole piece
+    assert kernel_in(piece, [(), ()]) == piece
+    assert kernel_in(piece, [(0, 0), (0, 0)]) == piece
+    with pytest.raises(ValueError):
+        kernel_in(piece, [(1,)])
 
 
 def test_solve_affine_picks_particular_solution():

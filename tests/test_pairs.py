@@ -267,9 +267,21 @@ def test_ad_map_between_rejects_wrong_target():
 
     pair, h = build_pair(parse("2,1"))
     pieces = bigraded_pieces(h, "gl")
-    assert ad_map_between(pair.e1, pieces[(0, 0)], pieces[(1, 0)]).rank() == 1
+    target = pieces[(1, 0)]
+    images = ad_map_between(pair.e1, pieces[(0, 0)], target)
+    assert Subspace(target.dim, images).dim == 1
     with pytest.raises(StabilityError):
         ad_map_between(pair.e1, pieces[(0, 0)], pieces[(0, 1)])
+
+
+@pytest.mark.parametrize("ambient", ["sl", "gl"])
+def test_graded_kernels_reject_a_grading_of_another_pair(ambient):
+    from nilpair.pairs import SemisimplePair, StabilityError, graded_kernels
+
+    pair, h = build_pair(parse("2,1"))
+    swapped = SemisimplePair(h.h2, h.h1)
+    with pytest.raises(StabilityError):
+        graded_kernels(pair, swapped, ambient)
 
 
 def test_classify_rejects_zero_grading():
