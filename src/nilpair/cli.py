@@ -14,7 +14,8 @@ import sys
 from . import surveys
 from .diagrams import ParseError, ResourceError, ShapeClass, ShapeError
 from .diagrams import classify_shape, parse
-from .linalg import Matrix
+from .linalg import Matrix, Subspace
+from .modules import PairAction, limit_space
 from .pairs import (
     ClassificationError,
     biexponents,
@@ -22,8 +23,6 @@ from .pairs import (
     centralizer,
     centralizer_bigraded,
     classify_pair,
-    limit_space,
-    ad_pair_operators,
     weak_lefschetz_report,
 )
 from .surveys import ResourceLimit, RunConfig, UsageError
@@ -146,9 +145,7 @@ def cmd_pair(args, config):
     if args.action == "limits":
         n = pair.n
         cartan = [Matrix.unit(n, i, i).flatten() for i in range(n)]
-        from .linalg import Subspace
-
-        lim = limit_space(ad_pair_operators(pair), Subspace(n * n, cartan))
+        lim = limit_space(PairAction.adjoint(pair), Subspace(n * n, cartan))
         zgl = centralizer(pair, "gl", h=h)
         return {
             "limit_of_diagonals_dim": lim.dim,

@@ -254,14 +254,15 @@ def kernel_in(piece, images):
 
 
 def relations(vectors):
-    """The linear relations among vectors: the coefficient vectors c with
-    sum_j c_j vectors[j] = 0, as a Subspace of Q^len(vectors).
+    """The linear relations among vectors, dense sequences or sparse dicts
+    {key: value}: the coefficient vectors c with sum_j c_j vectors[j] = 0,
+    as a Subspace of Q^len(vectors).
 
     This is the kernel of the matrix with the vectors as columns; its
     equation rows are read off sparsely, without forming that matrix."""
     rows = {}
     for j, v in enumerate(vectors):
-        for k, x in enumerate(v):
+        for k, x in v.items() if isinstance(v, dict) else enumerate(v):
             if x:
                 rows.setdefault(k, {})[j] = frac(x)
     return _null_space(rows.values(), len(vectors))

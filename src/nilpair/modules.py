@@ -1,6 +1,7 @@
 """Explicit simple gl_n-modules inside tensor powers, realised by closing a
 highest-weight vector under the lowering generators, plus the bifiltration
-multiplicity built on top of them.
+of a commuting nilpotent pair acting on them (or on gl_n by ad) and the
+multiplicity and limits built on it.
 
 Module vectors are sparse dicts over elementary-tensor indices; each basis
 vector is homogeneous for the diagonal torus, so weight spaces are
@@ -9,11 +10,11 @@ coordinate-aligned and every operator matrix splits along weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
-from .linalg import EchelonBasis, Matrix, Subspace, relations
+from .linalg import EchelonBasis, Matrix, Subspace, dense, relations, sparse
 from .multiplicity import (
     PartitionTable,
     _perm_sign,
@@ -24,6 +25,7 @@ from .multiplicity import (
     is_dominant,
     root_data,
 )
+from .pairs import HypothesisError, ad, centralizer
 from .polys import BivariatePoly
 
 
@@ -135,12 +137,12 @@ class WeightModule:
     # -- operators -----------------------------------------------------------
 
     def coordinates(self, vec):
-        """Coordinates of a sparse tensor (a combination of basis vectors) in
-        the module basis, read weight space by weight space."""
+        """Sparse coordinates {basis index: c} of a sparse tensor (a
+        combination of basis vectors), read weight space by weight space."""
         parts = {}
         for key, x in vec.items():
             parts.setdefault(_content(key, self.n), {})[key] = x
-        coords = [Fraction(0)] * self.dim
+        coords = {}
         for weight, part in parts.items():
             if weight not in self.echelon:
                 raise ValueError("vector outside the module")
@@ -149,7 +151,8 @@ class WeightModule:
         return coords
 
     def act_matrix(self, x):
-        """Module matrix of an arbitrary n x n matrix acting by derivations."""
+        """Sparse columns {row: c} of the module matrix of an arbitrary n x n
+        matrix acting by derivations, one per basis vector."""
         cols = []
         for _, _, vec in self.basis:
             img = {}
@@ -165,7 +168,7 @@ class WeightModule:
                             else:
                                 del img[k]
             cols.append(self.coordinates(img))
-        return Matrix(list(zip(*cols))) if self.dim else Matrix.zero(0)
+        return cols
 
     def weight_space_indices(self, mu):
         mu = tuple(mu)
@@ -182,42 +185,48 @@ class WeightModule:
 
 
 # ---------------------------------------------------------------------------
-# bifiltration multiplicity
+# bifiltration of a commuting nilpotent pair
 
 
-@dataclass
 class PairAction:
-    """A pair acting on a module.
+    """A commuting nilpotent pair (A, B) acting on Q^dim, held as the sparse
+    columns ``{row: Fraction}`` of A and of B.
 
-    ``e1`` and ``e2`` are the dense module matrices; the operator towers the
-    bifiltration needs are built from sparse columns ``{row: Fraction}``
-    and memoized per (i, j, columns), so no module-size product is formed.
+    The operator towers the bifiltration needs are built from those columns
+    and memoized per (i, j, columns), so no dim-size product is formed.
     """
 
-    module: WeightModule
-    e1: Matrix
-    e2: Matrix
+    def __init__(self, sparse1, sparse2):
+        self.dim = len(sparse1)
+        self.sparse1 = sparse1
+        self.sparse2 = sparse2
+        self.index1 = _nilpotency_index(sparse1)
+        self.index2 = _nilpotency_index(sparse2)
+        self._towers = {}
 
     @classmethod
     def build(cls, module, pair):
-        return cls(module, module.act_matrix(pair.e1), module.act_matrix(pair.e2))
+        """The pair acting on a module by derivations."""
+        return cls(module.act_matrix(pair.e1), module.act_matrix(pair.e2))
 
-    def __post_init__(self):
-        self.sparse1 = _sparse_columns(self.e1)
-        self.sparse2 = _sparse_columns(self.e2)
-        self.index1 = _nilpotency_index(self.sparse1)
-        self.index2 = _nilpotency_index(self.sparse2)
-        self._towers = {}
+    @classmethod
+    def adjoint(cls, pair):
+        """The pair acting on flattened n x n matrices by ad."""
+        dim = pair.n**2
+        units = [dense({c: Fraction(1)}, dim) for c in range(dim)]
+        return cls(
+            [sparse(ad(pair.e1, u)) for u in units],
+            [sparse(ad(pair.e2, u)) for u in units],
+        )
 
     def product_power(self, i, j, cols):
-        """Columns ``cols`` (a tuple of basis indices) of e1^i e2^j as sparse
+        """Columns ``cols`` (a tuple of basis indices) of A^i B^j as sparse
         vectors, one per column.  The returned dicts are shared by the memo
         and must not be mutated.
 
-        Block (i, j) is e1 applied to block (i-1, j), and block (0, j) is e2
+        Block (i, j) is A applied to block (i-1, j), and block (0, j) is B
         applied to block (0, j-1); the two operators commute, so this is the
-        product in either order.  Basis vectors are weight vectors, so each
-        column lies in one weight space of the module.
+        product in either order.
         """
         key = (i, j, cols)
         block = self._towers.get(key)
@@ -235,22 +244,37 @@ class PairAction:
             self._towers[key] = block
         return block
 
-
-def _sparse_columns(m):
-    return [{r: x for r, x in enumerate(col) if x} for col in zip(*m.data)]
+    def apply(self, i, j, vectors):
+        """A^i B^j applied to each sparse vector, combined from the towers of
+        the basis columns the vectors touch."""
+        support = tuple(sorted({c for v in vectors for c in v}))
+        tower = dict(zip(support, self.product_power(i, j, support)))
+        return [_apply_sparse(tower, v) for v in vectors]
 
 
 def _apply_sparse(columns, vec):
-    """The operator with the given sparse columns applied to a sparse vector."""
+    """sum_c vec[c] columns[c] for a sparse vector and indexable sparse
+    columns: an operator applied to a vector, or a combination of vectors.
+    For a unit vector this is the column itself, shared, so the result must
+    not be mutated."""
+    if len(vec) == 1:
+        ((c, x),) = vec.items()
+        if x == 1:
+            return columns[c]
     out = {}
     for c, x in vec.items():
-        for r, y in columns[c].items():
-            nv = out.get(r, 0) + x * y
-            if nv:
-                out[r] = nv
-            else:
-                del out[r]
+        _add_multiple(out, x, columns[c])
     return out
+
+
+def _add_multiple(out, x, vec):
+    """out += x vec, in place, dropping the entries that cancel."""
+    for r, y in vec.items():
+        nv = out.get(r, 0) + x * y
+        if nv:
+            out[r] = nv
+        else:
+            del out[r]
 
 
 def _nilpotency_index(columns):
@@ -260,47 +284,49 @@ def _nilpotency_index(columns):
     k = 0
     while vecs:
         if k > len(columns):
-            raise ValueError("operator is not nilpotent on the module")
+            raise ValueError("operator is not nilpotent")
         vecs = [w for w in (_apply_sparse(columns, v) for v in vecs) if w]
         k += 1
     return k
 
 
-def filtration_piece_on_weight(action, i, j, mu_cols):
-    """F_{i,j} intersected with a weight space, as the kernel of the
-    operator blocks on the weight-space columns ``mu_cols`` (a tuple).
-    Boundary conventions: F_{-1,j} = ker e2^j and F_{i,-1} = ker e1^i."""
-    if (i == -1 and j <= 0) or (j == -1 and i <= 0):
-        return Subspace.zero(len(mu_cols))
-    if i == -1:
-        blocks = [action.product_power(0, j, mu_cols)]
-    elif j == -1:
-        blocks = [action.product_power(i, 0, mu_cols)]
-    else:
-        blocks = [
-            action.product_power(i + 1, j, mu_cols),
-            action.product_power(i, j + 1, mu_cols),
-        ]
-    keys = [sorted({r for v in block for r in v}) for block in blocks]
-    columns = [
-        [block[c].get(r, 0) for block, ks in zip(blocks, keys) for r in ks]
-        for c in range(len(mu_cols))
+def _stacked(blocks, count):
+    """Each of `count` vectors' images under several maps (one block of
+    images per map) as one sparse vector keyed by (map, row)."""
+    return [
+        {(b, r): y for b, block in enumerate(blocks) for r, y in block[k].items()}
+        for k in range(count)
     ]
-    return relations(columns)
 
 
-def direct_multiplicity(action, mu):
-    """Poincare polynomial of the bigraded pieces of a weight space under the
-    pair bifiltration, computed by exact kernel intersections."""
-    mu_cols = action.module.weight_space_indices(mu)
-    if not mu_cols:
-        return BivariatePoly.zero()
-    out = BivariatePoly.zero()
+def filtration_piece(action, i, j, vectors):
+    """F_{i,j} intersected with E = span(vectors), in coordinates over the
+    given basis of E (sparse vectors): the relations among the images
+    A^{i+1} B^j v and A^i B^{j+1} v of the basis vectors v.
+
+    F_{i,j} = ker A^{i+1} B^j cap ker A^i B^{j+1}, with the boundary
+    conventions F_{-1,j} = ker B^j and F_{i,-1} = ker A^i."""
+    if (i == -1 and j <= 0) or (j == -1 and i <= 0):
+        return Subspace.zero(len(vectors))
+    if i == -1:
+        powers = [(0, j)]
+    elif j == -1:
+        powers = [(i, 0)]
+    else:
+        powers = [(i + 1, j), (i, j + 1)]
+    blocks = [action.apply(p, q, vectors) for p, q in powers]
+    return relations(_stacked(blocks, len(vectors)))
+
+
+def _graded_pieces(action, vectors):
+    """The nonzero pieces gr_{i,j} E = F_{i,j} / (F_{i-1,j} + F_{i,j-1})
+    of E = span(vectors): yields (i, j, F_{i,j} cap E over the basis of E,
+    dim gr_{i,j} E)."""
     cache = {}
 
     def piece(i, j):
         if (i, j) not in cache:
-            cache[(i, j)] = filtration_piece_on_weight(action, i, j, mu_cols)
+            cache[(i, j)] = filtration_piece(action, i, j, vectors)
         return cache[(i, j)]
 
     for i in range(action.index1 + 1):
@@ -311,8 +337,81 @@ def direct_multiplicity(action, mu):
             below = piece(i - 1, j) + piece(i, j - 1)
             d = fij.dim - below.dim
             if d:
-                out = out + BivariatePoly.term(i, j, d)
+                yield i, j, fij, d
+
+
+def direct_multiplicity(action, cols):
+    """Poincare polynomial of the bigraded pieces of the coordinate subspace
+    on the basis columns ``cols`` (a weight space) under the pair
+    bifiltration, computed by exact kernel intersections."""
+    out = BivariatePoly.zero()
+    for i, j, _, d in _graded_pieces(action, [{c: 1} for c in cols]):
+        out = out + BivariatePoly.term(i, j, d)
     return out
+
+
+def limit_space(action, E):
+    """Limit of a subspace E under the commuting nilpotent flow.
+
+    Returns the direct sum of the A^i B^j images of the bifiltration pieces
+    F_{i,j} cap E; raises HypothesisError when that sum fails to be direct
+    or to reach dim E.
+    """
+    N = E.ambient_dim
+    vectors = [sparse(v) for v in E.basis]
+    total = 0
+    vecs = []
+    for i, j, fij, _ in _graded_pieces(action, vectors):
+        piece = [_apply_sparse(vectors, sparse(c)) for c in fij.basis]
+        img = Subspace(N, [dense(w, N) for w in action.apply(i, j, piece)])
+        total += img.dim
+        vecs.extend(img.basis)
+    out = Subspace(N, vecs)
+    if out.dim != total or out.dim != E.dim:
+        raise HypothesisError("direct sum hypothesis fails for this subspace")
+    return out
+
+
+def grassmannian_limit(action, E):
+    """Exact limit of exp(t(A+B)) E as t grows.
+
+    Each basis vector becomes a polynomial curve in t; the limit subspace is
+    found by leading-term reduction: while the top coefficient vectors are
+    dependent, a dependence is used to cancel the top term of one generator,
+    strictly lowering its degree.  Works without any direct-sum hypothesis.
+    """
+    N = E.ambient_dim
+    vectors = [sparse(v) for v in E.basis]
+    curves = [{} for _ in vectors]  # per vector: degree -> sparse coefficient
+    for i in range(action.index1 + 1):
+        for j in range(action.index2 + 1):
+            c = Fraction(1, factorial(i) * factorial(j))
+            for curve, w in zip(curves, action.apply(i, j, vectors)):
+                if w:
+                    _add_multiple(curve.setdefault(i + j, {}), c, w)
+    curves = [{d: w for d, w in curve.items() if w} for curve in curves]
+    while True:
+        degs = [max(curve) if curve else -1 for curve in curves]
+        live = [k for k, d in enumerate(degs) if d >= 0]
+        if len(live) < len(vectors):
+            raise ValueError("curve degenerated; input basis was dependent")
+        leads = [curves[k][degs[k]] for k in live]
+        kern = relations(leads)
+        if kern.dim == 0:
+            return Subspace(N, [dense(w, N) for w in leads])
+        coeffs = kern.basis[0]
+        involved = [k for k, c in zip(live, coeffs) if c]
+        top = max(involved, key=lambda k: degs[k])
+        merged = {}
+        for k, c in zip(live, coeffs):
+            if c:
+                shift = degs[top] - degs[k]
+                for d, w in curves[k].items():
+                    _add_multiple(merged.setdefault(d + shift, {}), c, w)
+        merged = {d: w for d, w in merged.items() if w}
+        if degs[top] in merged:
+            raise ArithmeticError("the top-degree term did not cancel")
+        curves[top] = merged
 
 
 def multiplicity_crosscheck(pair, h, lam, alt=False):
@@ -338,11 +437,12 @@ def multiplicity_crosscheck(pair, h, lam, alt=False):
     shifted = [x - Fraction(sum(lam_content), pair.n) for x in lam_dom]
     hypothesis = in_ne_cone(rd, _ne_test_vector(rd, lam_dom))
     for mu in weights:
-        direct = direct_multiplicity(action, mu)
+        cols = module.weight_space_indices(mu)
+        direct = direct_multiplicity(action, cols)
         formula = multiplicity_formula(rd, table, lam_dom, mu)
         equal = direct == formula
         dominant = is_dominant(rd, mu)
-        dim_mu = len(module.weight_space_indices(mu))
+        dim_mu = len(cols)
         if dominant:
             equal_dominant = equal_dominant and equal
         equal_everywhere = equal_everywhere and equal
@@ -383,21 +483,16 @@ def _ne_test_vector(rd, lam_dom):
 
 
 def invariant_subspace(module, matrices):
-    """Joint kernel in the module of a family of ambient matrices."""
-    rows = []
-    for x in matrices:
-        rows.extend(module.act_matrix(x).data)
-    if not rows:
-        return Subspace.full(module.dim)
-    return Matrix(rows).kernel()
+    """Joint kernel in the module of a family of ambient matrices: the
+    relations among the images of the module basis under all of them."""
+    blocks = [module.act_matrix(x) for x in matrices]
+    return relations(_stacked(blocks, module.dim))
 
 
 def module_limit_check(pair, h, module, mu):
     """Limit of a weight space versus the invariants of the pair centralizer:
     the containment of the first in the second, plus the strictness data for
     the zero-weight comparison."""
-    from .pairs import centralizer
-
     action = PairAction.build(module, pair)
     mu = tuple(mu)
     cols = module.weight_space_indices(mu)
@@ -425,13 +520,5 @@ def module_limit_check(pair, h, module, mu):
 
 
 def _limit_of_columns(action, cols):
-    from .pairs import grassmannian_limit
-
-    dim = action.module.dim
-    vecs = []
-    for c in cols:
-        v = [Fraction(0)] * dim
-        v[c] = Fraction(1)
-        vecs.append(v)
-    E = Subspace(dim, vecs)
-    return grassmannian_limit((action.e1, action.e2), E)
+    units = [dense({c: Fraction(1)}, action.dim) for c in cols]
+    return grassmannian_limit(action, Subspace(action.dim, units))

@@ -1,6 +1,6 @@
 """Commuting nilpotent matrix pairs built from box diagrams: centralizers,
-bigradings, bi-exponents, classification, limit spaces and the structural
-checks that go with them.
+bigradings, bi-exponents, classification and the structural checks that go
+with them.
 
 The ambient algebra is gl_n internally (matrix units are bigraded there);
 trace-zero results are obtained by cutting with the trace hyperplane.
@@ -17,7 +17,7 @@ from math import isqrt
 from .diagrams import Diagram, ShapeClass, ShapeError, SKEWISH, classify_shape
 from .diagrams import subset_pairs
 from .linalg import EchelonBasis, Matrix, Subspace, bracket, dense, frac
-from .linalg import kernel_in, relations, sparse
+from .linalg import kernel_in, sparse
 
 
 class StabilityError(ValueError):
@@ -544,128 +544,6 @@ def parabolic_checks(pair, h=None):
     }
     checks["ok"] = all(bool(v) for v in checks.values())
     return checks
-
-
-# ---------------------------------------------------------------------------
-# bifiltration limits
-
-
-def nilpotency_index(op):
-    m = Matrix.identity(op.rows)
-    k = 0
-    while not m.is_zero():
-        m = m * op
-        k += 1
-        if k > op.rows + 1:
-            raise ValueError("operator is not nilpotent")
-    return k
-
-
-def bifiltration_space(ops, i, j, ambient_dim):
-    """F_{i,j} = ker(A^{i+1} B^j) cap ker(A^i B^{j+1}), with the boundary
-    conventions F_{-1,j} = ker B^j and F_{i,-1} = ker A^i."""
-    A, B = ops
-    if i < -1 or j < -1:
-        return Subspace.zero(ambient_dim)
-    if i == -1 and j == -1:
-        return Subspace.zero(ambient_dim)
-    if i == -1:
-        return (B**j).kernel() if j > 0 else Subspace.zero(ambient_dim)
-    if j == -1:
-        return (A**i).kernel() if i > 0 else Subspace.zero(ambient_dim)
-    rows = list((A ** (i + 1) * B**j).data) + list((A**i * B ** (j + 1)).data)
-    return Matrix(rows).kernel()
-
-
-def limit_space(ops, E):
-    """Limit of a subspace under the commuting nilpotent flow.
-
-    Returns the direct sum of A^p B^q images of the bifiltration pieces of E;
-    raises HypothesisError when that sum fails to be direct or to reach
-    dim E.
-    """
-    A, B = ops
-    N = E.ambient_dim
-    ia, ib = nilpotency_index(A), nilpotency_index(B)
-    pieces = []
-    vecs = []
-    for i in range(ia + 1):
-        for j in range(ib + 1):
-            Fij = bifiltration_space(ops, i, j, N).intersect(E)
-            below = bifiltration_space(ops, i - 1, j, N).intersect(E) + bifiltration_space(
-                ops, i, j - 1, N
-            ).intersect(E)
-            gr_dim = Fij.dim - below.dim
-            if gr_dim <= 0:
-                continue
-            op = (A**i) * (B**j)
-            img_vecs = [op.apply(v) for v in Fij.basis]
-            img = Subspace(N, img_vecs)
-            pieces.append(img)
-            vecs.extend(img.basis)
-    out = Subspace(N, vecs)
-    if out.dim != sum(p.dim for p in pieces) or out.dim != E.dim:
-        raise HypothesisError("direct sum hypothesis fails for this subspace")
-    return out
-
-
-def grassmannian_limit(ops, E):
-    """Exact limit of exp(t(A+B)) E as t grows, for commuting nilpotent A, B.
-
-    Each basis vector becomes a polynomial curve in t; the limit subspace is
-    found by leading-term reduction: while the top coefficient vectors are
-    dependent, a dependence is used to cancel the top term of one generator,
-    strictly lowering its degree.  Works without any direct-sum hypothesis.
-    """
-    A, B = ops
-    N = E.ambient_dim
-    ia, ib = nilpotency_index(A), nilpotency_index(B)
-    from math import factorial
-
-    rows = []
-    for v in E.basis:
-        by_degree = {}
-        for i in range(ia + 1):
-            for j in range(ib + 1):
-                w = (A**i * B**j).apply(v)
-                if any(w):
-                    c = Fraction(1, factorial(i) * factorial(j))
-                    cur = by_degree.setdefault(i + j, [Fraction(0)] * N)
-                    for k, x in enumerate(w):
-                        if x:
-                            cur[k] += c * x
-        by_degree = {d: w for d, w in by_degree.items() if any(w)}
-        rows.append(by_degree)
-    while True:
-        degs = [max(r) if r else -1 for r in rows]
-        leads = [r[d] if d >= 0 else [Fraction(0)] * N for r, d in zip(rows, degs)]
-        live = [i for i, d in enumerate(degs) if d >= 0]
-        if len(live) < E.dim:
-            raise ValueError("curve degenerated; input basis was dependent")
-        kern = relations([leads[i] for i in live])
-        if kern.dim == 0:
-            return Subspace(N, [leads[i] for i in live])
-        coeffs = kern.basis[0]
-        involved = [i for i, c in zip(live, coeffs) if c]
-        top = max(involved, key=lambda i: degs[i])
-        merged = {}
-        for i, c in zip(live, coeffs):
-            if not c:
-                continue
-            shift = degs[top] - degs[i]
-            for d, w in rows[i].items():
-                cur = merged.setdefault(d + shift, [Fraction(0)] * N)
-                for k, x in enumerate(w):
-                    if x:
-                        cur[k] += c * x
-        merged = {d: w for d, w in merged.items() if any(w)}
-        if degs[top] in merged:
-            raise ArithmeticError("the top-degree term did not cancel")
-        rows[top] = merged
-
-
-def ad_pair_operators(pair):
-    return ad_matrix(pair.e1), ad_matrix(pair.e2)
 
 
 def abelian_check(space, n):

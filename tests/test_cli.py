@@ -29,6 +29,24 @@ def test_pair_classify():
     assert json.loads(proc.stdout)["class"] == "distinguished"
 
 
+def test_pair_limits_young_equals_centralizer():
+    proc = run_cli("pair", "limits", "--diagram", "3,2,1", "--format", "json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {
+        "equals_centralizer": True,
+        "limit_of_diagonals_dim": 6,
+    }
+
+
+def test_pair_limits_strict_skew_misses_centralizer():
+    proc = run_cli("pair", "limits", "--diagram", "3,2/1", "--format", "json")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {
+        "equals_centralizer": False,
+        "limit_of_diagonals_dim": 4,
+    }
+
+
 def test_parse_error_exit_code():
     proc = run_cli("pair", "build", "--diagram", "3,1,0")
     assert proc.returncode == 2

@@ -9,11 +9,12 @@ from nilpair.modules import (
     PairAction,
     WeightModule,
     direct_multiplicity,
+    invariant_subspace,
     module_limit_check,
     multiplicity_crosscheck,
     weyl_dimension,
 )
-from nilpair.pairs import build_pair
+from nilpair.pairs import build_pair, centralizer
 from nilpair.polys import BivariatePoly
 
 
@@ -38,12 +39,18 @@ def test_weight_multiplicities_are_kostka():
         assert m.weight_multiplicity(padded) == kostka((2, 1), mu)
 
 
+def _dense(columns):
+    """The matrix with the given sparse columns {row: value}."""
+    dim = len(columns)
+    return Matrix([[col.get(r, 0) for col in columns] for r in range(dim)])
+
+
 def test_module_operators_commute_and_nilpotent():
     pair, h = build_pair(parse("2,1"))
     m = WeightModule(3, (3,))
-    act = PairAction.build(m, pair)
-    assert (act.e1 * act.e2 - act.e2 * act.e1).is_zero()
-    assert act.e1.is_nilpotent() and act.e2.is_nilpotent()
+    e1, e2 = _dense(m.act_matrix(pair.e1)), _dense(m.act_matrix(pair.e2))
+    assert (e1 * e2 - e2 * e1).is_zero()
+    assert e1.is_nilpotent() and e2.is_nilpotent()
 
 
 def test_direct_multiplicity_counts_weight_spaces_degenerate():
@@ -51,7 +58,7 @@ def test_direct_multiplicity_counts_weight_spaces_degenerate():
     m = WeightModule(3, (2, 1))
     act = PairAction.build(m, pair)
     for mu in sorted({w for w, _, _ in m.basis}):
-        p = direct_multiplicity(act, mu)
+        p = direct_multiplicity(act, m.weight_space_indices(mu))
         assert p.eval_ones() == m.weight_multiplicity(mu)
         assert all(j == 0 for (_, j) in p.coeffs)  # one-variable regime
 
@@ -60,7 +67,8 @@ def test_direct_multiplicity_sl2_adjoint():
     pair, h = build_pair(parse("2"))
     m = WeightModule(2, (2,))
     act = PairAction.build(m, pair)
-    assert direct_multiplicity(act, (1, 1)) == BivariatePoly({(1, 0): 1})
+    cols = m.weight_space_indices((1, 1))
+    assert direct_multiplicity(act, cols) == BivariatePoly({(1, 0): 1})
 
 
 def test_crosscheck_degenerate_regime():
@@ -111,6 +119,20 @@ def test_module_limit_containment_all_weights():
         assert rep["contained"]
 
 
+@pytest.mark.parametrize("lam", [(3,), (2, 1)])
+def test_invariant_subspace_matches_dense_kernel(lam):
+    pair, _ = build_pair(parse("2,1"))
+    m = WeightModule(3, lam)
+    mats = [Matrix.unflatten(v, 3) for v in centralizer(pair, "sl").basis]
+    rows = [row for x in mats for row in _dense(m.act_matrix(x)).data]
+    assert invariant_subspace(m, mats) == Matrix(rows).kernel()
+
+
+def test_invariant_subspace_of_no_matrices_is_the_module():
+    m = WeightModule(3, (2, 1))
+    assert invariant_subspace(m, []) == Subspace.full(m.dim)
+
+
 def test_module_rejects_bad_weight():
     with pytest.raises(ValueError):
         WeightModule(2, (1, 2))
@@ -132,14 +154,16 @@ SMALL_CASES = [
 
 
 def _dense_case(d, lam):
-    """The action with the dense products (e1^i)(e2^j), one step past each
-    nilpotency index, and the indices read off the dense powers."""
+    """The module, the action, the dense products (e1^i)(e2^j) of the module
+    matrices, one step past each nilpotency index, and the indices read off
+    the dense powers."""
     pair, _ = build_pair(d)
-    act = PairAction.build(WeightModule(pair.n, lam), pair)
-    dim = act.module.dim
+    module = WeightModule(pair.n, lam)
+    act = PairAction.build(module, pair)
     pows = []
-    for e in (act.e1, act.e2):
-        p = [Matrix.identity(dim)]
+    for x in (pair.e1, pair.e2):
+        e = _dense(module.act_matrix(x))
+        p = [Matrix.identity(module.dim)]
         while not p[-1].is_zero():
             p.append(p[-1] * e)
         p.append(p[-1] * e)
@@ -147,16 +171,16 @@ def _dense_case(d, lam):
     prods = {
         (i, j): a * b for i, a in enumerate(pows[0]) for j, b in enumerate(pows[1])
     }
-    return act, prods, (len(pows[0]) - 2, len(pows[1]) - 2)
+    return module, act, prods, (len(pows[0]) - 2, len(pows[1]) - 2)
 
 
 @given(st.sampled_from(SMALL_CASES))
 @settings(max_examples=12, deadline=None)
 def test_product_power_matches_dense_products(case):
-    act, prods, indices = _dense_case(*case)
+    module, act, prods, indices = _dense_case(*case)
     assert (act.index1, act.index2) == indices
-    for mu in act.module.weights:
-        cols = act.module.weight_space_indices(mu)
+    for mu in module.weights:
+        cols = module.weight_space_indices(mu)
         for (i, j), prod in prods.items():
             block = act.product_power(i, j, cols)
             dense = [
@@ -181,9 +205,9 @@ def _dense_piece(prods, cols, i, j):
 @given(st.sampled_from(SMALL_CASES))
 @settings(max_examples=12, deadline=None)
 def test_direct_multiplicity_matches_dense_kernels(case):
-    act, prods, (index1, index2) = _dense_case(*case)
-    for mu in act.module.weights:
-        cols = act.module.weight_space_indices(mu)
+    module, act, prods, (index1, index2) = _dense_case(*case)
+    for mu in module.weights:
+        cols = module.weight_space_indices(mu)
         expected = BivariatePoly.zero()
         for i in range(index1 + 1):
             for j in range(index2 + 1):
@@ -193,4 +217,4 @@ def test_direct_multiplicity_matches_dense_kernels(case):
                 d = _dense_piece(prods, cols, i, j).dim - below.dim
                 if d:
                     expected = expected + BivariatePoly.term(i, j, d)
-        assert direct_multiplicity(act, mu) == expected, mu
+        assert direct_multiplicity(act, cols) == expected, mu

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
 from nilpair.linalg import Matrix, Subspace, bracket
+from nilpair.modules import PairAction, grassmannian_limit, limit_space
 from nilpair.pairs import (
+    HypothesisError,
     ShapeError,
     abelian_check,
     ad,
-    ad_pair_operators,
+    ad_matrix,
     bigrade,
     bigraded_pieces,
     biexponents,
@@ -20,7 +22,6 @@ from nilpair.pairs import (
     classify_pair,
     direct_sum,
     is_nilpotent_family,
-    limit_space,
     monomial_basis_check,
     parabolic_checks,
     provenance_grading,
@@ -215,7 +216,7 @@ def test_limit_of_cartan_is_centralizer():
         cartan = Subspace(
             n * n, [Matrix.unit(n, i, i).flatten() for i in range(n)]
         )
-        lim = limit_space(ad_pair_operators(pair), cartan)
+        lim = limit_space(PairAction.adjoint(pair), cartan)
         assert lim == centralizer(pair, "gl")
 
 
@@ -223,18 +224,113 @@ def test_limit_of_mixed_centralizer():
     pair, h = build_pair(parse("2,1"))
     n = pair.n
     h1m, _ = h.matrices()
-    from nilpair.pairs import ad_matrix
-
     rows = list(ad_matrix(h1m).data) + list(ad_matrix(pair.e2).data)
     z_h1_e2 = Matrix(rows).kernel()
-    lim = limit_space(ad_pair_operators(pair), z_h1_e2)
+    lim = limit_space(PairAction.adjoint(pair), z_h1_e2)
     assert lim == centralizer(pair, "gl")
 
 
 def test_limit_fixes_centralizer():
     pair, _ = build_pair(parse("2,1"))
     z = centralizer(pair, "gl")
-    assert limit_space(ad_pair_operators(pair), z) == z
+    assert limit_space(PairAction.adjoint(pair), z) == z
+
+
+# -- limits on the sparse towers against the dense matrix-power reference ---
+
+
+def _dense_nilpotency_index(op):
+    m = Matrix.identity(op.rows)
+    k = 0
+    while not m.is_zero():
+        m = m * op
+        k += 1
+        if k > op.rows + 1:
+            raise ValueError("operator is not nilpotent")
+    return k
+
+
+def _dense_bifiltration(ops, i, j, ambient_dim):
+    """F_{i,j} = ker(A^{i+1} B^j) cap ker(A^i B^{j+1}) on the whole space,
+    with F_{-1,j} = ker B^j and F_{i,-1} = ker A^i."""
+    A, B = ops
+    if (i == -1 and j <= 0) or (j == -1 and i <= 0):
+        return Subspace.zero(ambient_dim)
+    if i == -1:
+        return (B**j).kernel()
+    if j == -1:
+        return (A**i).kernel()
+    rows = list((A ** (i + 1) * B**j).data) + list((A**i * B ** (j + 1)).data)
+    return Matrix(rows).kernel()
+
+
+def _dense_limit_space(ops, E):
+    """The direct sum of the A^i B^j images of the pieces F_{i,j} cap E, from
+    dense powers and full-space kernels intersected with E."""
+    A, B = ops
+    N = E.ambient_dim
+    dims, vecs = [], []
+    for i in range(_dense_nilpotency_index(A) + 1):
+        for j in range(_dense_nilpotency_index(B) + 1):
+            fij = _dense_bifiltration(ops, i, j, N).intersect(E)
+            below = _dense_bifiltration(ops, i - 1, j, N).intersect(
+                E
+            ) + _dense_bifiltration(ops, i, j - 1, N).intersect(E)
+            if fij.dim - below.dim <= 0:
+                continue
+            op = (A**i) * (B**j)
+            img = Subspace(N, [op.apply(v) for v in fij.basis])
+            dims.append(img.dim)
+            vecs.extend(img.basis)
+    out = Subspace(N, vecs)
+    if out.dim != sum(dims) or out.dim != E.dim:
+        raise HypothesisError("direct sum hypothesis fails for this subspace")
+    return out
+
+
+def _limit_outcome(limit, ops, E):
+    try:
+        return limit(ops, E)
+    except HypothesisError:
+        return HypothesisError
+
+
+def _cartan(n):
+    return Subspace(n * n, [Matrix.unit(n, i, i).flatten() for i in range(n)])
+
+
+def _lower_triangular(n):
+    units = [Matrix.unit(n, a, b).flatten() for a in range(n) for b in range(a + 1)]
+    return Subspace(n * n, units)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        d
+        for n in range(1, 5)
+        for cls in (ShapeClass.YOUNG, ShapeClass.SKEW)
+        for d in enumerate_diagrams(n, cls)
+    ],
+    ids=lambda d: d.serialize(),
+)
+def test_limit_space_matches_dense_reference(d):
+    pair, _ = build_pair(d)
+    action = PairAction.adjoint(pair)
+    ops = (ad_matrix(pair.e1), ad_matrix(pair.e2))
+    for E in (_cartan(pair.n), _lower_triangular(pair.n)):
+        assert _limit_outcome(limit_space, action, E) == _limit_outcome(
+            _dense_limit_space, ops, E
+        )
+
+
+def test_grassmannian_limit_matches_limit_space_on_cartans():
+    for n in range(1, 7):
+        for d in enumerate_diagrams(n, ShapeClass.YOUNG):
+            pair, _ = build_pair(d)
+            action = PairAction.adjoint(pair)
+            cartan = _cartan(pair.n)
+            assert grassmannian_limit(action, cartan) == limit_space(action, cartan), d
 
 
 def test_classify_examples():
