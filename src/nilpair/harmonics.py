@@ -14,13 +14,19 @@ from .multiplicity import _perm_sign
 from .polys import MultivariatePoly
 
 
-def _compositions(total, parts):
+def _pair_sets(d1, d2, parts, after=(0, -1)):
+    """Strictly increasing tuples of `parts` distinct pairs (a, b) of
+    non-negative integers above `after`, with the a's summing to d1 and the
+    b's to d2."""
     if parts == 1:
-        yield (total,)
+        if (d1, d2) > after:
+            yield ((d1, d2),)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    # the pairs increase, so each of the `parts` first coordinates is >= a
+    for a in range(after[0], d1 // parts + 1):
+        for b in range(after[1] + 1 if a == after[0] else 0, d2 + 1):
+            for rest in _pair_sets(d1 - a, d2 - b, parts - 1, (a, b)):
+                yield ((a, b),) + rest
 
 
 def alternant(x1, x2, d1, d2):
@@ -30,29 +36,34 @@ def alternant(x1, x2, d1, d2):
 
     in 2n variables u_1..u_n, v_1..v_n.
 
-    Computed monomial by monomial: the coefficient of u^a v^b is the
-    determinant of the matrix with entries x1_j^{a_i} x2_j^{b_i}, divided by
-    a! b!, which avoids expanding any polynomial powers.
+    The coefficient of u^a v^b is det(x1_j^{a_i} x2_j^{b_i}) / (a! b!), which
+    avoids expanding any polynomial powers.  Two exact shortcuts cut the
+    determinants to one per set of pairs: if two pairs (a_i, b_i) coincide,
+    two rows are equal and the coefficient is 0, so such exponents are never
+    formed; permuting the pairs permutes the rows and only changes the sign.
+    So one determinant is taken per strictly increasing tuple of pairs, and
+    its value is written, with the permutation's sign, at every reordering.
     """
     n = len(x1)
     x1 = [frac(v) for v in x1]
     x2 = [frac(v) for v in x2]
+    pow1 = [[x ** k for x in x1] for k in range(d1 + 1)]
+    pow2 = [[x ** k for x in x2] for k in range(d2 + 1)]
+    signed = [(perm, _perm_sign(perm)) for perm in permutations(range(n))]
     coeffs = {}
-    for a in _compositions(d1, n):
-        pow1 = [[x1[j] ** a[i] for j in range(n)] for i in range(n)]
-        fact_a = 1
-        for k in a:
-            fact_a *= factorial(k)
-        for b in _compositions(d2, n):
-            rows = [
-                [pow1[i][j] * x2[j] ** b[i] for j in range(n)] for i in range(n)
-            ]
-            det = Matrix(rows).determinant()
-            if det:
-                fact = fact_a
-                for k in b:
-                    fact *= factorial(k)
-                coeffs[tuple(a) + tuple(b)] = det / fact
+    for pairs in _pair_sets(d1, d2, n):
+        rows = [[p * q for p, q in zip(pow1[a], pow2[b])] for a, b in pairs]
+        det = Matrix(rows).determinant()
+        if not det:
+            continue
+        fact = 1
+        for a, b in pairs:
+            fact *= factorial(a) * factorial(b)
+        c = det / fact
+        for perm, sign in signed:
+            a = tuple(pairs[k][0] for k in perm)
+            b = tuple(pairs[k][1] for k in perm)
+            coeffs[a + b] = c if sign > 0 else -c
     return MultivariatePoly(2 * n, coeffs)
 
 
@@ -295,12 +306,11 @@ def divide_constant(p, q):
     return c if q.scale(c) == p else None
 
 
-def vanishing_scan(d, samples=None):
+def vanishing_scan(d, delta, samples=None):
     """For sample points in the regular locus: the alternant vanishes below
     the shape's exponent-sum bidegree and is proportional to the shape's
-    alternant at it."""
+    alternant `delta` (its `pair_alternant`) at it."""
     d1, d2 = exponent_sums(d)
-    delta = pair_alternant(d)
     if samples is None:
         samples = c_regular_samples(d)
     rows = []
@@ -308,14 +318,14 @@ def vanishing_scan(d, samples=None):
     for x1, x2 in samples:
         if not in_regular_locus(d, x1, x2):
             raise ValueError("sample point outside the regular locus")
-        entry = {"x1": list(x1), "x2": list(x2), "vanishing": True}
-        for a in range(d1 + 1):
-            for b in range(d2 + 1):
-                if a == d1 and b == d2:
-                    continue
-                if a < d1 or b < d2:
-                    if alternant(x1, x2, a, b):
-                        entry["vanishing"] = False
+        entry = {"x1": list(x1), "x2": list(x2)}
+        # stops at the first nonzero alternant below the top bidegree
+        entry["vanishing"] = not any(
+            alternant(x1, x2, a, b)
+            for a in range(d1 + 1)
+            for b in range(d2 + 1)
+            if (a, b) != (d1, d2)
+        )
         top = alternant(x1, x2, d1, d2)
         ratio = divide_constant(top, delta)
         entry["proportional"] = ratio is not None and ratio != 0

@@ -435,7 +435,7 @@ def harmonics_checks(d):
             if span.trace_of(perm) != chi1[mu] * chi2[nu]:
                 factor_ok = False
     sign = ch.sign_character(n)
-    scan = ha.vanishing_scan(d)
+    scan = ha.vanishing_scan(d, delta)
     checks = {
         "diagram": d.serialize(),
         "nonzero": bool(delta),

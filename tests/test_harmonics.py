@@ -1,4 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
+from math import factorial
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilpair.diagrams import parse
 from nilpair.harmonics import (
@@ -15,8 +20,79 @@ from nilpair.harmonics import (
     vandermonde_determinant,
     wxw_span,
 )
+from nilpair.linalg import Matrix, frac
 from nilpair.pairs import build_pair
 from nilpair.polys import MultivariatePoly
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _dense_alternant(x1, x2, d1, d2):
+    """The reference alternant: one determinant per pair of compositions
+    (a, b), with no shortcut for repeated pairs or reordered rows."""
+    n = len(x1)
+    x1 = [frac(v) for v in x1]
+    x2 = [frac(v) for v in x2]
+    coeffs = {}
+    for a in _compositions(d1, n):
+        pow1 = [[x1[j] ** a[i] for j in range(n)] for i in range(n)]
+        fact_a = 1
+        for k in a:
+            fact_a *= factorial(k)
+        for b in _compositions(d2, n):
+            rows = [
+                [pow1[i][j] * x2[j] ** b[i] for j in range(n)] for i in range(n)
+            ]
+            det = Matrix(rows).determinant()
+            if det:
+                fact = fact_a
+                for k in b:
+                    fact *= factorial(k)
+                coeffs[tuple(a) + tuple(b)] = det / fact
+    return MultivariatePoly(2 * n, coeffs)
+
+
+@st.composite
+def alternant_inputs(draw):
+    n = draw(st.integers(1, 4))
+    points = st.lists(st.integers(-2, 3), min_size=n, max_size=n)
+    return draw(points), draw(points), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+
+
+@given(alternant_inputs())
+@settings(max_examples=60, deadline=None)
+def test_alternant_matches_dense_reference(args):
+    assert alternant(*args).coeffs == _dense_alternant(*args).coeffs
+
+
+def test_alternant_one_determinant_per_pair_set(monkeypatch):
+    d = parse("4,1")
+    x1 = [p for p, _ in d.boxes]
+    x2 = [q for _, q in d.boxes]
+    d1, d2 = exponent_sums(d)
+    calls = []
+    determinant = Matrix.determinant
+
+    def counted(self):
+        calls.append(1)
+        return determinant(self)
+
+    monkeypatch.setattr(Matrix, "determinant", counted)
+    alternant(x1, x2, d1, d2)
+    grid = [(a, b) for a in range(d1 + 1) for b in range(d2 + 1)]
+    pair_sets = [
+        s
+        for s in combinations(grid, d.n)
+        if sum(a for a, _ in s) == d1 and sum(b for _, b in s) == d2
+    ]
+    assert len(calls) == len(pair_sets) > 0
 
 
 def test_alternant_two_points_by_hand():
@@ -95,7 +171,7 @@ def test_regular_samples():
 
 def test_vanishing_scan_ratios():
     d = parse("2,2")
-    scan = vanishing_scan(d)
+    scan = vanishing_scan(d, pair_alternant(d))
     assert scan["ok"]
     # first sample is the grading pair itself: ratio one
     assert scan["samples"][0]["ratio"] == "1/1"
