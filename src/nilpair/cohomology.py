@@ -15,12 +15,11 @@ generating identity below forces axis classes.)
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from .diagrams import Diagram, ShapeClass, classify_shape
-from .linalg import Matrix, Subspace, complement, lift, relations
+from .linalg import Matrix, Subspace, combine, complement, lift, relations, shifted
 from .pairs import (
     NilPair,
     ad,
@@ -81,7 +80,6 @@ def _h1_table(e1, e2, h):
     nn = e1.rows**2
     pieces = bigraded_pieces(h, "sl")
     zero = Subspace.zero(nn)
-    pad = (Fraction(0),) * nn
     keys = set()
     for (p, q) in pieces:
         keys.update({(p, q), (p + 1, q), (p, q + 1), (p + 1, q + 1)})
@@ -92,12 +90,15 @@ def _h1_table(e1, e2, h):
         if mid1.dim + mid2.dim == 0:
             continue
         src = pieces.get((p - 1, q - 1), zero)
-        # cocycles: [e2,u] = [e1,v] inside g_{p,q}
+        # cocycles: [e2,u] = [e1,v] inside g_{p,q}; the doubled space keys
+        # the second summand nn + k
         cols = [ad(e2, u) for u in mid1.basis]
-        cols += [[-x for x in ad(e1, v)] for v in mid2.basis]
-        doubled = [u + pad for u in mid1.basis] + [pad + v for v in mid2.basis]
+        cols += [{k: -x for k, x in ad(e1, v).items()} for v in mid2.basis]
+        doubled = list(mid1.basis) + [shifted(v, nn) for v in mid2.basis]
         cocycle_space = lift(relations(cols), doubled, 2 * nn)
-        boundary_space = Subspace(2 * nn, [ad(e1, s) + ad(e2, s) for s in src.basis])
+        boundary_space = Subspace(
+            2 * nn, [{**ad(e1, s), **shifted(ad(e2, s), nn)} for s in src.basis]
+        )
         if not cocycle_space.contains_subspace(boundary_space):
             raise ArithmeticError("a coboundary is not a cocycle")
         dim = cocycle_space.dim - boundary_space.dim
@@ -439,7 +440,7 @@ def slice_report(pair, h=None, quadrant="se", reverse=False):
     frames = _corner_frames(pair, h)
     all_ok = report["count_ok"]
     for pick, x1, x2, zx in slice_samples(pair, h, sb):
-        commutes = not any(ad(x1, x2.flatten()))
+        commutes = not ad(x1, x2.flatten())
         zdim = zx.dim - 1  # the identity always centralises, trace cuts one
         corners_ok = (
             _corner_containment_ok(n, zx, frames) if pick in deep else None
@@ -480,7 +481,7 @@ def _recipe_is_complement(pair, h, recipe):
     row_end = {qq: max(ps) for qq, ps in d.rows().items()}
     by_class = {}
     for (p, q), m in recipe:
-        if any(ad(pair.e1, m.flatten())):
+        if ad(pair.e1, m.flatten()):
             return False
         # class bidegree of the translation map: its shift plus (1, 0)
         a = row_end[q] - p
@@ -503,9 +504,9 @@ def _recipe_is_complement(pair, h, recipe):
 
 def _corner_frames(pair, h):
     """The pair's data for _corner_containment_ok, one frame per bidegree
-    (p, q) of gl_n in sorted order: the flat indices outside the rectangle
-    L_{<=p,q}, the indices of its corner (p, q), and the (p, q) block of the
-    pair's gl centralizer."""
+    (p, q) of gl_n in sorted order: the set of flat indices outside the
+    rectangle L_{<=p,q}, the set of indices of its corner (p, q), and the
+    (p, q) block of the pair's gl centralizer."""
     n = pair.n
     bid = {}
     for i in range(n):
@@ -516,8 +517,8 @@ def _corner_frames(pair, h):
     zero = Subspace.zero(n * n)
     frames = []
     for (p, q) in sorted(set(bid.values())):
-        outside = [c for c, d in bid.items() if not (d[0] <= p and d[1] <= q)]
-        corner = [c for c, d in bid.items() if d == (p, q)]
+        outside = {c for c, d in bid.items() if not (d[0] <= p and d[1] <= q)}
+        corner = {c for c, d in bid.items() if d == (p, q)}
         frames.append((outside, corner, z_pair.get((p, q), zero)))
     return frames
 
@@ -536,13 +537,12 @@ def _corner_containment_ok(n, zx, frames):
         return False
     for outside, corner, tgt in frames:
         # basis of Z cap L_{<=p,q}: coefficient combos with no outside part
-        coeffs = relations([[v[c] for c in outside] for v in zx.basis])
+        coeffs = relations(
+            [{c: x for c, x in v.items() if c in outside} for v in zx.basis]
+        )
+        corners = [{c: x for c, x in v.items() if c in corner} for v in zx.basis]
         for coeff in coeffs.basis:
-            comp = [Fraction(0)] * (n * n)
-            for c, b in zip(coeff, zx.basis):
-                if c:
-                    for idx in corner:
-                        comp[idx] += c * b[idx]
-            if any(comp) and not tgt.contains(comp):
+            comp = combine(corners, coeff)
+            if comp and not tgt.contains(comp):
                 return False
     return True

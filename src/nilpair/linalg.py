@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Everything runs on Python Fractions; no floating point enters any
-computation.  Subspaces are stored in reduced row echelon form, so two equal
-subspaces have identical basis tuples and can be compared structurally.
+computation.  A vector is a sparse row {key: value} of its nonzero entries;
+every routine also reads a dense sequence as the row keyed by position
+(`entries`).  Subspaces keep their canonical reduced row echelon rows in one
+EchelonBasis, so two equal subspaces have equal rows and compare
+structurally.  Dense tuples appear only where a Matrix is built or flattened.
 """
 
 from __future__ import annotations
@@ -14,8 +17,15 @@ def frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def entries(vec):
+    """The (key, value) pairs of a vector: a sparse row {key: value}, or a
+    dense sequence read as the row keyed by position.  The one reader of
+    vector input, so every routine takes either form."""
+    return vec.items() if isinstance(vec, dict) else enumerate(vec)
+
+
 def rref(rows):
-    """Reduced row echelon form, computed by one EchelonBasis.
+    """Reduced row echelon form of dense rows, computed by one EchelonBasis.
 
     Returns (nonzero rows as tuples, pivot column list).  Pivots are
     normalised to 1 and cleared above and below.
@@ -25,9 +35,11 @@ def rref(rows):
         raise ValueError("ragged rows")
     ech = EchelonBasis()
     for r in rows:
-        ech.add(sparse(r))
+        ech.add(r)
     pivots = sorted(ech.rows)
-    return [dense(ech.rows[p], ncols) for p in pivots], pivots
+    zero = Fraction(0)
+    red = [tuple(ech.rows[p].get(c, zero) for c in range(ncols)) for p in pivots]
+    return red, pivots
 
 
 def solve_affine(rows, rhs):
@@ -47,22 +59,30 @@ def solve_affine(rows, rhs):
 
 
 class Subspace:
-    """A linear subspace of Q^ambient_dim with a canonical RREF basis."""
+    """A linear subspace of Q^ambient_dim, held as the canonical rows of one
+    EchelonBasis: sparse rows {index: Fraction} in reduced row echelon form.
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    ``basis`` lists those rows in pivot order and ``pivots`` their pivots;
+    the rows are shared and must not be mutated.  Equal subspaces have equal
+    rows, so equality and hashing are structural.
+    """
+
+    __slots__ = ("ambient_dim", "echelon", "basis", "pivots")
 
     def __init__(self, ambient_dim, vectors=()):
         self.ambient_dim = ambient_dim
-        basis, pivots = rref(vectors)
-        for v in basis:
-            if len(v) != ambient_dim:
+        ech = EchelonBasis()
+        for v in vectors:
+            if not isinstance(v, dict) and len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        self.basis = tuple(basis)
-        self.pivots = tuple(pivots)
+            ech.add(v)
+        self.echelon = ech
+        self.pivots = tuple(sorted(ech.rows))
+        self.basis = tuple(ech.rows[p] for p in self.pivots)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
 
     def __eq__(self, other):
         return (
@@ -72,56 +92,39 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        rows = tuple(frozenset(r.items()) for r in self.basis)
+        return hash((self.ambient_dim, rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
-    def reduce(self, vec):
-        """Remainder of vec after elimination against the basis."""
-        v = [frac(x) for x in vec]
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c:
-                for j in range(p, self.ambient_dim):
-                    if row[j]:
-                        v[j] -= c * row[j]
-        return tuple(v)
-
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return self.echelon.contains(vec)
 
     def contains_subspace(self, other):
         return all(self.contains(v) for v in other.basis)
 
     def coordinates(self, vec):
-        """Coefficients of vec in the RREF basis.  vec must lie in the span."""
-        v = [frac(x) for x in vec]
-        coeffs = []
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            coeffs.append(c)
-            if c:
-                for j in range(p, self.ambient_dim):
-                    if row[j]:
-                        v[j] -= c * row[j]
-        if any(v):
-            raise ValueError("vector is not in the subspace")
-        return tuple(coeffs)
+        """Coefficients {pivot: c} of vec over the basis rows, keyed by each
+        row's pivot.  Raises ValueError when vec is off the span."""
+        return self.echelon.coordinates(vec)
 
     def __add__(self, other):
         self._check(other)
-        return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
+        return Subspace(self.ambient_dim, self.basis + other.basis)
 
     def intersect(self, other):
-        """Zassenhaus intersection."""
+        """Zassenhaus intersection: reduce the rows (v, v) for v in self and
+        (w, 0) for w in other, the second copy keyed n + k; the reduced rows
+        that vanish on the first copy span the intersection."""
         self._check(other)
         n = self.ambient_dim
-        zero = [Fraction(0)] * n
-        rows = [list(v) + list(v) for v in self.basis]
-        rows += [list(v) + zero for v in other.basis]
-        red, _ = rref(rows)
-        vecs = [r[n:] for r in red if not any(r[:n])]
+        ech = EchelonBasis()
+        for w in other.basis:
+            ech.add(w)
+        for v in self.basis:
+            ech.add({**v, **shifted(v, n)})
+        vecs = [shifted(r, -n) for p, r in ech.rows.items() if p >= n]
         return Subspace(n, vecs)
 
     def _check(self, other):
@@ -134,25 +137,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim):
-        eye = []
-        for i in range(ambient_dim):
-            v = [Fraction(0)] * ambient_dim
-            v[i] = Fraction(1)
-            eye.append(v)
-        return Subspace(ambient_dim, eye)
-
-
-def sparse(vec):
-    """A flattened vector as a sparse row {index: Fraction}."""
-    return {i: frac(x) for i, x in enumerate(vec) if x}
-
-
-def dense(vec, dim):
-    """A sparse row {index: value} as a flattened vector of length dim."""
-    out = [Fraction(0)] * dim
-    for i, x in vec.items():
-        out[i] = x
-    return tuple(out)
+        return Subspace(ambient_dim, [{i: Fraction(1)} for i in range(ambient_dim)])
 
 
 class EchelonBasis:
@@ -175,9 +160,9 @@ class EchelonBasis:
         """Remainder of vec after elimination against the rows.  The rows
         vanish at each other's pivots, so each one is subtracted once, with
         vec's own entry at its pivot."""
-        v = {k: x for k, x in vec.items() if x}
+        v = {k: x for k, x in entries(vec) if x}
         for p in [p for p in v if p in self.rows]:
-            c = vec[p]
+            c = v[p]
             for k, x in self.rows[p].items():
                 nv = v.get(k, 0) - c * x
                 if nv:
@@ -213,30 +198,48 @@ class EchelonBasis:
     def coordinates(self, vec):
         """Coefficients {pivot: c} of vec in the rows; raises ValueError when
         vec is off the span."""
-        coords = {p: x for p, x in vec.items() if x and p in self.rows}
+        coords = {p: x for p, x in entries(vec) if x and p in self.rows}
         if self.reduce(vec):
             raise ValueError("vector is not in the span")
         return coords
 
-    def to_subspace(self, ambient_dim):
-        """The span as a Subspace; keys must be indices below ambient_dim."""
-        rows = [dense(r, ambient_dim) for r in self.rows.values()]
-        return Subspace(ambient_dim, rows)
+
+def add_multiple(out, x, vec):
+    """out += x vec for sparse vectors, in place, dropping the entries that
+    cancel."""
+    for r, y in vec.items():
+        nv = out.get(r, 0) + x * y
+        if nv:
+            out[r] = nv
+        else:
+            del out[r]
+
+
+def shifted(vec, offset):
+    """A sparse row with every key moved by offset: the second summand of a
+    doubled space is keyed n + k."""
+    return {k + offset: x for k, x in vec.items()}
+
+
+def combine(vectors, coeffs):
+    """sum_j coeffs[j] vectors[j] for sparse coefficients {j: c} over an
+    indexable family of sparse vectors: a linear combination, or an operator
+    given by its columns applied to a vector.  For a unit coefficient vector
+    this is vectors[j] itself, shared, so the result must not be mutated."""
+    if len(coeffs) == 1:
+        ((j, x),) = coeffs.items()
+        if x == 1:
+            return vectors[j]
+    out = {}
+    for j, x in coeffs.items():
+        add_multiple(out, x, vectors[j])
+    return out
 
 
 def lift(coeff_space, basis, ambient_dim):
-    """The span of sum_i c_i basis[i] over the coefficient vectors c of
+    """The span of sum_j c_j basis[j] over the coefficient vectors c of
     coeff_space, as a Subspace of Q^ambient_dim."""
-    vecs = []
-    for coeffs in coeff_space.basis:
-        v = [Fraction(0)] * ambient_dim
-        for c, b in zip(coeffs, basis):
-            if c:
-                for j, x in enumerate(b):
-                    if x:
-                        v[j] += c * x
-        vecs.append(v)
-    return Subspace(ambient_dim, vecs)
+    return Subspace(ambient_dim, [combine(basis, c) for c in coeff_space.basis])
 
 
 def kernel_in(piece, images):
@@ -254,23 +257,23 @@ def kernel_in(piece, images):
 
 
 def relations(vectors):
-    """The linear relations among vectors, dense sequences or sparse dicts
-    {key: value}: the coefficient vectors c with sum_j c_j vectors[j] = 0,
-    as a Subspace of Q^len(vectors).
+    """The linear relations among vectors, sparse rows or dense sequences:
+    the coefficient vectors c with sum_j c_j vectors[j] = 0, as a Subspace
+    of Q^len(vectors).
 
     This is the kernel of the matrix with the vectors as columns; its
     equation rows are read off sparsely, without forming that matrix."""
     rows = {}
     for j, v in enumerate(vectors):
-        for k, x in v.items() if isinstance(v, dict) else enumerate(v):
+        for k, x in entries(v):
             if x:
-                rows.setdefault(k, {})[j] = frac(x)
+                rows.setdefault(k, {})[j] = x
     return _null_space(rows.values(), len(vectors))
 
 
 def _null_space(rows, ncols):
-    """The solutions in Q^ncols of the sparse equation rows {column: value}:
-    one EchelonBasis over the rows, then one solution per free column, by
+    """The solutions in Q^ncols of the equation rows (sparse or dense): one
+    EchelonBasis over the rows, then one solution per free column, by
     back-substitution into the pivot columns."""
     ech = EchelonBasis()
     for r in rows:
@@ -278,8 +281,7 @@ def _null_space(rows, ncols):
     vecs = []
     for c in range(ncols):
         if c not in ech.rows:
-            v = [Fraction(0)] * ncols
-            v[c] = Fraction(1)
+            v = {c: Fraction(1)}
             for p, row in ech.rows.items():
                 if c in row:
                     v[p] = -row[c]
@@ -297,9 +299,9 @@ def complement(sub, within, reverse=False):
         raise ValueError("first space is not contained in the second")
     span = EchelonBasis()
     for v in sub.basis:
-        span.add(sparse(v))
+        span.add(v)
     candidates = within.basis[::-1] if reverse else within.basis
-    picked = [v for v in candidates if span.add(sparse(v))]
+    picked = [v for v in candidates if span.add(v)]
     return Subspace(sub.ambient_dim, picked)
 
 
@@ -428,15 +430,20 @@ class Matrix:
 
     def kernel(self):
         """Exact null space as a canonical Subspace."""
-        return _null_space(map(sparse, self.data), self.cols)
+        return _null_space(self.data, self.cols)
 
     def flatten(self):
         return tuple(x for row in self.data for x in row)
 
     @staticmethod
     def unflatten(vec, n, m=None):
+        """The n x m matrix of a flattened vector, sparse or dense."""
         m = n if m is None else m
-        return Matrix([vec[i * m : (i + 1) * m] for i in range(n)])
+        zero = Fraction(0)
+        data = [[zero] * m for _ in range(n)]
+        for k, x in entries(vec):
+            data[k // m][k % m] = x
+        return Matrix(data)
 
 
 def bracket(a, b):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from .linalg import EchelonBasis, Matrix, Subspace, dense, relations, sparse
+from .linalg import EchelonBasis, Matrix, Subspace, add_multiple, combine, relations
 from .multiplicity import (
     PartitionTable,
     _perm_sign,
@@ -212,12 +212,8 @@ class PairAction:
     @classmethod
     def adjoint(cls, pair):
         """The pair acting on flattened n x n matrices by ad."""
-        dim = pair.n**2
-        units = [dense({c: Fraction(1)}, dim) for c in range(dim)]
-        return cls(
-            [sparse(ad(pair.e1, u)) for u in units],
-            [sparse(ad(pair.e2, u)) for u in units],
-        )
+        units = [{c: Fraction(1)} for c in range(pair.n**2)]
+        return cls([ad(pair.e1, u) for u in units], [ad(pair.e2, u) for u in units])
 
     def product_power(self, i, j, cols):
         """Columns ``cols`` (a tuple of basis indices) of A^i B^j as sparse
@@ -235,10 +231,10 @@ class PairAction:
                 block = tuple({} for _ in cols)
             elif i:
                 prev = self.product_power(i - 1, j, cols)
-                block = tuple(_apply_sparse(self.sparse1, v) for v in prev)
+                block = tuple(combine(self.sparse1, v) for v in prev)
             elif j:
                 prev = self.product_power(0, j - 1, cols)
-                block = tuple(_apply_sparse(self.sparse2, v) for v in prev)
+                block = tuple(combine(self.sparse2, v) for v in prev)
             else:
                 block = tuple({c: Fraction(1)} for c in cols)
             self._towers[key] = block
@@ -249,32 +245,7 @@ class PairAction:
         the basis columns the vectors touch."""
         support = tuple(sorted({c for v in vectors for c in v}))
         tower = dict(zip(support, self.product_power(i, j, support)))
-        return [_apply_sparse(tower, v) for v in vectors]
-
-
-def _apply_sparse(columns, vec):
-    """sum_c vec[c] columns[c] for a sparse vector and indexable sparse
-    columns: an operator applied to a vector, or a combination of vectors.
-    For a unit vector this is the column itself, shared, so the result must
-    not be mutated."""
-    if len(vec) == 1:
-        ((c, x),) = vec.items()
-        if x == 1:
-            return columns[c]
-    out = {}
-    for c, x in vec.items():
-        _add_multiple(out, x, columns[c])
-    return out
-
-
-def _add_multiple(out, x, vec):
-    """out += x vec, in place, dropping the entries that cancel."""
-    for r, y in vec.items():
-        nv = out.get(r, 0) + x * y
-        if nv:
-            out[r] = nv
-        else:
-            del out[r]
+        return [combine(tower, v) for v in vectors]
 
 
 def _nilpotency_index(columns):
@@ -285,7 +256,7 @@ def _nilpotency_index(columns):
     while vecs:
         if k > len(columns):
             raise ValueError("operator is not nilpotent")
-        vecs = [w for w in (_apply_sparse(columns, v) for v in vecs) if w]
+        vecs = [w for w in (combine(columns, v) for v in vecs) if w]
         k += 1
     return k
 
@@ -321,12 +292,21 @@ def filtration_piece(action, i, j, vectors):
 def _graded_pieces(action, vectors):
     """The nonzero pieces gr_{i,j} E = F_{i,j} / (F_{i-1,j} + F_{i,j-1})
     of E = span(vectors): yields (i, j, F_{i,j} cap E over the basis of E,
-    dim gr_{i,j} E)."""
+    dim gr_{i,j} E).
+
+    The members commute, so F_{i-1,j} and F_{i,j-1} lie in F_{i,j}: once
+    either is all of E, so is F_{i,j}, with no elimination and no graded
+    piece."""
+    full = len(vectors)
     cache = {}
 
     def piece(i, j):
         if (i, j) not in cache:
-            cache[(i, j)] = filtration_piece(action, i, j, vectors)
+            lower = [cache.get(k) for k in ((i - 1, j), (i, j - 1))]
+            whole = [sp for sp in lower if sp is not None and sp.dim == full]
+            cache[(i, j)] = (
+                whole[0] if whole else filtration_piece(action, i, j, vectors)
+            )
         return cache[(i, j)]
 
     for i in range(action.index1 + 1):
@@ -334,8 +314,10 @@ def _graded_pieces(action, vectors):
             fij = piece(i, j)
             if not fij.dim:
                 continue
-            below = piece(i - 1, j) + piece(i, j - 1)
-            d = fij.dim - below.dim
+            a, b = piece(i - 1, j), piece(i, j - 1)
+            if full in (a.dim, b.dim):
+                continue
+            d = fij.dim - (a + b).dim
             if d:
                 yield i, j, fij, d
 
@@ -358,12 +340,11 @@ def limit_space(action, E):
     or to reach dim E.
     """
     N = E.ambient_dim
-    vectors = [sparse(v) for v in E.basis]
     total = 0
     vecs = []
-    for i, j, fij, _ in _graded_pieces(action, vectors):
-        piece = [_apply_sparse(vectors, sparse(c)) for c in fij.basis]
-        img = Subspace(N, [dense(w, N) for w in action.apply(i, j, piece)])
+    for i, j, fij, _ in _graded_pieces(action, E.basis):
+        piece = [combine(E.basis, c) for c in fij.basis]
+        img = Subspace(N, action.apply(i, j, piece))
         total += img.dim
         vecs.extend(img.basis)
     out = Subspace(N, vecs)
@@ -381,14 +362,14 @@ def grassmannian_limit(action, E):
     strictly lowering its degree.  Works without any direct-sum hypothesis.
     """
     N = E.ambient_dim
-    vectors = [sparse(v) for v in E.basis]
+    vectors = E.basis
     curves = [{} for _ in vectors]  # per vector: degree -> sparse coefficient
     for i in range(action.index1 + 1):
         for j in range(action.index2 + 1):
             c = Fraction(1, factorial(i) * factorial(j))
             for curve, w in zip(curves, action.apply(i, j, vectors)):
                 if w:
-                    _add_multiple(curve.setdefault(i + j, {}), c, w)
+                    add_multiple(curve.setdefault(i + j, {}), c, w)
     curves = [{d: w for d, w in curve.items() if w} for curve in curves]
     while True:
         degs = [max(curve) if curve else -1 for curve in curves]
@@ -398,16 +379,14 @@ def grassmannian_limit(action, E):
         leads = [curves[k][degs[k]] for k in live]
         kern = relations(leads)
         if kern.dim == 0:
-            return Subspace(N, [dense(w, N) for w in leads])
-        coeffs = kern.basis[0]
-        involved = [k for k, c in zip(live, coeffs) if c]
-        top = max(involved, key=lambda k: degs[k])
+            return Subspace(N, leads)
+        coeffs = {live[m]: c for m, c in sorted(kern.basis[0].items())}
+        top = max(coeffs, key=lambda k: degs[k])
         merged = {}
-        for k, c in zip(live, coeffs):
-            if c:
-                shift = degs[top] - degs[k]
-                for d, w in curves[k].items():
-                    _add_multiple(merged.setdefault(d + shift, {}), c, w)
+        for k, c in coeffs.items():
+            shift = degs[top] - degs[k]
+            for d, w in curves[k].items():
+                add_multiple(merged.setdefault(d + shift, {}), c, w)
         merged = {d: w for d, w in merged.items() if w}
         if degs[top] in merged:
             raise ArithmeticError("the top-degree term did not cancel")
@@ -520,5 +499,5 @@ def module_limit_check(pair, h, module, mu):
 
 
 def _limit_of_columns(action, cols):
-    units = [dense({c: Fraction(1)}, action.dim) for c in cols]
+    units = [{c: Fraction(1)} for c in cols]
     return grassmannian_limit(action, Subspace(action.dim, units))

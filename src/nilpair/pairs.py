@@ -16,8 +16,8 @@ from math import isqrt
 
 from .diagrams import Diagram, ShapeClass, ShapeError, SKEWISH, classify_shape
 from .diagrams import subset_pairs
-from .linalg import EchelonBasis, Matrix, Subspace, bracket, dense, frac
-from .linalg import kernel_in, sparse
+from .linalg import EchelonBasis, Matrix, Subspace, bracket, entries, frac
+from .linalg import kernel_in, shifted
 
 
 class StabilityError(ValueError):
@@ -192,26 +192,29 @@ def ad_matrix(x):
 
 
 def ad(x, v):
-    """[x, v] for a flattened matrix v, flattened.
+    """[x, v] for a flattened matrix v given as a sparse row, as a sparse
+    row {index: Fraction}.
 
     Sparse in both arguments: each nonzero x_ia contributes x_ia V_ab to
     entry (i, b) and -V_ji x_ia to entry (j, a)."""
     n = x.rows
     rows, cols = [[] for _ in range(n)], [[] for _ in range(n)]
-    for k, y in enumerate(v):
+    for k, y in entries(v):
         if y:
             a, b = divmod(k, n)
             rows[a].append((b, y))
             cols[b].append((a, y))
-    out = [Fraction(0)] * (n * n)
+    out = {}
     for i, xrow in enumerate(x.data):
         for a, c in enumerate(xrow):
             if c:
                 for b, y in rows[a]:
-                    out[i * n + b] += c * y
+                    k = i * n + b
+                    out[k] = out.get(k, 0) + c * y
                 for j, y in cols[i]:
-                    out[j * n + a] -= y * c
-    return tuple(out)
+                    k = j * n + a
+                    out[k] = out.get(k, 0) - y * c
+    return {k: y for k, y in out.items() if y}
 
 
 def ad_image(x, space):
@@ -225,8 +228,9 @@ def trace_row(n):
 
 def traceless_cut(space):
     """Intersect a subspace of flattened matrices with the trace hyperplane."""
-    tr = trace_row(isqrt(space.ambient_dim))
-    return kernel_in(space, [(sum(t * x for t, x in zip(tr, b)),) for b in space.basis])
+    step = isqrt(space.ambient_dim) + 1
+    traces = [{0: sum(x for k, x in b.items() if k % step == 0)} for b in space.basis]
+    return kernel_in(space, traces)
 
 
 def bigraded_pieces(h, ambient="gl"):
@@ -246,12 +250,7 @@ def _bigraded_pieces(h, ambient):
             groups.setdefault(key, []).append(i * n + j)
     pieces = {}
     for key, idxs in groups.items():
-        vecs = []
-        for idx in idxs:
-            v = [Fraction(0)] * (n * n)
-            v[idx] = Fraction(1)
-            vecs.append(v)
-        sp = Subspace(n * n, vecs)
+        sp = Subspace(n * n, [{idx: Fraction(1)} for idx in idxs])
         if ambient == "sl" and key == (Fraction(0), Fraction(0)):
             sp = traceless_cut(sp)
         pieces[_int_key(key)] = sp
@@ -294,12 +293,14 @@ def graded_kernels(pair, h, ambient="sl"):
 @lru_cache(maxsize=64)
 def _graded_kernels(e1, e2, h, ambient):
     pieces = bigraded_pieces(h, ambient)
-    zero = Subspace.zero(e1.rows**2)
+    nn = e1.rows**2
+    zero = Subspace.zero(nn)
     k1, k2, k12 = {}, {}, {}
     for (p, q), piece in pieces.items():
         im1 = ad_map_between(e1, piece, pieces.get((p + 1, q), zero))
         im2 = ad_map_between(e2, piece, pieces.get((p, q + 1), zero))
-        both = [a + b for a, b in zip(im1, im2)]
+        # both images side by side, the second keyed nn + pivot
+        both = [{**a, **shifted(b, nn)} for a, b in zip(im1, im2)]
         for out, images in ((k1, im1), (k2, im2), (k12, both)):
             kern = kernel_in(piece, images)
             if kern.dim:
@@ -322,21 +323,6 @@ def centralizer(pair, ambient="sl", h=None):
         return Subspace(pair.n**2, vecs)
     extra = [trace_row(pair.n)] if ambient == "sl" else ()
     return joint_centralizer(pair.e1, pair.e2, extra)
-
-
-def bigrade(space, h, ambient="gl"):
-    """Split an (ad h1, ad h2)-stable subspace by bidegree."""
-    pieces = bigraded_pieces(h, ambient)
-    out = {}
-    total = 0
-    for key, piece in pieces.items():
-        inter = space.intersect(piece)
-        if inter.dim:
-            out[key] = inter
-            total += inter.dim
-    if total != space.dim:
-        raise StabilityError("subspace is not stable under the grading torus")
-    return out
 
 
 def biexponents(pair, h=None, convention="sl"):
@@ -366,19 +352,19 @@ def is_nilpotent_family(space, n):
     basis = [Matrix.unflatten(v, n) for v in space.basis]
     ech = EchelonBasis()
     for v in space.basis:
-        ech.add(sparse(v))
+        ech.add(v)
     current = list(basis)
     for _ in range(n):
         new_mats = []
         for a in current:
             for b in basis:
                 m = a * b
-                if ech.add(sparse(m.flatten())):
+                if ech.add(m.flatten()):
                     new_mats.append(m)
         if not new_mats:
             break
         current = new_mats
-    closed = [Matrix.unflatten(dense(v, n * n), n) for v in ech.rows.values()]
+    closed = [Matrix.unflatten(v, n) for v in ech.rows.values()]
     return all(m.is_nilpotent() for m in closed)
 
 
@@ -396,7 +382,7 @@ def classify_pair(pair, h=None):
         have_regular_h = h.is_regular()
     z_sl = centralizer(pair, ambient="sl", h=h)
     if have_regular_h and h.is_integral() and z_sl.dim == pair.n - 1:
-        blocks = bigrade(z_sl, h, ambient="sl")
+        blocks = centralizer_bigraded(pair, h, "sl")
         if all(p >= 0 and q >= 0 and (p, q) != (0, 0) for p, q in blocks):
             return "principal"
     if have_regular_h and is_nilpotent_family(z_sl, pair.n):
@@ -429,10 +415,9 @@ def shift_basis_check(pair, p, q):
     index = {box: i for i, box in enumerate(d.boxes)}
     vecs = []
     for sp in subset_pairs(d, p, q):
-        m = [[0] * n for _ in range(n)]
-        for (i, j) in sp.nu_in:
-            m[index[(i + p, j + q)]][index[(i, j)]] = 1
-        vecs.append(Matrix(m).flatten())
+        vecs.append(
+            {index[(i + p, j + q)] * n + index[(i, j)]: 1 for (i, j) in sp.nu_in}
+        )
     span = Subspace(n * n, vecs)
     h = provenance_grading(pair)
     blocks = centralizer_bigraded(pair, h, ambient="gl")
@@ -486,7 +471,14 @@ def center_of(space, n):
     # constraint on coefficients c, for each basis element m:
     # sum_j c_j [m, b_j] = 0
     mats = [Matrix.unflatten(u, n) for u in space.basis]
-    return kernel_in(space, [[x for m in mats for x in ad(m, v)] for v in space.basis])
+    nn = n * n
+    return kernel_in(
+        space,
+        [
+            {i * nn + k: x for i, m in enumerate(mats) for k, x in ad(m, v).items()}
+            for v in space.basis
+        ],
+    )
 
 
 def lie_closure(vectors, n):
@@ -494,7 +486,7 @@ def lie_closure(vectors, n):
     ech = EchelonBasis()
     frontier = []
     for v in vectors:
-        if ech.add(sparse(v)):
+        if ech.add(v):
             frontier.append(Matrix.unflatten(v, n))
     base = list(frontier)
     while frontier:
@@ -502,11 +494,11 @@ def lie_closure(vectors, n):
         for a in frontier:
             for b in base:
                 w = bracket(a, b)
-                if ech.add(sparse(w.flatten())):
+                if ech.add(w.flatten()):
                     new.append(w)
         base.extend(new)
         frontier = new
-    return ech.to_subspace(n * n)
+    return Subspace(n * n, ech.rows.values())
 
 
 def parabolic_checks(pair, h=None):

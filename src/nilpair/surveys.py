@@ -107,10 +107,11 @@ def structure_checks(d):
         if other is None or other.dim != sp.dim:
             pairing_ok = False
             continue
+        # tr(UV) = sum_ab U_ab V_ba on the sparse rows
         gram = Matrix(
             [
                 [
-                    (Matrix.unflatten(u, n) * Matrix.unflatten(v, n)).trace()
+                    sum(x * v.get(k % n * n + k // n, 0) for k, x in u.items())
                     for v in other.basis
                 ]
                 for u in sp.basis

@@ -12,12 +12,23 @@ from nilpair.linalg import (
     complement,
     jordan_type,
     kernel_in,
-    dense,
+    lift,
     relations,
     rref,
     solve_affine,
-    sparse,
 )
+
+
+def _sparse(vec):
+    """A dense vector as the sparse row {position: value} of its nonzero
+    entries, keys inserted last to first, so insertion order differs from
+    the rows the package builds."""
+    return {i: Fraction(vec[i]) for i in reversed(range(len(vec))) if vec[i]}
+
+
+def _dense(row, dim):
+    """A sparse row as a dense tuple of length dim."""
+    return tuple(Fraction(row.get(i, 0)) for i in range(dim))
 
 
 def _dense_rref(rows):
@@ -68,7 +79,8 @@ def _assert_is_kernel(space, rows, ncols):
     dense references."""
     basis, pivots = _dense_rref(_dense_kernel(rows, ncols))
     assert space.ambient_dim == ncols
-    assert list(space.basis) == basis and list(space.pivots) == pivots
+    assert [_dense(r, ncols) for r in space.basis] == basis
+    assert list(space.pivots) == pivots
 
 
 def _in_span(vecs, w):
@@ -112,7 +124,7 @@ def matrices(draw, max_dim=4):
 def test_kernel_vectors_annihilate_and_rank_nullity(m):
     ker = m.kernel()
     for v in ker.basis:
-        assert all(x == 0 for x in m.apply(v))
+        assert all(x == 0 for x in m.apply(_dense(v, m.cols)))
     assert m.rank() + ker.dim == m.cols
 
 
@@ -130,6 +142,8 @@ def test_relations_match_kernel_of_column_matrix(m, rng):
     _assert_is_kernel(rel, rows, len(cols))
     _assert_is_kernel(Matrix(rows).kernel(), rows, len(cols))
     assert rel.dim >= 2
+    # the same columns as sparse rows
+    assert relations([_sparse(c) for c in cols]) == rel
 
 
 @pytest.mark.parametrize(
@@ -159,6 +173,13 @@ def test_relations_edge_cases(cols):
 def test_subspace_canonical_under_change_of_basis(m, rng):
     rows = [list(r) for r in m.data]
     sp1 = Subspace(m.cols, rows)
+    assert [_dense(r, m.cols) for r in sp1.basis] == _dense_rref(rows)[0]
+    # the same rows as sparse dicts, in shuffled order: equal and equally
+    # hashed, whatever order the rows were reduced and their keys inserted
+    shuffled = [_sparse(r) for r in rows]
+    rng.shuffle(shuffled)
+    sp0 = Subspace(m.cols, shuffled)
+    assert sp0 == sp1 and hash(sp0) == hash(sp1)
     # random invertible row operations preserve the row space
     mixed = [list(r) for r in rows]
     for _ in range(6):
@@ -183,21 +204,55 @@ def test_intersect_idempotent_and_complementary_planes():
     assert a.intersect(b).dim == 0
 
 
-@given(st.randoms(use_true_random=False))
-@settings(max_examples=25, deadline=None)
-def test_three_dim_subspaces_of_dim_four_meet(rng):
-    def rand_space():
-        vecs = [
-            [Fraction(rng.randrange(-3, 4)) for _ in range(4)] for _ in range(3)
+@given(st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_three_dim_subspaces_of_dim_four_meet(rng, sparse_input):
+    def rand_vecs(count, dim=4):
+        return [
+            [Fraction(rng.randrange(-3, 4)) for _ in range(dim)] for _ in range(count)
         ]
-        return Subspace(4, vecs)
 
-    a, b = rand_space(), rand_space()
+    def space(dim, vecs):
+        return Subspace(dim, [_sparse(v) for v in vecs] if sparse_input else vecs)
+
+    def dense_basis(sp):
+        return [_dense(r, sp.ambient_dim) for r in sp.basis]
+
+    avecs, bvecs = rand_vecs(3), rand_vecs(3)
+    a, b = space(4, avecs), space(4, bvecs)
     inter = a.intersect(b)
     assert inter.dim >= a.dim + b.dim - 4
     assert inter.dim == a.dim + b.dim - (a + b).dim
     for v in inter.basis:
         assert a.contains(v) and b.contains(v)
+    # against the dense references: the sum is the reduced stack; the
+    # intersection is sum_i c_i a_i over the relations (c, d) of the columns
+    # a_i, -b_j
+    abasis, apiv = _dense_rref(avecs)
+    bbasis, _ = _dense_rref(bvecs)
+    assert dense_basis(a + b) == _dense_rref(avecs + bvecs)[0]
+    cols = abasis + [[-x for x in w] for w in bbasis]
+    rows = [[c[t] for c in cols] for t in range(4)]
+    meet = [
+        [sum(r[i] * abasis[i][t] for i in range(len(abasis))) for t in range(4)]
+        for r in _dense_kernel(rows, len(cols))
+    ]
+    assert dense_basis(inter) == _dense_rref(meet)[0]
+    # coordinates over the canonical rows are the entries at the pivots
+    for w in rand_vecs(2) + [[sum(c) for c in zip(*avecs)]]:
+        if _in_span(avecs, w):
+            expect = {p: w[p] for p in apiv if w[p]}
+            assert a.coordinates(_sparse(w) if sparse_input else w) == expect
+        else:
+            with pytest.raises(ValueError):
+                a.coordinates(w)
+    # lift: the coefficient rows of a random space pushed through b's basis
+    coeffs = space(b.dim, rand_vecs(2, b.dim))
+    pushed = [
+        [sum(c[j] * bbasis[j][t] for j in range(b.dim)) for t in range(4)]
+        for c in _dense_rref([_dense(r, b.dim) for r in coeffs.basis])[0]
+    ]
+    assert dense_basis(lift(coeffs, b.basis, 4)) == _dense_rref(pushed)[0]
 
 
 def test_complement_is_deterministic_and_splits():
@@ -310,22 +365,29 @@ def vector_families(draw, max_dim=5, max_count=6):
     return dim, vecs, probes
 
 
-@given(vector_families())
+@given(vector_families(), st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_echelon_basis_matches_subspace(case):
+def test_echelon_basis_matches_subspace(case, sparse_input):
     dim, vecs, probes = case
+
+    def form(v):
+        return _sparse(v) if sparse_input else v
+
     ech = EchelonBasis()
     for v in vecs:
         before = ech.dim
-        assert bool(ech.add(sparse(v))) == (ech.dim == before + 1)
+        assert bool(ech.add(form(v))) == (ech.dim == before + 1)
     ref, _ = _dense_rref(vecs)
-    assert list(ech.to_subspace(dim).basis) == ref
-    # the rows already are the canonical basis, in pivot order
-    assert [dense(ech.rows[p], dim) for p in sorted(ech.rows)] == ref
+    # the rows already are the canonical basis, in pivot order, and the
+    # Subspace of the same vectors holds the same rows
+    assert [_dense(ech.rows[p], dim) for p in sorted(ech.rows)] == ref
+    assert list(Subspace(dim, map(form, vecs)).basis) == [
+        ech.rows[p] for p in sorted(ech.rows)
+    ]
     for w in probes:
-        assert ech.contains(sparse(w)) == _in_span(vecs, w)
+        assert ech.contains(form(w)) == _in_span(vecs, w)
         if _in_span(vecs, w):
-            coords = ech.coordinates(sparse(w))
+            coords = ech.coordinates(form(w))
             rebuilt = [Fraction(0)] * dim
             for p, c in coords.items():
                 for k, x in ech.rows[p].items():
@@ -333,7 +395,7 @@ def test_echelon_basis_matches_subspace(case):
             assert rebuilt == list(w)
         else:
             with pytest.raises(ValueError):
-                ech.coordinates(sparse(w))
+                ech.coordinates(form(w))
 
 
 @given(

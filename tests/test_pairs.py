@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
-from nilpair.linalg import Matrix, Subspace, bracket
+from nilpair.linalg import Matrix, Subspace, bracket, relations
 from nilpair.modules import PairAction, grassmannian_limit, limit_space
 from nilpair.pairs import (
     HypothesisError,
@@ -13,7 +13,6 @@ from nilpair.pairs import (
     abelian_check,
     ad,
     ad_matrix,
-    bigrade,
     bigraded_pieces,
     biexponents,
     build_pair,
@@ -112,17 +111,12 @@ def test_bigrade_gl3_hook_dims():
 
 def test_bigrade_centralizer_hook():
     pair, h = build_pair(parse("2,1"))
-    blocks = bigrade(centralizer(pair, "sl"), h, ambient="sl")
+    blocks = centralizer_bigraded(pair, h, "sl")
     assert {k: sp.dim for k, sp in blocks.items()} == {(1, 0): 1, (0, 1): 1}
-
-
-def test_bigrade_trivial_grading():
-    pair, _ = build_pair(parse("2,1"))
-    from nilpair.pairs import SemisimplePair
-
-    h0 = SemisimplePair([0, 0, 0], [0, 0, 0])
-    blocks = bigrade(Subspace.full(9), h0, ambient="gl")
-    assert list(blocks) == [(0, 0)]
+    # the blocks are the centralizer's intersections with the pieces
+    z = centralizer(pair, "sl")
+    for key, piece in bigraded_pieces(h, "sl").items():
+        assert z.intersect(piece) == blocks.get(key, Subspace.zero(9))
 
 
 def test_biexponents_hook_row_and_square():
@@ -279,13 +273,18 @@ def _dense_limit_space(ops, E):
             if fij.dim - below.dim <= 0:
                 continue
             op = (A**i) * (B**j)
-            img = Subspace(N, [op.apply(v) for v in fij.basis])
+            img = Subspace(N, [op.apply(_dense(v, N)) for v in fij.basis])
             dims.append(img.dim)
             vecs.extend(img.basis)
     out = Subspace(N, vecs)
     if out.dim != sum(dims) or out.dim != E.dim:
         raise HypothesisError("direct sum hypothesis fails for this subspace")
     return out
+
+
+def _dense(row, dim):
+    """A sparse row as a dense tuple of length dim."""
+    return tuple(row.get(i, 0) for i in range(dim))
 
 
 def _limit_outcome(limit, ops, E):
@@ -349,15 +348,6 @@ def test_classify_invalid_noncommuting():
     assert classify_pair(pair) == "invalid"
 
 
-def test_bigrade_rejects_unstable_space():
-    from nilpair.pairs import StabilityError
-
-    pair, h = build_pair(parse("2,1"))
-    tilted = Subspace(9, [tuple(1 if i in (1, 4) else 0 for i in range(9))])
-    with pytest.raises(StabilityError):
-        bigrade(tilted, h, ambient="gl")
-
-
 def test_ad_map_between_rejects_wrong_target():
     from nilpair.pairs import StabilityError, ad_map_between
 
@@ -365,7 +355,9 @@ def test_ad_map_between_rejects_wrong_target():
     pieces = bigraded_pieces(h, "gl")
     target = pieces[(1, 0)]
     images = ad_map_between(pair.e1, pieces[(0, 0)], target)
-    assert Subspace(target.dim, images).dim == 1
+    # rank one: the images are keyed by the target's pivots
+    assert all(set(v) <= set(target.pivots) for v in images)
+    assert len(images) - relations(images).dim == 1
     with pytest.raises(StabilityError):
         ad_map_between(pair.e1, pieces[(0, 0)], pieces[(0, 1)])
 
@@ -496,6 +488,11 @@ def _ad_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_sparse_ad_matches_bracket(case):
     x, v = case
+    nn = x.rows**2
     got = ad(x, v)
-    assert got == bracket(x, Matrix.unflatten(v, x.rows)).flatten()
-    assert all(type(y) is Fraction for y in got)
+    # a sparse row of the nonzero entries, equal to the dense references
+    assert all(y and type(y) is Fraction for y in got.values())
+    assert _dense(got, nn) == bracket(x, Matrix.unflatten(v, x.rows)).flatten()
+    assert _dense(got, nn) == ad_matrix(x).apply(v)
+    # the same v as a sparse row
+    assert ad(x, {k: y for k, y in enumerate(v) if y}) == got

@@ -19,3 +19,34 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _trace_layers():
+    """perfbench/trace_layers.py, loaded from the source checkout."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "trace_layers.py"
+    spec = importlib.util.spec_from_file_location("trace_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_layers_resolve():
+    # `perfbench/run.py --trace 1` wraps every function LAYERS names and
+    # reads each one from its owner's __dict__, so a rename in the package
+    # would make the traced run die with KeyError before any check runs
+    import importlib
+
+    layers = _trace_layers().LAYERS
+    missing = []
+    for specs in layers.values():
+        for module, path, _, _ in specs:
+            owner = importlib.import_module(f"nilpair.{module}")
+            parts = path.split(".")
+            for part in parts[:-1]:
+                owner = getattr(owner, part, None)
+            if owner is None or parts[-1] not in owner.__dict__:
+                missing.append(f"{module}.{path}")
+    assert sum(len(specs) for specs in layers.values()) > 30
+    assert missing == []
