@@ -215,6 +215,8 @@ def _highest_weight(text, n):
 
 
 def cmd_rect(args, config):
+    if args.bound < 1:
+        raise ResourceLimit(f"dimension bound {args.bound} below 1")
     if args.bound > 24:
         raise ResourceLimit(f"dimension bound {args.bound} over the limit 24")
     rep = surveys.rect_suite(dim_bound=args.bound, algebras=(args.algebra,))

@@ -5,7 +5,8 @@ computation.  A vector is a sparse row {key: value} of its nonzero entries;
 every routine also reads a dense sequence as the row keyed by position
 (`entries`).  Subspaces keep their canonical reduced row echelon rows in one
 EchelonBasis, so two equal subspaces have equal rows and compare
-structurally.  Dense tuples appear only where a Matrix is built or flattened.
+structurally.  Dense tuples appear only where a Matrix is built or flattened;
+`matmul` is the one product of flattened square matrices on sparse rows.
 """
 
 from __future__ import annotations
@@ -234,6 +235,25 @@ def combine(vectors, coeffs):
     for j, x in coeffs.items():
         add_multiple(out, x, vectors[j])
     return out
+
+
+def matmul(a, b, n):
+    """The product ab of two flattened n x n matrices, sparse rows or dense
+    sequences, as the sparse row of its nonzero entries: each nonzero a_it
+    meets row t of b."""
+    brows = [[] for _ in range(n)]
+    for k, y in entries(b):
+        if y:
+            t, j = divmod(k, n)
+            brows[t].append((j, y))
+    out = {}
+    for k, x in entries(a):
+        if x:
+            i, t = divmod(k, n)
+            base = i * n
+            for j, y in brows[t]:
+                out[base + j] = out.get(base + j, 0) + x * y
+    return {k: y for k, y in out.items() if y}
 
 
 def lift(coeff_space, basis, ambient_dim):

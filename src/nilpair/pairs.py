@@ -16,8 +16,8 @@ from math import isqrt
 
 from .diagrams import Diagram, ShapeClass, ShapeError, SKEWISH, classify_shape
 from .diagrams import subset_pairs
-from .linalg import EchelonBasis, Matrix, Subspace, bracket, entries, frac
-from .linalg import kernel_in, shifted
+from .linalg import EchelonBasis, Matrix, Subspace, entries, frac
+from .linalg import kernel_in, matmul, shifted
 
 
 class StabilityError(ValueError):
@@ -83,9 +83,9 @@ class NilPair:
         if check:
             if e1.rows != e1.cols or e2.rows != e2.cols or e1.rows != e2.rows:
                 raise ValueError("pair members must be square of equal size")
-            if not bracket(e1, e2).is_zero():
+            if ad(e1, e2.flatten()):
                 raise ValueError("pair members do not commute")
-            if not (e1.is_nilpotent() and e2.is_nilpotent()):
+            if not all(is_nilpotent(m.flatten(), self.n) for m in (e1, e2)):
                 raise ValueError("pair members must be nilpotent")
 
     def swap(self):
@@ -135,14 +135,18 @@ def build_pair(d):
 
 
 def _check_grading(pair, h):
-    h1m, h2m = h.matrices()
-    if not (
-        bracket(h1m, pair.e1) == pair.e1
-        and bracket(h2m, pair.e2) == pair.e2
-        and bracket(h1m, pair.e2).is_zero()
-        and bracket(h2m, pair.e1).is_zero()
-    ):
-        raise GradingError("the semisimple pair does not grade the nilpotent pair")
+    """Raise GradingError unless [h1, e1] = e1, [h2, e2] = e2 and the mixed
+    brackets vanish.  As [diag(h), x]_ij = (h_i - h_j) x_ij, that says each
+    nonzero entry of e1 has bidegree (1, 0) and each one of e2 (0, 1)."""
+    if h.n != pair.n:
+        raise GradingError("the semisimple pair has the wrong size")
+    for m, degree in ((pair.e1, (1, 0)), (pair.e2, (0, 1))):
+        for i, row in enumerate(m.data):
+            for j, x in enumerate(row):
+                if x and h.bidegree(i, j) != degree:
+                    raise GradingError(
+                        "the semisimple pair does not grade the nilpotent pair"
+                    )
 
 
 def direct_sum(pairs_and_gradings):
@@ -342,6 +346,19 @@ def biexponents(pair, h=None, convention="sl"):
     return tuple(sorted(out))
 
 
+def is_nilpotent(vec, n):
+    """True if the flattened n x n matrix vec, a sparse row or a dense
+    sequence, is nilpotent: its n-th power, taken by sparse products,
+    vanishes."""
+    vec = {k: x for k, x in entries(vec) if x}
+    power = vec
+    for _ in range(n - 1):
+        if not power:
+            return True
+        power = matmul(power, vec, n)
+    return not power
+
+
 def is_nilpotent_family(space, n):
     """True if every element of the matrix subspace is nilpotent.
 
@@ -349,30 +366,29 @@ def is_nilpotent_family(space, n):
     checks each basis element; on a product-closed span that is enough, since
     the traces of all powers of every element then vanish.
     """
-    basis = [Matrix.unflatten(v, n) for v in space.basis]
+    basis = space.basis
     ech = EchelonBasis()
-    for v in space.basis:
+    for v in basis:
         ech.add(v)
-    current = list(basis)
+    current = basis
     for _ in range(n):
-        new_mats = []
+        new = []
         for a in current:
             for b in basis:
-                m = a * b
-                if ech.add(m.flatten()):
-                    new_mats.append(m)
-        if not new_mats:
+                m = matmul(a, b, n)
+                if ech.add(m):
+                    new.append(m)
+        if not new:
             break
-        current = new_mats
-    closed = [Matrix.unflatten(v, n) for v in ech.rows.values()]
-    return all(m.is_nilpotent() for m in closed)
+        current = new
+    return all(is_nilpotent(v, n) for v in ech.rows.values())
 
 
 def classify_pair(pair, h=None):
     """One of principal / distinguished / nil_pair / invalid."""
-    if not bracket(pair.e1, pair.e2).is_zero():
+    if ad(pair.e1, pair.e2.flatten()):
         return "invalid"
-    if not (pair.e1.is_nilpotent() and pair.e2.is_nilpotent()):
+    if not all(is_nilpotent(m.flatten(), pair.n) for m in (pair.e1, pair.e2)):
         return "invalid"
     if h is None:
         h = provenance_grading(pair)
@@ -396,13 +412,21 @@ def monomial_basis_check(pair):
     d = pair.provenance
     if not isinstance(d, Diagram) or classify_shape(d) != ShapeClass.YOUNG:
         raise ShapeError("monomial basis check needs a Young-diagram pair")
-    vecs = []
-    for (p, q) in d.boxes:
-        if (p, q) == (0, 0):
-            continue
-        vecs.append(((pair.e1**p) * (pair.e2**q)).flatten())
-    span = Subspace(pair.n**2, vecs)
+    n = pair.n
+    top = max(max(b) for b in d.boxes)
+    t1, t2 = _power_tower(pair.e1, n, top), _power_tower(pair.e2, n, top)
+    vecs = [matmul(t1[p], t2[q], n) for p, q in d.boxes if (p, q) != (0, 0)]
+    span = Subspace(n * n, vecs)
     return span == centralizer(pair, ambient="sl")
+
+
+def _power_tower(m, n, top):
+    """The powers m^0, ..., m^top of an n x n Matrix as sparse rows."""
+    tower = [{i * (n + 1): Fraction(1) for i in range(n)}]
+    flat = m.flatten()
+    for _ in range(top):
+        tower.append(matmul(tower[-1], flat, n))
+    return tower
 
 
 def shift_basis_check(pair, p, q):
@@ -484,17 +508,15 @@ def center_of(space, n):
 def lie_closure(vectors, n):
     """Span closure of a set of matrices under the bracket."""
     ech = EchelonBasis()
-    frontier = []
-    for v in vectors:
-        if ech.add(v):
-            frontier.append(Matrix.unflatten(v, n))
+    frontier = [v for v in vectors if ech.add(v)]
     base = list(frontier)
     while frontier:
         new = []
         for a in frontier:
+            x = Matrix.unflatten(a, n)
             for b in base:
-                w = bracket(a, b)
-                if ech.add(w.flatten()):
+                w = ad(x, b)
+                if ech.add(w):
                     new.append(w)
         base.extend(new)
         frontier = new
@@ -540,6 +562,6 @@ def parabolic_checks(pair, h=None):
 
 def abelian_check(space, n):
     mats = [Matrix.unflatten(v, n) for v in space.basis]
-    return all(
-        bracket(a, b).is_zero() for a, b in combinations(mats, 2)
+    return not any(
+        ad(a, w) for (a, _), (_, w) in combinations(zip(mats, space.basis), 2)
     )

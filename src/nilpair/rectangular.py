@@ -9,8 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .linalg import Matrix, Subspace, bracket, solve_affine
-from .pairs import ad_matrix
+from .diagrams import SKEWISH, classify_shape
+from .linalg import Matrix, Subspace, bracket, jordan_type, solve_affine
+from .pairs import ad_matrix, is_nilpotent_family
 
 
 class FormError(ValueError):
@@ -330,8 +331,6 @@ def even_orthogonal_pair_report(n):
     data = even_orthogonal_pair(n)
     e1, e2, gram = data["e1"], data["e2"], data["gram"]
     N = data["dim"]
-    from .linalg import jordan_type
-
     span = Subspace(N * N, [m.flatten() for m in data["stated_basis"]])
     cent = data["centralizer"]
     rank = N // 2
@@ -419,9 +418,6 @@ def symmetric_diagram_pair(d):
     """Pair and symmetric form attached to a centrally symmetric connected
     diagram; checks skew-adjointness, and nilpotency of the orthogonal
     centralizer when the shape is a (minus) skew diagram."""
-    from .diagrams import SKEWISH, classify_shape
-    from .pairs import is_nilpotent_family
-
     boxes = centered_coordinates(d)
     if not d.is_connected():
         raise FormError("diagram must be connected")

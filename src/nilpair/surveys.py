@@ -482,6 +482,11 @@ def rect_suite(dim_bound=20, so_sizes=(1, 2, 3), algebras=("sl", "sp", "so")):
     ok = True
     for alg in algebras:
         rep = re_.survey_embeddings(alg, dim_bound)
+        if not rep["rows"]:
+            raise UsageError(
+                f"the rectangular suite has no cases at this bound: no {alg} "
+                f"embedding of dimension at most {dim_bound}"
+            )
         ok = ok and rep["agree"]
         rows.append(
             {

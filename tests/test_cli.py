@@ -93,6 +93,22 @@ def test_rect_sp_small():
     assert payload["ok"]
 
 
+def test_rect_bound_below_one_exits_three():
+    for algebra, bound in (("sp", "0"), ("sl", "-5"), ("so", "0")):
+        proc = run_cli("rect", algebra, bound, "--format", "json")
+        assert proc.returncode == 3, (algebra, bound)
+        assert proc.stdout == ""
+        assert "below 1" in proc.stderr
+
+
+def test_rect_bound_without_embeddings_exits_two():
+    for algebra in ("sl", "sp", "so"):
+        proc = run_cli("rect", algebra, "1", "--format", "json")
+        assert proc.returncode == 2, algebra
+        assert proc.stdout == ""
+        assert "no cases" in proc.stderr
+
+
 def test_lefschetz_failure_exits_one():
     proc = run_cli("pair", "lefschetz", "--diagram", "3,2/1", "--format", "json")
     assert proc.returncode == 1

@@ -13,6 +13,7 @@ from nilpair.linalg import (
     jordan_type,
     kernel_in,
     lift,
+    matmul,
     relations,
     rref,
     solve_affine,
@@ -144,6 +145,16 @@ def test_relations_match_kernel_of_column_matrix(m, rng):
     assert rel.dim >= 2
     # the same columns as sparse rows
     assert relations([_sparse(c) for c in cols]) == rel
+    # matmul of the square corner blocks of the rows (n from 1 to 5), dense,
+    # sparse and mixed, against Matrix.__mul__
+    n = min(len(rows), len(cols))
+    a = Matrix([r[:n] for r in rows[:n]]).flatten()
+    b = Matrix([r[-n:] for r in rows[-n:]]).flatten()
+    want = _sparse((Matrix.unflatten(a, n) * Matrix.unflatten(b, n)).flatten())
+    for x, y in ((a, b), (_sparse(a), _sparse(b)), (a, _sparse(b)), (_sparse(a), b)):
+        got = matmul(x, y, n)
+        assert got == want
+        assert all(type(v) is Fraction for v in got.values())
 
 
 @pytest.mark.parametrize(

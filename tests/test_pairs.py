@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
-from nilpair.linalg import Matrix, Subspace, bracket, relations
+from nilpair.linalg import EchelonBasis, Matrix, Subspace, bracket, relations
 from nilpair.modules import PairAction, grassmannian_limit, limit_space
 from nilpair.pairs import (
     HypothesisError,
@@ -92,6 +92,63 @@ def test_direct_sum_of_hooks_is_nil_pair():
     pair, h = direct_sum([(p1, h1), (p2, h2)])
     assert classify_pair(pair, h) == "nil_pair"
     assert not is_nilpotent_family(centralizer(pair, "sl", h=None), pair.n)
+
+
+def _dense_is_nilpotent_family(space, n):
+    """Dense reference for is_nilpotent_family: the same closure rounds on
+    Matrix products, then Matrix.is_nilpotent on each closed row."""
+    basis = [Matrix.unflatten(v, n) for v in space.basis]
+    ech = EchelonBasis()
+    for v in space.basis:
+        ech.add(v)
+    current = list(basis)
+    for _ in range(n):
+        new_mats = []
+        for a in current:
+            for b in basis:
+                m = a * b
+                if ech.add(m.flatten()):
+                    new_mats.append(m)
+        if not new_mats:
+            break
+        current = new_mats
+    closed = [Matrix.unflatten(v, n) for v in ech.rows.values()]
+    return all(m.is_nilpotent() for m in closed)
+
+
+def _shapes_up_to(max_boxes):
+    for n in range(1, max_boxes + 1):
+        yield from enumerate_diagrams(n, ShapeClass.YOUNG)
+        if n >= 2:
+            yield from enumerate_diagrams(n, ShapeClass.SKEW)
+
+
+def test_is_nilpotent_family_matches_dense_reference():
+    # the sl and gl centralizers of every shape up to 6 boxes; the gl ones
+    # hold the identity, so there the answer is False
+    verdicts = set()
+    for d in _shapes_up_to(6):
+        pair, h = build_pair(d)
+        for ambient in ("sl", "gl"):
+            z = centralizer(pair, ambient, h=h)
+            got = is_nilpotent_family(z, pair.n)
+            assert got == _dense_is_nilpotent_family(z, pair.n), (d, ambient)
+            verdicts.add((ambient, got))
+    assert verdicts == {("sl", True), ("gl", False)}
+    # span{E12, E21} in gl_2 closes to all of gl_2; the Cartan of gl_3 is
+    # closed and holds non-nilpotent diagonals
+    e12, e21 = Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0)
+    cartan = [Matrix.unit(3, i, i).flatten() for i in range(3)]
+    for space, n in (
+        (Subspace(4, [e12.flatten(), e21.flatten()]), 2),
+        (Subspace(4, [e12.flatten()]), 2),
+        (Subspace(9, cartan), 3),
+        (Subspace(9, [cartan[0]]), 3),
+        (Subspace.zero(9), 3),
+    ):
+        assert is_nilpotent_family(space, n) == _dense_is_nilpotent_family(space, n)
+    assert is_nilpotent_family(Subspace(4, [e12.flatten()]), 2)
+    assert not is_nilpotent_family(Subspace(4, [e12.flatten(), e21.flatten()]), 2)
 
 
 def test_bigrade_gl3_hook_dims():
@@ -372,12 +429,52 @@ def test_graded_kernels_reject_a_grading_of_another_pair(ambient):
         graded_kernels(pair, swapped, ambient)
 
 
+def _dense_check_grading(pair, h):
+    """Four-bracket reference for the grading check: [h1, e1] = e1,
+    [h2, e2] = e2 and the mixed brackets vanish."""
+    from nilpair.pairs import GradingError
+
+    h1m, h2m = h.matrices()
+    if not (
+        bracket(h1m, pair.e1) == pair.e1
+        and bracket(h2m, pair.e2) == pair.e2
+        and bracket(h1m, pair.e2).is_zero()
+        and bracket(h2m, pair.e1).is_zero()
+    ):
+        raise GradingError("the semisimple pair does not grade the nilpotent pair")
+
+
+def _grades(check, pair, h):
+    from nilpair.pairs import GradingError
+
+    try:
+        check(pair, h)
+    except GradingError:
+        return False
+    return True
+
+
 def test_classify_rejects_zero_grading():
-    from nilpair.pairs import GradingError, SemisimplePair
+    from nilpair.pairs import GradingError, SemisimplePair, _check_grading
 
     pair, _ = build_pair(parse("2,1"))
     with pytest.raises(GradingError):
         classify_pair(pair, SemisimplePair([0] * pair.n, [0] * pair.n))
+    # the entrywise check against the four brackets: the pair's own h, h
+    # with h1 and h2 swapped, and h with one h1 coordinate shifted by 1
+    verdicts = set()
+    for d in _shapes_up_to(5):
+        pair, h = build_pair(d)
+        gradings = [h, SemisimplePair(h.h2, h.h1)]
+        for i in range(pair.n):
+            shifted = list(h.h1)
+            shifted[i] += 1
+            gradings.append(SemisimplePair(shifted, h.h2))
+        for g in gradings:
+            want = _grades(_dense_check_grading, pair, g)
+            assert _grades(_check_grading, pair, g) == want, (d, g)
+            verdicts.add((g == h, want))
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 def test_biexponents_gl_convention_adds_origin():
@@ -433,13 +530,6 @@ def test_killing_pairing_dims():
             assert gram.rank() == dim
 
 
-def _shapes_up_to_five():
-    for n in range(1, 6):
-        yield from enumerate_diagrams(n, ShapeClass.YOUNG)
-        if n >= 2:
-            yield from enumerate_diagrams(n, ShapeClass.SKEW)
-
-
 def _span(blocks, n):
     return Subspace(n * n, [v for sp in blocks.values() for v in sp.basis])
 
@@ -447,7 +537,7 @@ def _span(blocks, n):
 def test_graded_kernels_match_dense_kernels():
     from nilpair.pairs import ad_matrix, graded_kernels, joint_centralizer, trace_row
 
-    for d in _shapes_up_to_five():
+    for d in _shapes_up_to(5):
         pair, h = build_pair(d)
         n = pair.n
         for ambient in ("sl", "gl"):
