@@ -43,20 +43,28 @@ def rref(rows):
     return red, pivots
 
 
+_RHS = float("inf")  # key of the right-hand side, after every variable
+
+
 def solve_affine(rows, rhs):
     """One solution x of (rows) x = rhs, or None if inconsistent.
 
-    Free variables are set to zero, so the answer is deterministic.
+    The rows are sparse rows or dense sequences; x comes back in the same
+    form (a sparse row of its nonzero entries, or a tuple).  Each row joins
+    one EchelonBasis with its right-hand side keyed after every variable;
+    free variables are set to zero, so the answer is deterministic.
     """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    n = len(rows[0]) if rows else 0
-    if n in pivots:
+    sparse = bool(rows) and isinstance(rows[0], dict)
+    n = 0 if sparse or not rows else len(rows[0])
+    if not sparse and any(len(r) != n for r in rows):
+        raise ValueError("ragged rows")
+    ech = EchelonBasis()
+    for r, b in zip(rows, rhs):
+        ech.add({**dict(entries(r)), _RHS: b})
+    if _RHS in ech.rows:
         return None
-    x = [Fraction(0)] * n
-    for row, p in zip(red, pivots):
-        x[p] = row[-1]
-    return tuple(x)
+    x = {p: row[_RHS] for p, row in ech.rows.items() if _RHS in row}
+    return x if sparse else tuple(x.get(c, Fraction(0)) for c in range(n))
 
 
 class Subspace:
@@ -283,12 +291,18 @@ def relations(vectors):
 
     This is the kernel of the matrix with the vectors as columns; its
     equation rows are read off sparsely, without forming that matrix."""
+    return _null_space(transpose(vectors).values(), len(vectors))
+
+
+def transpose(vectors):
+    """The rows {key: {j: x}} of the matrix whose j-th column is vectors[j]
+    (sparse rows or dense sequences), zero rows left out."""
     rows = {}
     for j, v in enumerate(vectors):
         for k, x in entries(v):
             if x:
                 rows.setdefault(k, {})[j] = x
-    return _null_space(rows.values(), len(vectors))
+    return rows
 
 
 def _null_space(rows, ncols):

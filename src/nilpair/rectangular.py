@@ -7,11 +7,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .diagrams import SKEWISH, classify_shape
-from .linalg import Matrix, Subspace, bracket, jordan_type, solve_affine
-from .pairs import ad_matrix, is_nilpotent_family
+from .linalg import Matrix, Subspace, bracket, jordan_type
+from .linalg import relations, solve_affine, transpose
+from .pairs import ad_columns, is_nilpotent_family
 
 
 class FormError(ValueError):
@@ -38,25 +38,6 @@ def sym2(a):
 def alt2(a):
     """Alternating square of the weight-a module."""
     return Counter({2 * a - 2 - 4 * k: 1 for k in range((2 * a - 2) // 4 + 1) if 2 * a - 2 - 4 * k >= 0})
-
-
-def weight_multiset_decompose(weights):
-    """Independent oracle: peel a weight multiset into irreducibles from the
-    top."""
-    weights = Counter(weights)
-    out = Counter()
-    while weights:
-        top = max(weights)
-        out[top] += 1
-        for w in range(-top, top + 1, 2):
-            weights[w] -= 1
-            if not weights[w]:
-                del weights[w]
-    return out
-
-
-def module_weights(a):
-    return list(range(-a, a + 1, 2))
 
 
 def _pair_tensor(s1, s2):
@@ -138,12 +119,16 @@ def _form_possible(spec):
     return True
 
 
-def decompose_adjoint(spec):
-    """Two-sided decomposition of the algebra's adjoint module."""
+def _check_form(spec):
     if spec.algebra == "sp" and spec.dim_v % 2:
         raise FormError("symplectic form needs even dimension")
     if not _form_possible(spec):
         raise FormError("no invariant form of the required symmetry")
+
+
+def decompose_adjoint(spec):
+    """Two-sided decomposition of the algebra's adjoint module."""
+    _check_form(spec)
     v = Counter()
     for n, m in spec.summands:
         v[(n - 1, m - 1)] += 1
@@ -164,18 +149,48 @@ def decompose_adjoint(spec):
     return out
 
 
+def summand_count(spec):
+    """The number of irreducible summands of the adjoint module, in closed
+    form: R(a) (x) R(a') has min(a, a') + 1 of them, Sym^2 R(a) has
+    a // 2 + 1 and Alt^2 R(a) has (a - 1) // 2 + 1 (none for a = 0).
+    Equal to sum(decompose_adjoint(spec).values()), with the same
+    FormError."""
+    _check_form(spec)
+    labels = [(n - 1, m - 1) for n, m in spec.summands]
+
+    def sym(a):
+        return a // 2 + 1
+
+    def alt(a):
+        return (a - 1) // 2 + 1 if a else 0
+
+    def cross(i, j):
+        (a1, b1), (a2, b2) = labels[i], labels[j]
+        return (min(a1, a2) + 1) * (min(b1, b2) + 1)
+
+    k = len(labels)
+    if spec.algebra == "sl":
+        return sum(cross(i, j) for i in range(k) for j in range(k)) - 1
+    if spec.algebra == "sp":
+        own = sum(sym(a) * sym(b) + alt(a) * alt(b) for a, b in labels)
+    else:
+        own = sum(sym(a) * alt(b) + alt(a) * sym(b) for a, b in labels)
+    return own + sum(cross(i, j) for i in range(k) for j in range(i + 1, k))
+
+
 def is_regular_embedding(spec):
     """(accepted, bi-exponents or None): the pair of principal nilpotents of
     the two sl2's is regular exactly when the adjoint module splits into
     rank-many summands; the summand labels, halved, are then the
-    bi-exponents."""
+    bi-exponents.  The summands are counted first and decomposed only when
+    the count matches."""
     try:
-        dec = decompose_adjoint(spec)
+        count = summand_count(spec)
     except FormError:
         return False, None
-    count = sum(dec.values())
     if count != spec.rank():
         return False, None
+    dec = decompose_adjoint(spec)
     exps = []
     for (a, b), mult in sorted(dec.items()):
         if a % 2 or b % 2:
@@ -212,6 +227,23 @@ def classification_list_predicate(spec):
     return False
 
 
+def _multisets(singles, count, room, start=0):
+    """The sorted count-element multisets from singles[start:], in the order
+    of combinations_with_replacement, whose boxes n m sum to at most room.
+    singles is sorted, so once n exceeds the room no later single fits."""
+    for i in range(start, len(singles)):
+        n, m = singles[i]
+        if n > room:
+            return
+        if n * m > room:
+            continue
+        if count == 1:
+            yield (singles[i],)
+        else:
+            for rest in _multisets(singles, count - 1, room - n * m, i):
+                yield (singles[i],) + rest
+
+
 def survey_embeddings(algebra, dim_bound, max_summands=3):
     """Exhaustive comparison of the count criterion against the published
     lists, over all multisets with at most three summands."""
@@ -224,10 +256,8 @@ def survey_embeddings(algebra, dim_bound, max_summands=3):
     rows = []
     agree = True
     for count in range(1, max_summands + 1):
-        for J in combinations_with_replacement(singles, count):
-            if sum(n * m for n, m in J) > dim_bound:
-                continue
-            spec = EmbeddingSpec(algebra, tuple(sorted(J)))
+        for J in _multisets(singles, count, dim_bound):
+            spec = EmbeddingSpec(algebra, J)
             if spec.algebra == "sp" and spec.dim_v % 2:
                 continue
             if spec.dim_v < 2:
@@ -260,26 +290,26 @@ def is_form_skew_adjoint(x, gram):
     return (gram * x + x.transpose() * gram).is_zero()
 
 
-def _skew_adjoint_rows(gram):
-    """Rows on flattened X of the skew-adjointness constraints
-    (G X + X^T G)_{ij} = 0, i <= j."""
+def orthogonal_columns(members, gram):
+    """The columns, on flattened X, of the brackets [x, X] for x in members
+    (`pairs.ad_columns`) followed by G X + X^T G, keyed after them: the
+    equations of the members' joint centralizer in the form's algebra."""
     n = gram.rows
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            row = [Fraction(0)] * (n * n)
-            for k in range(n):
-                if gram.data[i][k]:
-                    row[k * n + j] += gram.data[i][k]
-                if gram.data[j][k]:
-                    row[k * n + i] += gram.data[j][k]
-            rows.append(row)
-    return rows
+    cols = ad_columns(members, n)
+    off = len(members) * n * n
+    for j, col in enumerate(cols):
+        a, b = divmod(j, n)
+        for i in range(n):
+            # G E_ab + E_ba G: G_ia at (i, b) and G_ai at (b, i)
+            for k, y in ((i * n + b, gram.data[i][a]), (b * n + i, gram.data[a][i])):
+                if y:
+                    col[off + k] = col.get(off + k, 0) + y
+    return cols
 
 
-def so_kernel(gram, extra_rows):
-    """Joint kernel of the given ad-constraints inside the form's algebra."""
-    return Matrix(list(extra_rows) + _skew_adjoint_rows(gram)).kernel()
+def orthogonal_centralizer(members, gram):
+    """Joint centralizer of the members inside the form's algebra."""
+    return relations(orthogonal_columns(members, gram))
 
 
 def even_orthogonal_pair(n):
@@ -314,8 +344,7 @@ def even_orthogonal_pair(n):
     basis = [e1**k for k in range(1, 2 * n, 2)]
     basis += [(e1**k) * e2 for k in range(0, 2 * n - 1, 2)]
     basis += [x]
-    rows = list(ad_matrix(e1).data) + list(ad_matrix(e2).data)
-    centralizer = so_kernel(gram, rows)
+    centralizer = orthogonal_centralizer((e1, e2), gram)
     return {
         "n": n,
         "dim": N,
@@ -375,19 +404,19 @@ def even_orthogonal_pair_report(n):
 
 def _associated_grading_candidate(e1, e2, gram):
     """Solve the affine systems [h, e_i] = delta e_i inside the orthogonal
-    algebra; returns one deterministic solution pair or None."""
+    algebra; returns one deterministic solution pair or None.
+
+    As [h, e] = -[e, h], the equations are the rows of
+    `orthogonal_columns` with right-hand side -e_i on member i's keys."""
     N = e1.rows
-    form_rows = _skew_adjoint_rows(gram)
+    rows = transpose(orthogonal_columns((e1, e2), gram))
     sols = []
-    for target_first in (True, False):
-        rows = list(form_rows)
-        rhs = [Fraction(0)] * len(form_rows)
-        for x, is_target in ((e1, target_first), (e2, not target_first)):
-            adx = ad_matrix(x)
-            for r, row in enumerate(adx.data):
-                rows.append([-v for v in row])
-                rhs.append(x.flatten()[r] if is_target else Fraction(0))
-        sol = solve_affine(rows, rhs)
+    for i, target in enumerate((e1, e2)):
+        rhs = {i * N * N + k: -x for k, x in enumerate(target.flatten()) if x}
+        keys = rows.keys() | rhs.keys()
+        sol = solve_affine(
+            [rows.get(k, {}) for k in keys], [rhs.get(k, 0) for k in keys]
+        )
         if sol is None:
             return None
         sols.append(Matrix.unflatten(sol, N))
@@ -445,7 +474,7 @@ def symmetric_diagram_pair(d):
         "commute": bracket(e1, e2).is_zero(),
     }
     if shape in SKEWISH:
-        cent = so_kernel(gram, list(ad_matrix(e1).data) + list(ad_matrix(e2).data))
+        cent = orthogonal_centralizer((e1, e2), gram)
         report["orthogonal_centralizer_dim"] = cent.dim
         report["centralizer_nilpotent"] = is_nilpotent_family(cent, n)
         report["distinguished"] = report["centralizer_nilpotent"]

@@ -18,7 +18,8 @@ from nilpair.cohomology import (
 )
 from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
 from nilpair.linalg import bracket
-from nilpair.pairs import build_pair, joint_centralizer
+from nilpair.pairs import build_pair
+from test_pairs import joint_centralizer
 
 
 def test_hook_table_frozen():

@@ -292,6 +292,8 @@ def test_solve_affine_picks_particular_solution():
     x = solve_affine(rows, (2, 0))
     assert x == (2, 0)
     assert solve_affine([(0, 0)], (1,)) is None
+    assert solve_affine([{0: 1, 1: 1}, {}], (2, 0)) == {0: 2}
+    assert solve_affine([{}], (1,)) is None
 
 
 def test_jordan_type():
@@ -347,6 +349,9 @@ def test_rref_matches_dense_reference(case, rhs):
             expect[p] = row[-1]
         assert sol == tuple(expect)
         assert Matrix(rows).apply(sol) == tuple(rhs)
+    # the same system as sparse rows: the same solution, as a sparse row
+    sparse = solve_affine([{k: x for k, x in enumerate(r) if x} for r in rows], rhs)
+    assert sparse == (None if sol is None else {k: x for k, x in enumerate(sol) if x})
 
 
 @pytest.mark.parametrize("short_at", [0, 1, 2])

@@ -9,6 +9,7 @@ from nilpair.linalg import EchelonBasis, Matrix, Subspace, bracket, relations
 from nilpair.modules import PairAction, grassmannian_limit, limit_space
 from nilpair.pairs import (
     HypothesisError,
+    NilPair,
     ShapeError,
     abelian_check,
     ad,
@@ -27,6 +28,19 @@ from nilpair.pairs import (
     shift_basis_check,
     weak_lefschetz_report,
 )
+
+
+def trace_row(n):
+    """The trace of a flattened n x n matrix, as a dense row."""
+    return tuple(1 if i % (n + 1) == 0 else 0 for i in range(n * n))
+
+
+def joint_centralizer(x1, x2, extra_rows=()):
+    """Dense reference: the common kernel of ad x1 and ad x2 on flattened
+    matrices, cut by the extra linear conditions given as rows, from the
+    stacked ad_matrix rows and Matrix.kernel."""
+    rows = list(ad_matrix(x1).data) + list(ad_matrix(x2).data) + list(extra_rows)
+    return Matrix(rows).kernel()
 
 
 def test_build_single_row():
@@ -60,8 +74,6 @@ def test_centralizer_hook_dims():
 
 
 def test_centralizer_blockwise_matches_global():
-    from nilpair.pairs import ad_matrix, trace_row
-
     for spec in ("2,1", "2,2", "3,1", "3,2/1"):
         pair, h = build_pair(parse(spec))
         rows = (
@@ -534,8 +546,26 @@ def _span(blocks, n):
     return Subspace(n * n, [v for sp in blocks.values() for v in sp.basis])
 
 
+def test_ungraded_centralizer_matches_dense_reference():
+    # a pair without a Diagram provenance has no grading, so centralizer
+    # takes the joint kernel of ad_columns with the trace as one more key
+    for d in _shapes_up_to(5):
+        pair, _ = build_pair(d)
+        bare = NilPair(pair.e1, pair.e2)
+        assert provenance_grading(bare) is None
+        n = pair.n
+        for ambient in ("sl", "gl"):
+            extra = [trace_row(n)] if ambient == "sl" else []
+            got = centralizer(bare, ambient)
+            assert got == joint_centralizer(pair.e1, pair.e2, extra), (
+                d.serialize(),
+                ambient,
+            )
+            assert got == centralizer(pair, ambient), (d.serialize(), ambient)
+
+
 def test_graded_kernels_match_dense_kernels():
-    from nilpair.pairs import ad_matrix, graded_kernels, joint_centralizer, trace_row
+    from nilpair.pairs import graded_kernels
 
     for d in _shapes_up_to(5):
         pair, h = build_pair(d)

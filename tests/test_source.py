@@ -50,3 +50,15 @@ def test_benchmark_trace_layers_resolve():
                 missing.append(f"{module}.{path}")
     assert sum(len(specs) for specs in layers.values()) > 30
     assert missing == []
+
+
+def test_only_pairs_names_ad_matrix():
+    # the dense n^2 x n^2 ad matrix is a test reference; package code
+    # builds its kernels from pairs.ad columns instead
+    assert "def ad_matrix" in (Path(nilpair.__file__).parent / "pairs.py").read_text()
+    found = [
+        path.name
+        for path in SOURCES
+        if path.name != "pairs.py" and "ad_matrix" in path.read_text()
+    ]
+    assert found == []
