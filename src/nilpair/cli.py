@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import surveys
 from .diagrams import ParseError, ResourceError, ShapeClass, ShapeError
 from .diagrams import classify_shape, parse
-from .linalg import Matrix, Subspace
+from .linalg import Subspace
 from .modules import PairAction, limit_space
 from .pairs import (
     ClassificationError,
@@ -144,7 +145,7 @@ def cmd_pair(args, config):
         )
     if args.action == "limits":
         n = pair.n
-        cartan = [Matrix.unit(n, i, i).flatten() for i in range(n)]
+        cartan = [{i * (n + 1): Fraction(1)} for i in range(n)]
         lim = limit_space(PairAction.adjoint(pair), Subspace(n * n, cartan))
         zgl = centralizer(pair, "gl", h=h)
         return {
@@ -235,6 +236,8 @@ def main(argv=None):
         out_path=args.out,
     )
     try:
+        if args.jobs < 1:
+            raise UsageError(f"--jobs {args.jobs} is below 1")
         if args.command == "pair":
             payload, ok = cmd_pair(args, config)
         elif args.command == "verify":

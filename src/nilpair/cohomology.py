@@ -15,11 +15,13 @@ generating identity below forces axis classes.)
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from .diagrams import Diagram, ShapeClass, classify_shape
-from .linalg import Matrix, Subspace, combine, complement, lift, relations, shifted
+from .linalg import Subspace, add_multiple, combine, complement, lift, relations
+from .linalg import shifted
 from .pairs import (
     NilPair,
     ad,
@@ -52,7 +54,7 @@ def _tower_steps(e1, e2, h, member, ambient):
         blocks, x, (a, b) = k1, e2, (1, 0)
     else:
         blocks, x, (a, b) = k2, e1, (0, 1)
-    zero = Subspace.zero(e1.rows**2)
+    zero = Subspace.zero(len(e1))
     steps = {}
     for (p, q) in blocks:
         for key in ((p + a, q + b), (p + 1, q + 1)):
@@ -77,7 +79,8 @@ def h1_table(pair, h=None):
 
 @lru_cache(maxsize=64)
 def _h1_table(e1, e2, h):
-    nn = e1.rows**2
+    n = h.n
+    nn = n * n
     pieces = bigraded_pieces(h, "sl")
     zero = Subspace.zero(nn)
     keys = set()
@@ -92,12 +95,13 @@ def _h1_table(e1, e2, h):
         src = pieces.get((p - 1, q - 1), zero)
         # cocycles: [e2,u] = [e1,v] inside g_{p,q}; the doubled space keys
         # the second summand nn + k
-        cols = [ad(e2, u) for u in mid1.basis]
-        cols += [{k: -x for k, x in ad(e1, v).items()} for v in mid2.basis]
+        cols = [ad(e2, u, n) for u in mid1.basis]
+        cols += [{k: -x for k, x in ad(e1, v, n).items()} for v in mid2.basis]
         doubled = list(mid1.basis) + [shifted(v, nn) for v in mid2.basis]
         cocycle_space = lift(relations(cols), doubled, 2 * nn)
         boundary_space = Subspace(
-            2 * nn, [{**ad(e1, s), **shifted(ad(e2, s), nn)} for s in src.basis]
+            2 * nn,
+            [{**ad(e1, s, n), **shifted(ad(e2, s, n), nn)} for s in src.basis],
         )
         if not cocycle_space.contains_subspace(boundary_space):
             raise ArithmeticError("a coboundary is not a cocycle")
@@ -317,12 +321,13 @@ class SliceBasis:
 
     quadrant "se" collects complements inside the kernel tower of e1 (each
     basis matrix commutes with e1, and slice points perturb e2); quadrant
-    "nw" is the mirror.
+    "nw" is the mirror.  The basis matrices are flattened sparse rows,
+    shared with the tower's subspaces, so they must not be mutated.
     """
 
     def __init__(self, quadrant, entries, rule):
         self.quadrant = quadrant
-        self.entries = entries  # list of (bidegree of the class, matrix)
+        self.entries = entries  # list of (bidegree of the class, sparse row)
         self.rule = rule
 
     @property
@@ -345,7 +350,6 @@ def slice_basis(pair, h=None, quadrant="se", reverse=False):
     """Deterministic complement system for one quadrant family."""
     if h is None:
         h = provenance_grading(pair)
-    n = pair.n
     steps = tower_steps(pair, h, 1 if quadrant == "se" else 2)
     entries = []
     for (p, q), (tgt, img) in sorted(steps.items()):
@@ -353,8 +357,7 @@ def slice_basis(pair, h=None, quadrant="se", reverse=False):
         if not in_family or tgt.dim == img.dim:
             continue
         comp = complement(img, tgt, reverse=reverse)
-        for v in comp.basis:
-            entries.append(((p, q), Matrix.unflatten(v, n)))
+        entries.extend(((p, q), v) for v in comp.basis)
     return SliceBasis(quadrant, entries, "reverse echelon" if reverse else "echelon")
 
 
@@ -363,7 +366,7 @@ def young_se_slice(pair, include_skipped=False):
     box, sending the top segment of the box's column to the right end of the
     box's row.  The box at the top of the leftmost column gives a rank-one
     diagonal map (the extra center direction); it is skipped unless asked
-    for."""
+    for.  Each map comes as (box, flattened sparse row)."""
     d = pair.provenance
     if not isinstance(d, Diagram) or classify_shape(d) != ShapeClass.YOUNG:
         raise ValueError("explicit slice recipe needs a Young-diagram pair")
@@ -378,19 +381,19 @@ def young_se_slice(pair, include_skipped=False):
             continue
         qmax = col_top[p]
         pmax = row_end[q]
-        m = [[0] * n for _ in range(n)]
-        for i in range(p + 1):
-            src = (i, qmax)
-            dst = (pmax - p + i, q)
-            m[index[dst]][index[src]] = 1
-        out.append(((p, q), Matrix(m)))
+        m = {
+            index[(pmax - p + i, q)] * n + index[(i, qmax)]: Fraction(1)
+            for i in range(p + 1)
+        }
+        out.append(((p, q), m))
     return out
 
 
 def slice_samples(pair, h, sb):
     """The deterministic sample points of a slice with their gl centralizers:
     (members, x1, x2, Z(x1, x2)) for each single member, each pair of
-    members and, beyond two, the full sum.
+    members and, beyond two, the full sum.  The moved member of the point
+    is a sparse row, the other one is the pair's own member.
 
     The unperturbed member (e1 for "se", e2 for "nw") is h-homogeneous, so
     its gl centralizer is the sum of its graded kernel blocks, built once
@@ -401,22 +404,18 @@ def slice_samples(pair, h, sb):
     k1, k2, _ = graded_kernels(pair, h, "gl")
     blocks = k1 if sb.quadrant == "se" else k2
     z_fixed = Subspace(n * n, [v for sp in blocks.values() for v in sp.basis])
+    fixed, start = (pair.e1, pair.e2) if sb.quadrant == "se" else (pair.e2, pair.e1)
     mats = sb.matrices()
     picks = [(i,) for i in range(len(mats))]
     picks += list(combinations(range(len(mats)), 2))
     picks += [tuple(range(len(mats)))] if len(mats) > 2 else []
     for pick in picks:
-        s = Matrix.zero(n)
+        moved = {k: x for k, x in enumerate(start) if x}
         for i in pick:
-            s = s + mats[i]
-        if sb.quadrant == "se":
-            x1, x2 = pair.e1, pair.e2 + s
-            moved = x2
-        else:
-            x1, x2 = pair.e1 + s, pair.e2
-            moved = x1
-        images = [ad(moved, v) for v in z_fixed.basis]
+            add_multiple(moved, 1, mats[i])
+        images = [ad(moved, v, n) for v in z_fixed.basis]
         zx = lift(relations(images), z_fixed.basis, n * n)
+        x1, x2 = (fixed, moved) if sb.quadrant == "se" else (moved, fixed)
         yield pick, x1, x2, zx
 
 
@@ -440,7 +439,7 @@ def slice_report(pair, h=None, quadrant="se", reverse=False):
     frames = _corner_frames(pair, h)
     all_ok = report["count_ok"]
     for pick, x1, x2, zx in slice_samples(pair, h, sb):
-        commutes = not ad(x1, x2.flatten())
+        commutes = not ad(x1, x2, n)
         zdim = zx.dim - 1  # the identity always centralises, trace cuts one
         corners_ok = (
             _corner_containment_ok(n, zx, frames) if pick in deep else None
@@ -481,12 +480,12 @@ def _recipe_is_complement(pair, h, recipe):
     row_end = {qq: max(ps) for qq, ps in d.rows().items()}
     by_class = {}
     for (p, q), m in recipe:
-        if ad(pair.e1, m.flatten()):
+        if ad(pair.e1, m, n):
             return False
         # class bidegree of the translation map: its shift plus (1, 0)
         a = row_end[q] - p
         b = q - col_top[p]
-        by_class.setdefault((a + 1, b), []).append(m.flatten())
+        by_class.setdefault((a + 1, b), []).append(m)
     for (p, q), vecs in by_class.items():
         tgt, img = steps.get((p, q), (zero, zero))
         span = Subspace(n * n, vecs)

@@ -5,8 +5,10 @@ computation.  A vector is a sparse row {key: value} of its nonzero entries;
 every routine also reads a dense sequence as the row keyed by position
 (`entries`).  Subspaces keep their canonical reduced row echelon rows in one
 EchelonBasis, so two equal subspaces have equal rows and compare
-structurally.  Dense tuples appear only where a Matrix is built or flattened;
-`matmul` is the one product of flattened square matrices on sparse rows.
+structurally.  Dense tuples appear where a Matrix is built or flattened, and
+as the flattened members of a commuting pair, which caches hash; `matmul`
+is the one product of flattened square matrices, either form in and a
+sparse row out.
 """
 
 from __future__ import annotations

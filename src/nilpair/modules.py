@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from .linalg import EchelonBasis, Matrix, Subspace, add_multiple, combine, relations
+from .linalg import EchelonBasis, Subspace, add_multiple, combine, entries, relations
 from .multiplicity import (
     PartitionTable,
     _perm_sign,
@@ -25,7 +25,7 @@ from .multiplicity import (
     is_dominant,
     root_data,
 )
-from .pairs import HypothesisError, ad, centralizer
+from .pairs import HypothesisError, ad_columns, centralizer
 from .polys import BivariatePoly
 
 
@@ -152,21 +152,14 @@ class WeightModule:
 
     def act_matrix(self, x):
         """Sparse columns {row: c} of the module matrix of an arbitrary n x n
-        matrix acting by derivations, one per basis vector."""
+        matrix, flattened (a sparse row or a dense sequence), acting by
+        derivations, one per basis vector."""
+        units = [(divmod(k, self.n), c) for k, c in entries(x) if c]
         cols = []
         for _, _, vec in self.basis:
             img = {}
-            for a in range(self.n):
-                for b in range(self.n):
-                    c = x.data[a][b]
-                    if c:
-                        part = self._apply_unit(vec, a, b)
-                        for k, v in part.items():
-                            nv = img.get(k, 0) + c * v
-                            if nv:
-                                img[k] = nv
-                            else:
-                                del img[k]
+            for (a, b), c in units:
+                add_multiple(img, c, self._apply_unit(vec, a, b))
             cols.append(self.coordinates(img))
         return cols
 
@@ -212,8 +205,7 @@ class PairAction:
     @classmethod
     def adjoint(cls, pair):
         """The pair acting on flattened n x n matrices by ad."""
-        units = [{c: Fraction(1)} for c in range(pair.n**2)]
-        return cls([ad(pair.e1, u) for u in units], [ad(pair.e2, u) for u in units])
+        return cls(ad_columns((pair.e1,), pair.n), ad_columns((pair.e2,), pair.n))
 
     def product_power(self, i, j, cols):
         """Columns ``cols`` (a tuple of basis indices) of A^i B^j as sparse
@@ -462,8 +454,8 @@ def _ne_test_vector(rd, lam_dom):
 
 
 def invariant_subspace(module, matrices):
-    """Joint kernel in the module of a family of ambient matrices: the
-    relations among the images of the module basis under all of them."""
+    """Joint kernel in the module of a family of flattened ambient matrices:
+    the relations among the images of the module basis under all of them."""
     blocks = [module.act_matrix(x) for x in matrices]
     return relations(_stacked(blocks, module.dim))
 
@@ -476,9 +468,7 @@ def module_limit_check(pair, h, module, mu):
     mu = tuple(mu)
     cols = module.weight_space_indices(mu)
     lim = _limit_of_columns(action, cols)
-    z_basis = centralizer(pair, ambient="sl").basis
-    z_mats = [Matrix.unflatten(v, pair.n) for v in z_basis]
-    invariants = invariant_subspace(module, z_mats)
+    invariants = invariant_subspace(module, centralizer(pair, ambient="sl").basis)
     contained = all(invariants.contains(v) for v in lim.basis)
     # zero-weight comparison for the strictness flag
     zero_weight = tuple([sum(mu) // module.n] * module.n) if sum(mu) % module.n == 0 else None

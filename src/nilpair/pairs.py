@@ -51,9 +51,6 @@ class SemisimplePair:
     def n(self):
         return len(self.h1)
 
-    def matrices(self):
-        return Matrix.diagonal(self.h1), Matrix.diagonal(self.h2)
-
     def is_regular(self):
         return len(set(zip(self.h1, self.h2))) == self.n
 
@@ -71,21 +68,22 @@ class SemisimplePair:
 
 
 class NilPair:
-    """A pair of commuting nilpotent n x n matrices with provenance."""
+    """A pair of commuting nilpotent n x n matrices with provenance, each
+    member held as its flattened tuple of n^2 Fractions (row-major)."""
 
     __slots__ = ("n", "e1", "e2", "provenance")
 
     def __init__(self, e1, e2, provenance="custom", check=True):
-        self.e1 = e1
-        self.e2 = e2
-        self.n = e1.rows
+        self.e1 = tuple(frac(x) for x in e1)
+        self.e2 = tuple(frac(x) for x in e2)
+        self.n = isqrt(len(self.e1))
         self.provenance = provenance
+        if self.n**2 != len(self.e1) or len(self.e2) != len(self.e1):
+            raise ValueError("pair members must be square of equal size")
         if check:
-            if e1.rows != e1.cols or e2.rows != e2.cols or e1.rows != e2.rows:
-                raise ValueError("pair members must be square of equal size")
-            if ad(e1, e2.flatten()):
+            if ad(self.e1, self.e2, self.n):
                 raise ValueError("pair members do not commute")
-            if not all(is_nilpotent(m.flatten(), self.n) for m in (e1, e2)):
+            if not all(is_nilpotent(m, self.n) for m in (self.e1, self.e2)):
                 raise ValueError("pair members must be nilpotent")
 
     def swap(self):
@@ -98,12 +96,7 @@ class NilPair:
 
     def to_jsonable(self):
         def entries(m):
-            return [
-                [i, j, int(m.data[i][j])]
-                for i in range(self.n)
-                for j in range(self.n)
-                if m.data[i][j]
-            ]
+            return [[*divmod(k, self.n), int(x)] for k, x in enumerate(m) if x]
 
         prov = (
             self.provenance.serialize()
@@ -121,14 +114,14 @@ def build_pair(d):
         raise ShapeError(f"no commuting pair for shape {shape.value}")
     n = d.n
     index = {box: i for i, box in enumerate(d.boxes)}
-    e1 = [[0] * n for _ in range(n)]
-    e2 = [[0] * n for _ in range(n)]
+    e1 = [0] * (n * n)
+    e2 = [0] * (n * n)
     for (p, q), i in index.items():
         if (p + 1, q) in index:
-            e1[index[(p + 1, q)]][i] = 1
+            e1[index[(p + 1, q)] * n + i] = 1
         if (p, q + 1) in index:
-            e2[index[(p, q + 1)]][i] = 1
-    pair = NilPair(Matrix(e1), Matrix(e2), provenance=d)
+            e2[index[(p, q + 1)] * n + i] = 1
+    pair = NilPair(e1, e2, provenance=d)
     h = SemisimplePair([p for p, _ in d.boxes], [q for _, q in d.boxes])
     _check_grading(pair, h)
     return pair, h
@@ -141,30 +134,29 @@ def _check_grading(pair, h):
     if h.n != pair.n:
         raise GradingError("the semisimple pair has the wrong size")
     for m, degree in ((pair.e1, (1, 0)), (pair.e2, (0, 1))):
-        for i, row in enumerate(m.data):
-            for j, x in enumerate(row):
-                if x and h.bidegree(i, j) != degree:
-                    raise GradingError(
-                        "the semisimple pair does not grade the nilpotent pair"
-                    )
+        for k, x in enumerate(m):
+            if x and h.bidegree(*divmod(k, pair.n)) != degree:
+                raise GradingError(
+                    "the semisimple pair does not grade the nilpotent pair"
+                )
 
 
 def direct_sum(pairs_and_gradings):
     """Block direct sum of pairs; the grading diagonals are concatenated."""
     n = sum(p.n for p, _ in pairs_and_gradings)
-    e1 = [[0] * n for _ in range(n)]
-    e2 = [[0] * n for _ in range(n)]
+    e1 = [0] * (n * n)
+    e2 = [0] * (n * n)
     h1, h2 = [], []
     off = 0
     for pair, h in pairs_and_gradings:
-        for i in range(pair.n):
-            for j in range(pair.n):
-                e1[off + i][off + j] = pair.e1.data[i][j]
-                e2[off + i][off + j] = pair.e2.data[i][j]
+        for k in range(pair.n**2):
+            i, j = divmod(k, pair.n)
+            e1[(off + i) * n + off + j] = pair.e1[k]
+            e2[(off + i) * n + off + j] = pair.e2[k]
         h1.extend(h.h1)
         h2.extend(h.h2)
         off += pair.n
-    return NilPair(Matrix(e1), Matrix(e2), provenance="direct_sum"), SemisimplePair(h1, h2)
+    return NilPair(e1, e2, provenance="direct_sum"), SemisimplePair(h1, h2)
 
 
 def provenance_grading(pair):
@@ -198,13 +190,12 @@ def ad_matrix(x):
     return Matrix(rows)
 
 
-def ad(x, v):
-    """[x, v] for a flattened matrix v given as a sparse row, as a sparse
-    row {index: Fraction}.
+def ad(x, v, n):
+    """[x, v] for flattened n x n matrices x and v, each a sparse row or a
+    dense sequence, as a sparse row {index: Fraction}.
 
     Sparse in both arguments: each nonzero x_ia contributes x_ia V_ab to
     entry (i, b) and -V_ji x_ia to entry (j, a)."""
-    n = x.rows
     rows, cols = [[] for _ in range(n)], [[] for _ in range(n)]
     for k, y in entries(v):
         if y:
@@ -212,15 +203,15 @@ def ad(x, v):
             rows[a].append((b, y))
             cols[b].append((a, y))
     out = {}
-    for i, xrow in enumerate(x.data):
-        for a, c in enumerate(xrow):
-            if c:
-                for b, y in rows[a]:
-                    k = i * n + b
-                    out[k] = out.get(k, 0) + c * y
-                for j, y in cols[i]:
-                    k = j * n + a
-                    out[k] = out.get(k, 0) - y * c
+    for ia, c in entries(x):
+        if c:
+            i, a = divmod(ia, n)
+            for b, y in rows[a]:
+                k = i * n + b
+                out[k] = out.get(k, 0) + c * y
+            for j, y in cols[i]:
+                k = j * n + a
+                out[k] = out.get(k, 0) - y * c
     return {k: y for k, y in out.items() if y}
 
 
@@ -235,14 +226,15 @@ def ad_columns(members, n):
         unit = {j: Fraction(1)}
         col = {}
         for i, x in enumerate(members):
-            col.update(shifted(ad(x, unit), i * nn))
+            col.update(shifted(ad(x, unit, n), i * nn))
         cols.append(col)
     return cols
 
 
 def ad_image(x, space):
     """[x, space] as a subspace of flattened matrices."""
-    return Subspace(space.ambient_dim, [ad(x, v) for v in space.basis])
+    n = isqrt(space.ambient_dim)
+    return Subspace(space.ambient_dim, [ad(x, v, n) for v in space.basis])
 
 
 def traceless_cut(space):
@@ -289,8 +281,9 @@ def ad_map_between(x, source, target):
     """The images [x, v] of the source's canonical basis vectors, each in
     the coordinates of the target's canonical basis.  Raises StabilityError
     if an image leaves the target."""
+    n = isqrt(source.ambient_dim)
     try:
-        return [target.coordinates(ad(x, v)) for v in source.basis]
+        return [target.coordinates(ad(x, v, n)) for v in source.basis]
     except ValueError:
         raise StabilityError("bracket image leaves the target piece") from None
 
@@ -305,7 +298,7 @@ def graded_kernels(pair, h, ambient="sl"):
 @lru_cache(maxsize=64)
 def _graded_kernels(e1, e2, h, ambient):
     pieces = bigraded_pieces(h, ambient)
-    nn = e1.rows**2
+    nn = len(e1)
     zero = Subspace.zero(nn)
     k1, k2, k12 = {}, {}, {}
     for (p, q), piece in pieces.items():
@@ -400,9 +393,9 @@ def is_nilpotent_family(space, n):
 
 def classify_pair(pair, h=None):
     """One of principal / distinguished / nil_pair / invalid."""
-    if ad(pair.e1, pair.e2.flatten()):
+    if ad(pair.e1, pair.e2, pair.n):
         return "invalid"
-    if not all(is_nilpotent(m.flatten(), pair.n) for m in (pair.e1, pair.e2)):
+    if not all(is_nilpotent(m, pair.n) for m in (pair.e1, pair.e2)):
         return "invalid"
     if h is None:
         h = provenance_grading(pair)
@@ -435,11 +428,11 @@ def monomial_basis_check(pair):
 
 
 def _power_tower(m, n, top):
-    """The powers m^0, ..., m^top of an n x n Matrix as sparse rows."""
+    """The powers m^0, ..., m^top of a flattened n x n matrix as sparse
+    rows."""
     tower = [{i * (n + 1): Fraction(1) for i in range(n)}]
-    flat = m.flatten()
     for _ in range(top):
-        tower.append(matmul(tower[-1], flat, n))
+        tower.append(matmul(tower[-1], m, n))
     return tower
 
 
@@ -508,12 +501,15 @@ def center_of(space, n):
     space whose bracket with every basis element vanishes."""
     # constraint on coefficients c, for each basis element m:
     # sum_j c_j [m, b_j] = 0
-    mats = [Matrix.unflatten(u, n) for u in space.basis]
     nn = n * n
     return kernel_in(
         space,
         [
-            {i * nn + k: x for i, m in enumerate(mats) for k, x in ad(m, v).items()}
+            {
+                i * nn + k: x
+                for i, m in enumerate(space.basis)
+                for k, x in ad(m, v, n).items()
+            }
             for v in space.basis
         ],
     )
@@ -527,9 +523,8 @@ def lie_closure(vectors, n):
     while frontier:
         new = []
         for a in frontier:
-            x = Matrix.unflatten(a, n)
             for b in base:
-                w = ad(x, b)
+                w = ad(a, b, n)
                 if ech.add(w):
                     new.append(w)
         base.extend(new)
@@ -559,10 +554,10 @@ def parabolic_checks(pair, h=None):
     c2 = center_of(g2, n)
     checks = {
         "e1_in_degree_1_0": pieces.get((1, 0), Subspace.zero(n * n)).contains(
-            pair.e1.flatten()
+            pair.e1
         ),
         "e2_in_degree_0_1": pieces.get((0, 1), Subspace.zero(n * n)).contains(
-            pair.e2.flatten()
+            pair.e2
         ),
         "bracket_e1_levi2_fills_row": bracket_e1_g2 == row_span("p1"),
         "bracket_e2_levi1_fills_row": bracket_e2_g1 == row_span("q1"),
@@ -575,7 +570,4 @@ def parabolic_checks(pair, h=None):
 
 
 def abelian_check(space, n):
-    mats = [Matrix.unflatten(v, n) for v in space.basis]
-    return not any(
-        ad(a, w) for (a, _), (_, w) in combinations(zip(mats, space.basis), 2)
-    )
+    return not any(ad(a, b, n) for a, b in combinations(space.basis, 2))

@@ -295,7 +295,7 @@ def orthogonal_columns(members, gram):
     (`pairs.ad_columns`) followed by G X + X^T G, keyed after them: the
     equations of the members' joint centralizer in the form's algebra."""
     n = gram.rows
-    cols = ad_columns(members, n)
+    cols = ad_columns([m.flatten() for m in members], n)
     off = len(members) * n * n
     for j, col in enumerate(cols):
         a, b = divmod(j, n)
@@ -316,8 +316,9 @@ def even_orthogonal_pair(n):
     """The explicit pair in the even orthogonal algebra of dimension 4n + 2
     whose members have block sizes (2n+1, 2n+1) and (2, ..., 2, 1, 1).
 
-    Returns the pair matrices, the Gram matrix, the computed joint
-    centralizer inside the orthogonal algebra, and the stated spanning set.
+    Returns the pair matrices, the Gram matrix, the columns of the joint
+    centralizer's equations (`orthogonal_columns`), that centralizer inside
+    the orthogonal algebra, and the stated spanning set.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -344,14 +345,15 @@ def even_orthogonal_pair(n):
     basis = [e1**k for k in range(1, 2 * n, 2)]
     basis += [(e1**k) * e2 for k in range(0, 2 * n - 1, 2)]
     basis += [x]
-    centralizer = orthogonal_centralizer((e1, e2), gram)
+    columns = orthogonal_columns((e1, e2), gram)
     return {
         "n": n,
         "dim": N,
         "e1": e1,
         "e2": e2,
         "gram": gram,
-        "centralizer": centralizer,
+        "columns": columns,
+        "centralizer": relations(columns),
         "stated_basis": basis,
     }
 
@@ -363,7 +365,7 @@ def even_orthogonal_pair_report(n):
     span = Subspace(N * N, [m.flatten() for m in data["stated_basis"]])
     cent = data["centralizer"]
     rank = N // 2
-    candidate = _associated_grading_candidate(e1, e2, gram)
+    candidate = _associated_grading_candidate(e1, e2, data["columns"])
     report = {
         "n": n,
         "dim": N,
@@ -402,14 +404,15 @@ def even_orthogonal_pair_report(n):
     return report
 
 
-def _associated_grading_candidate(e1, e2, gram):
+def _associated_grading_candidate(e1, e2, columns):
     """Solve the affine systems [h, e_i] = delta e_i inside the orthogonal
     algebra; returns one deterministic solution pair or None.
 
-    As [h, e] = -[e, h], the equations are the rows of
-    `orthogonal_columns` with right-hand side -e_i on member i's keys."""
+    As [h, e] = -[e, h], the equations are the rows of the members'
+    `orthogonal_columns`, given as `columns`, with right-hand side -e_i on
+    member i's keys."""
     N = e1.rows
-    rows = transpose(orthogonal_columns((e1, e2), gram))
+    rows = transpose(columns)
     sols = []
     for i, target in enumerate((e1, e2)):
         rhs = {i * N * N + k: -x for k, x in enumerate(target.flatten()) if x}

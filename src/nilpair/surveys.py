@@ -15,7 +15,7 @@ from . import harmonics as ha
 from . import characters as ch
 from . import rectangular as re_
 from .diagrams import Diagram, ShapeClass, enumerate_diagrams, partitions
-from .linalg import Matrix, Subspace, kernel_in
+from .linalg import Subspace, kernel_in, relations
 from .modules import (
     MAX_TENSOR_DEGREE,
     WeightModule,
@@ -107,17 +107,16 @@ def structure_checks(d):
         if other is None or other.dim != sp.dim:
             pairing_ok = False
             continue
-        # tr(UV) = sum_ab U_ab V_ba on the sparse rows
-        gram = Matrix(
+        # tr(UV) = sum_ab U_ab V_ba on the sparse rows; the square Gram
+        # matrix is nondegenerate when its rows have no relation
+        gram = [
             [
-                [
-                    sum(x * v.get(k % n * n + k // n, 0) for k, x in u.items())
-                    for v in other.basis
-                ]
-                for u in sp.basis
+                sum(x * v.get(k % n * n + k // n, 0) for k, x in u.items())
+                for v in other.basis
             ]
-        )
-        pairing_ok = pairing_ok and gram.rank() == sp.dim
+            for u in sp.basis
+        ]
+        pairing_ok = pairing_ok and not relations(gram).dim
     ddbar_ok = _ddbar_identity(pair, h)
     surj_ok = _centralizer_tower_surjectivity(pair, h)
     checks = {
@@ -150,7 +149,9 @@ def _ddbar_identity(pair, h):
         if p < 0 or q < 0:
             continue
         tgt = pieces.get((p + 1, q + 1), zero)
-        images = [tgt.coordinates(ad(pair.e1, ad(pair.e2, v))) for v in piece.basis]
+        images = [
+            tgt.coordinates(ad(pair.e1, ad(pair.e2, v, n), n)) for v in piece.basis
+        ]
         kern = kernel_in(piece, images)
         rhs = k1.get((p, q), zero) + k2.get((p, q), zero)
         if kern != rhs:

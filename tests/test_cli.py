@@ -124,6 +124,7 @@ def test_out_file(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(out.read_text())
     assert payload["n"] == 3 and payload["provenance"] == "(0,0);(1,0);(0,1)"
+    assert payload["e1"] == [[1, 0, 1]] and payload["e2"] == [[2, 0, 1]]
 
 
 def test_determinism_byte_identical():
@@ -137,6 +138,23 @@ def test_jobs_flag_matches_serial():
     a = run_cli("verify", "structure", "--all", "4", "--format", "json")
     b = run_cli("verify", "structure", "--all", "4", "--format", "json", "--jobs", "2")
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(jobs, monkeypatch, capsys):
+    import multiprocessing
+
+    from nilpair.cli import main
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code = main(["verify", "structure", "--all", "2", "--jobs", jobs])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --jobs {jobs} is below 1\n"
 
 
 def test_multiplicity_tensor_degree_exits_three():

@@ -17,7 +17,7 @@ from nilpair.cohomology import (
     young_se_slice,
 )
 from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
-from nilpair.linalg import bracket
+from nilpair.linalg import Matrix, bracket
 from nilpair.pairs import build_pair
 from test_pairs import joint_centralizer
 
@@ -93,10 +93,12 @@ def test_slice_counts_and_points():
 
 def test_slice_matrices_commute_with_fixed_member():
     pair, h = build_pair(parse("3,1"))
+    n = pair.n
+    e1, e2 = Matrix.unflatten(pair.e1, n), Matrix.unflatten(pair.e2, n)
     for m in slice_basis(pair, h, "se").matrices():
-        assert bracket(pair.e1, m).is_zero()
+        assert bracket(e1, Matrix.unflatten(m, n)).is_zero()
     for m in slice_basis(pair, h, "nw").matrices():
-        assert bracket(pair.e2, m).is_zero()
+        assert bracket(e2, Matrix.unflatten(m, n)).is_zero()
 
 
 def test_young_recipe_counts():
@@ -114,14 +116,15 @@ def test_degenerate_slice_forms():
     # regular member transversally
     pair, h = build_pair(parse("4"))
     se = slice_basis(pair, h, "se")
-    for _, m in se.entries:
-        assert bracket(pair.e1, m).is_zero()
     n = pair.n
-    powers = [pair.e1**k for k in range(1, n)]
+    e1 = Matrix.unflatten(pair.e1, n)
+    for _, m in se.entries:
+        assert bracket(e1, Matrix.unflatten(m, n)).is_zero()
+    powers = [e1**k for k in range(1, n)]
     from nilpair.linalg import Subspace
 
     span = Subspace(n * n, [p.flatten() for p in powers])
-    assert span == Subspace(n * n, [m.flatten() for m in se.matrices()])
+    assert span == Subspace(n * n, se.matrices())
 
 
 def test_tower_steps_images_lie_in_targets():
@@ -157,7 +160,9 @@ def test_slice_centralizers_match_dense_joint_kernel():
                     seen = []
                     for pick, x1, x2, zx in slice_samples(pair, h, sb):
                         seen.append(pick)
-                        ref = joint_centralizer(x1, x2)
+                        ref = joint_centralizer(
+                            Matrix.unflatten(x1, n), Matrix.unflatten(x2, n)
+                        )
                         where = (d.serialize(), quad, reverse, pick)
                         assert zx.basis == ref.basis, where
                     assert len(seen) == k + k * (k - 1) // 2 + (k > 2)

@@ -123,7 +123,7 @@ def test_module_limit_containment_all_weights():
 def test_invariant_subspace_matches_dense_kernel(lam):
     pair, _ = build_pair(parse("2,1"))
     m = WeightModule(3, lam)
-    mats = [Matrix.unflatten(v, 3) for v in centralizer(pair, "sl").basis]
+    mats = centralizer(pair, "sl").basis
     rows = [row for x in mats for row in _dense(m.act_matrix(x)).data]
     assert invariant_subspace(m, mats) == Matrix(rows).kernel()
 

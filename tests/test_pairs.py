@@ -45,16 +45,17 @@ def joint_centralizer(x1, x2, extra_rows=()):
 
 def test_build_single_row():
     pair, h = build_pair(parse("3"))
-    assert pair.e1 == Matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    assert pair.e2.is_zero()
+    assert Matrix.unflatten(pair.e1, 3) == Matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    assert Matrix.unflatten(pair.e2, 3).is_zero()
     assert h.h1 == (0, 1, 2)
     assert h.h2 == (0, 0, 0)
 
 
 def test_build_hook_entries():
     pair, h = build_pair(parse("2,1"))
-    nz1 = [(i, j) for i in range(3) for j in range(3) if pair.e1.data[i][j]]
-    nz2 = [(i, j) for i in range(3) for j in range(3) if pair.e2.data[i][j]]
+    e1, e2 = Matrix.unflatten(pair.e1, 3), Matrix.unflatten(pair.e2, 3)
+    nz1 = [(i, j) for i in range(3) for j in range(3) if e1.data[i][j]]
+    nz2 = [(i, j) for i in range(3) for j in range(3) if e2.data[i][j]]
     assert nz1 == [(1, 0)] and nz2 == [(2, 0)]
     assert h.h1 == (0, 1, 0) and h.h2 == (0, 0, 1)
 
@@ -68,8 +69,8 @@ def test_centralizer_hook_dims():
     pair, h = build_pair(parse("2,1"))
     z_sl = centralizer(pair, "sl")
     assert z_sl.dim == 2
-    assert z_sl.contains(pair.e1.flatten())
-    assert z_sl.contains(pair.e2.flatten())
+    assert z_sl.contains(pair.e1)
+    assert z_sl.contains(pair.e2)
     assert centralizer(pair, "gl").dim == 3
 
 
@@ -77,8 +78,8 @@ def test_centralizer_blockwise_matches_global():
     for spec in ("2,1", "2,2", "3,1", "3,2/1"):
         pair, h = build_pair(parse(spec))
         rows = (
-            list(ad_matrix(pair.e1).data)
-            + list(ad_matrix(pair.e2).data)
+            list(ad_matrix(Matrix.unflatten(pair.e1, pair.n)).data)
+            + list(ad_matrix(Matrix.unflatten(pair.e2, pair.n)).data)
             + [trace_row(pair.n)]
         )
         assert centralizer(pair, "sl", h=h) == Matrix(rows).kernel()
@@ -286,8 +287,9 @@ def test_limit_of_cartan_is_centralizer():
 def test_limit_of_mixed_centralizer():
     pair, h = build_pair(parse("2,1"))
     n = pair.n
-    h1m, _ = h.matrices()
-    rows = list(ad_matrix(h1m).data) + list(ad_matrix(pair.e2).data)
+    h1m = Matrix.diagonal(h.h1)
+    rows = list(ad_matrix(h1m).data)
+    rows += list(ad_matrix(Matrix.unflatten(pair.e2, n)).data)
     z_h1_e2 = Matrix(rows).kernel()
     lim = limit_space(PairAction.adjoint(pair), z_h1_e2)
     assert lim == centralizer(pair, "gl")
@@ -385,7 +387,7 @@ def _lower_triangular(n):
 def test_limit_space_matches_dense_reference(d):
     pair, _ = build_pair(d)
     action = PairAction.adjoint(pair)
-    ops = (ad_matrix(pair.e1), ad_matrix(pair.e2))
+    ops = tuple(ad_matrix(Matrix.unflatten(x, pair.n)) for x in (pair.e1, pair.e2))
     for E in (_cartan(pair.n), _lower_triangular(pair.n)):
         assert _limit_outcome(limit_space, action, E) == _limit_outcome(
             _dense_limit_space, ops, E
@@ -409,12 +411,17 @@ def test_classify_examples():
 def test_classify_invalid_noncommuting():
     from nilpair.pairs import NilPair
 
-    a = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    b = Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    a = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]).flatten()
+    b = Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]]).flatten()
     with pytest.raises(ValueError):
         NilPair(a, b)
     pair = NilPair(a, b, check=False)
     assert classify_pair(pair) == "invalid"
+    # members are flattened n x n matrices of one size
+    for bad in ((a[:8], a[:8]), (a, a[:4]), (a[:4], a)):
+        for check in (True, False):
+            with pytest.raises(ValueError, match="square of equal size"):
+                NilPair(*bad, check=check)
 
 
 def test_ad_map_between_rejects_wrong_target():
@@ -446,12 +453,13 @@ def _dense_check_grading(pair, h):
     [h2, e2] = e2 and the mixed brackets vanish."""
     from nilpair.pairs import GradingError
 
-    h1m, h2m = h.matrices()
+    h1m, h2m = Matrix.diagonal(h.h1), Matrix.diagonal(h.h2)
+    e1, e2 = Matrix.unflatten(pair.e1, pair.n), Matrix.unflatten(pair.e2, pair.n)
     if not (
-        bracket(h1m, pair.e1) == pair.e1
-        and bracket(h2m, pair.e2) == pair.e2
-        and bracket(h1m, pair.e2).is_zero()
-        and bracket(h2m, pair.e1).is_zero()
+        bracket(h1m, e1) == e1
+        and bracket(h2m, e2) == e2
+        and bracket(h1m, e2).is_zero()
+        and bracket(h2m, e1).is_zero()
     ):
         raise GradingError("the semisimple pair does not grade the nilpotent pair")
 
@@ -557,7 +565,8 @@ def test_ungraded_centralizer_matches_dense_reference():
         for ambient in ("sl", "gl"):
             extra = [trace_row(n)] if ambient == "sl" else []
             got = centralizer(bare, ambient)
-            assert got == joint_centralizer(pair.e1, pair.e2, extra), (
+            e1, e2 = Matrix.unflatten(pair.e1, n), Matrix.unflatten(pair.e2, n)
+            assert got == joint_centralizer(e1, e2, extra), (
                 d.serialize(),
                 ambient,
             )
@@ -573,10 +582,11 @@ def test_graded_kernels_match_dense_kernels():
         for ambient in ("sl", "gl"):
             extra = [trace_row(n)] if ambient == "sl" else []
             k1, k2, k12 = graded_kernels(pair, h, ambient)
-            for x, blocks in ((pair.e1, k1), (pair.e2, k2)):
+            e1, e2 = Matrix.unflatten(pair.e1, n), Matrix.unflatten(pair.e2, n)
+            for x, blocks in ((e1, k1), (e2, k2)):
                 dense = Matrix(list(ad_matrix(x).data) + extra).kernel()
                 assert _span(blocks, n) == dense, (d.serialize(), ambient)
-            joint = joint_centralizer(pair.e1, pair.e2, extra)
+            joint = joint_centralizer(e1, e2, extra)
             assert _span(k12, n) == joint, (d.serialize(), ambient)
             assert all(sp.dim for sp in (*k1.values(), *k2.values(), *k12.values()))
 
@@ -608,11 +618,16 @@ def _ad_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_sparse_ad_matches_bracket(case):
     x, v = case
-    nn = x.rows**2
-    got = ad(x, v)
+    n = x.rows
+    nn = n**2
+    got = ad(x.flatten(), v, n)
     # a sparse row of the nonzero entries, equal to the dense references
     assert all(y and type(y) is Fraction for y in got.values())
     assert _dense(got, nn) == bracket(x, Matrix.unflatten(v, x.rows)).flatten()
     assert _dense(got, nn) == ad_matrix(x).apply(v)
     # the same v as a sparse row
-    assert ad(x, {k: y for k, y in enumerate(v) if y}) == got
+    assert ad(x.flatten(), {k: y for k, y in enumerate(v) if y}, n) == got
+    # x as a sparse row, with v dense and sparse
+    x_sparse = {k: y for k, y in enumerate(x.flatten()) if y}
+    assert ad(x_sparse, v, n) == got
+    assert ad(x_sparse, {k: y for k, y in enumerate(v) if y}, n) == got

@@ -23,6 +23,7 @@ from nilpair.rectangular import (
     even_orthogonal_pair_report,
     is_regular_embedding,
     orthogonal_centralizer,
+    orthogonal_columns,
     summand_count,
     survey_embeddings,
     sym2,
@@ -317,13 +318,25 @@ def _dense_orthogonal_centralizer(members, gram):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_orthogonal_systems_match_dense_reference(n):
+def test_orthogonal_systems_match_dense_reference(n, monkeypatch):
+    # the report builds the members' orthogonal columns once, for both the
+    # centralizer and the grading candidate
+    built = []
+
+    def counted(members, gram):
+        built.append(len(members))
+        return orthogonal_columns(members, gram)
+
+    monkeypatch.setattr(rectangular, "orthogonal_columns", counted)
+    even_orthogonal_pair_report(n)
+    assert built == [2]
+    monkeypatch.undo()
     data = even_orthogonal_pair(n)
     e1, e2, gram = data["e1"], data["e2"], data["gram"]
     dense = _dense_orthogonal_centralizer((e1, e2), gram)
     assert data["centralizer"] == dense
     assert orthogonal_centralizer((e1, e2), gram) == dense
-    candidate = _associated_grading_candidate(e1, e2, gram)
+    candidate = _associated_grading_candidate(e1, e2, data["columns"])
     assert candidate is not None
     assert candidate == _dense_grading_candidate(e1, e2, gram)
 

@@ -62,3 +62,36 @@ def test_only_pairs_names_ad_matrix():
         if path.name != "pairs.py" and "ad_matrix" in path.read_text()
     ]
     assert found == []
+
+
+def test_trace_key_functions_hash_a_pair():
+    # the per-layer trace keys its reuse counters on pair members, as the
+    # package's own lru_caches do, so members must stay hashable
+    from nilpair.diagrams import parse
+    from nilpair.pairs import build_pair
+
+    layers = _trace_layers()
+    keys = set()
+    for _ in range(2):
+        pair, h = build_pair(parse("2,1"))
+        keys.add(
+            (
+                layers._key_pieces(h),
+                layers._key_centralizer(pair, h),
+                layers._key_h1(pair, h),
+            )
+        )
+    # two builds of one pair give equal keys, so the reuse counters see them
+    assert len(keys) == 1
+
+
+def test_pair_path_modules_do_not_name_matrix():
+    # pair members, slice points and their brackets are flattened vectors;
+    # the dense Matrix stays in linalg, rectangular, harmonics, the ad_matrix
+    # reference in pairs and the tests
+    found = [
+        name
+        for name in ("cohomology.py", "modules.py", "surveys.py", "cli.py")
+        if "Matrix" in (Path(nilpair.__file__).parent / name).read_text()
+    ]
+    assert found == []
