@@ -1,8 +1,18 @@
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from nilpair.cohomology import (
+    _corner_containment_ok,
+    _corner_frames,
     coker_formula_check,
     duality_check,
     euler_identity_check,
     exponent_sums_check,
+    factor_products_equal,
     h1_dims,
     higher_biexponents,
     product_identity_check,
@@ -17,8 +27,9 @@ from nilpair.cohomology import (
     young_se_slice,
 )
 from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
-from nilpair.linalg import Matrix, bracket
-from nilpair.pairs import build_pair
+from nilpair.linalg import Matrix, Subspace, bracket, combine, relations
+from nilpair.pairs import build_pair, centralizer, centralizer_bigraded
+from nilpair.polys import one_minus, prod_poly
 from test_pairs import joint_centralizer
 
 
@@ -158,11 +169,115 @@ def test_slice_centralizers_match_dense_joint_kernel():
                     sb = slice_basis(pair, h, quad, reverse=reverse)
                     k = sb.count
                     seen = []
-                    for pick, x1, x2, zx in slice_samples(pair, h, sb):
+                    for pick, x1, x2, zdim, zx in slice_samples(pair, h, sb):
                         seen.append(pick)
                         ref = joint_centralizer(
                             Matrix.unflatten(x1, n), Matrix.unflatten(x2, n)
                         )
                         where = (d.serialize(), quad, reverse, pick)
-                        assert zx.basis == ref.basis, where
+                        assert zdim == ref.dim, where
+                        # the singletons and the full sum carry the basis
+                        deep = len(pick) == 1 or pick == tuple(range(k))
+                        assert (zx is not None) == deep, where
+                        if zx is not None:
+                            assert zx.basis == ref.basis, where
                     assert len(seen) == k + k * (k - 1) // 2 + (k > 2)
+
+
+def test_slice_quadrant_must_be_se_or_nw():
+    pair, h = build_pair(parse("2,1"))
+    for quad in ("ne", "sw", "SE", ""):
+        with pytest.raises(ValueError):
+            slice_basis(pair, h, quad)
+        with pytest.raises(ValueError):
+            slice_report(pair, h, quad)
+
+
+def _dense_corner_frames(pair, h):
+    """Reference frames, one per bidegree (p, q) of gl_n in sorted order:
+    the flat indices outside the rectangle L_{<=p,q}, the indices of its
+    corner (p, q), and the (p, q) block of the pair's gl centralizer."""
+    n = pair.n
+    bid = {}
+    for i in range(n):
+        for j in range(n):
+            d = h.bidegree(i, j)
+            bid[i * n + j] = (int(d[0]), int(d[1]))
+    z_pair = centralizer_bigraded(pair, h, "gl")
+    zero = Subspace.zero(n * n)
+    frames = []
+    for (p, q) in sorted(set(bid.values())):
+        outside = {c for c, d in bid.items() if not (d[0] <= p and d[1] <= q)}
+        corner = {c for c, d in bid.items() if d == (p, q)}
+        frames.append((outside, corner, z_pair.get((p, q), zero)))
+    return frames
+
+
+def _dense_corner_containment_ok(n, zx, frames):
+    """Reference staircase check, one elimination per rectangle: a basis of
+    Z cap L_{<=p,q} from the relations among the outside parts, and each
+    member's (p, q) corner part tested against the pair's block."""
+    if zx.dim != n:
+        return False
+    for outside, corner, tgt in frames:
+        coeffs = relations(
+            [{c: x for c, x in v.items() if c in outside} for v in zx.basis]
+        )
+        corners = [{c: x for c, x in v.items() if c in corner} for v in zx.basis]
+        for coeff in coeffs.basis:
+            comp = combine(corners, coeff)
+            if comp and not tgt.contains(comp):
+                return False
+    return True
+
+
+def test_corner_containment_matches_per_rectangle_reference():
+    # Z = the pair's gl centralizer, with up to two basis vectors moved by
+    # sparse integer perturbations, so both answers occur
+    rng = random.Random(20261019)
+    answers = []
+    for n in range(1, 6):
+        for d in enumerate_diagrams(n, ShapeClass.YOUNG):
+            pair, h = build_pair(d)
+            z = centralizer(pair, "gl", h)
+            fast, dense = _corner_frames(pair, h), _dense_corner_frames(pair, h)
+            for moved in (0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2):
+                vecs = [dict(v) for v in z.basis]
+                for i in rng.sample(range(len(vecs)), min(moved, len(vecs))):
+                    for _ in range(rng.randint(1, 2)):
+                        x = rng.choice((-2, -1, 1, 2))
+                        vecs[i][rng.randrange(n * n)] = Fraction(x)
+                zx = Subspace(n * n, vecs)
+                got = _corner_containment_ok(n, zx, fast)
+                assert got == _dense_corner_containment_ok(n, zx, dense), (
+                    d.serialize(),
+                    vecs,
+                )
+                answers.append(got)
+    assert True in answers and False in answers
+
+
+_factors = st.lists(
+    st.one_of(st.just((0, 0)), st.tuples(st.integers(-2, 3), st.integers(-2, 3))),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factors, _factors, _factors, st.randoms())
+def test_factor_products_equal_matches_full_multiplication(shared, left, right, rnd):
+    left, right = shared + left, shared + right
+    rnd.shuffle(right)
+
+    def full(factors):
+        return prod_poly([one_minus(a, b) for a, b in factors])
+
+    assert factor_products_equal(left, right) == (full(left) == full(right))
+
+
+def test_factor_products_equal_keeps_the_zero_factor():
+    assert factor_products_equal([(0, 0)], [(0, 0), (1, 2)])
+    assert not factor_products_equal([(0, 0), (1, 1)], [(1, 1)])
+    assert factor_products_equal([(1, 1), (0, 0)], [(0, 0), (2, 1)])
+    assert factor_products_equal([(1, 0), (0, 1)], [(0, 1), (1, 0)])
+    assert not factor_products_equal([(1, 0)], [(0, 1)])
