@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
+from .characters import character_value, class_size
 from .diagrams import ShapeClass, classify_shape, partitions
 from .linalg import EchelonBasis, Matrix, frac
 from .multiplicity import _perm_sign
@@ -74,21 +75,15 @@ def exponent_sums(d):
 
 def vandermonde_determinant(d):
     """Determinant of the matrix of monomials u_i^{a_j} v_i^{b_j} over the
-    boxes (a_j, b_j), expanded exactly."""
+    boxes (a_j, b_j), expanded exactly: one signed monomial per permutation,
+    written into one coefficient dict."""
     boxes = list(d.boxes)
     n = len(boxes)
-    nv = 2 * n
-    total = MultivariatePoly.zero(nv)
+    coeffs = {}
     for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        exp = [0] * nv
-        for i in range(n):
-            a, b = boxes[perm[i]]
-            exp[i] += a
-            exp[n + i] += b
-        mono = MultivariatePoly(nv, {tuple(exp): 1})
-        total = total + (mono if sign > 0 else -mono)
-    return total
+        exp = tuple(boxes[k][0] for k in perm) + tuple(boxes[k][1] for k in perm)
+        coeffs[exp] = coeffs.get(exp, 0) + _perm_sign(perm)
+    return MultivariatePoly(2 * n, coeffs)
 
 
 def pair_alternant(d):
@@ -141,19 +136,21 @@ def harmonicity(p, n):
     return True
 
 
-def _span_closure(poly, n, side):
-    """Span of the S_n x S_n translates (one-sided: S_n on the first n
-    variables), grown by adjacent transpositions, as an EchelonBasis over
-    exponent tuples."""
-    gens = []
-    for k in range(n - 1):
-        perm = list(range(poly.nvars))
+def adjacent_transpositions(nvars, start, count):
+    """Index maps on nvars variables that swap variables start + k and
+    start + k + 1, for k < count - 1."""
+    out = []
+    for k in range(start, start + count - 1):
+        perm = list(range(nvars))
         perm[k], perm[k + 1] = perm[k + 1], perm[k]
-        gens.append(tuple(perm))
-        if side == "both":
-            perm = list(range(poly.nvars))
-            perm[n + k], perm[n + k + 1] = perm[n + k + 1], perm[n + k]
-            gens.append(tuple(perm))
+        out.append(tuple(perm))
+    return out
+
+
+def _span_closure(poly, gens):
+    """Span of the translates of poly under the group the variable
+    permutations gens generate, grown one generator at a time, as an
+    EchelonBasis over exponent tuples."""
     span = EchelonBasis()
     frontier = [poly] if span.add(poly.coeffs) else []
     while frontier:
@@ -191,14 +188,72 @@ class SpanModule:
         )
 
 
+def gram_value(p, n, perm):
+    """<p, (1, perm) p> with the monomials orthonormal: perm, an index map
+    on n letters, moves the v's of a polynomial in u_1..u_n, v_1..v_n."""
+    q = p.permute_variables(tuple(range(n)) + tuple(n + i for i in perm))
+    return sum(c * p.coeffs.get(e, 0) for e, c in q.coeffs.items())
+
+
+class GramSpan:
+    """The S_n x S_n span of a diagonally alternating polynomial, known
+    through the irreducibles lambda of S_n in its support: the span is the
+    sum of the f_lambda^2-dimensional blocks of those lambda."""
+
+    def __init__(self, n, support):
+        self.n = n
+        self.support = support
+
+    @property
+    def dim(self):
+        ones = (1,) * self.n
+        return sum(character_value(lam, ones) ** 2 for lam in self.support)
+
+    def trace(self, mu, nu):
+        """Trace of (sigma on the u's, tau on the v's), sigma of cycle type
+        mu and tau of cycle type nu: sgn(sigma) sum_lambda chi_lambda(sigma)
+        chi_lambda(tau)."""
+        sign = -1 if (self.n - len(mu)) % 2 else 1
+        return sign * sum(
+            character_value(lam, mu) * character_value(lam, nu)
+            for lam in self.support
+        )
+
+
 def wxw_span(p, n):
-    """Span of the two-sided translates; returns the SpanModule."""
-    return SpanModule(_span_closure(p, n, side="both"))
+    """Span of the S_n x S_n translates of a diagonally alternating p in
+    u_1..u_n, v_1..v_n, as a GramSpan.
+
+    As (sigma, sigma) p = sgn(sigma) p, every translate is a signed
+    v-side translate (1, pi) p, so the span is the image of the group algebra
+    C[S_n] acting on the v's.  The Gram matrix of the translates (1, pi) p is
+    convolution by g(pi) = <p, (1, pi) p>, and diagonal alternation makes g a
+    class function, so the convolution is central: it acts on the block of
+    each irreducible lambda by a scalar proportional to
+
+        g^(lambda) = sum_mu |C_mu| g(mu) chi_lambda(mu),
+
+    and the span is the sum of the blocks where it is nonzero.  (sigma, tau)
+    acts on a block by a -> sgn(sigma) tau a sigma^{-1}, whose trace is
+    sgn(sigma) chi_lambda(sigma) chi_lambda(tau).  One permutation and one
+    dot product per cycle type decide it all."""
+    if p.nvars != 2 * n:
+        raise ValueError(f"expected a polynomial in {2 * n} variables")
+    if not is_diagonally_skew(p, n):
+        raise ValueError("the Gram route needs a diagonally alternating polynomial")
+    parts = partitions(n)
+    g = {mu: gram_value(p, n, perm_of_partition(mu, n)) for mu in parts}
+    support = tuple(
+        lam
+        for lam in parts
+        if sum(class_size(mu) * g[mu] * character_value(lam, mu) for mu in parts)
+    )
+    return GramSpan(n, support)
 
 
 def u_side_span(p, n):
     """Span of one-sided translates of a polynomial in n variables."""
-    return SpanModule(_span_closure(p, n, side="u"))
+    return SpanModule(_span_closure(p, adjacent_transpositions(p.nvars, 0, n)))
 
 
 def perm_of_partition(mu, n):
@@ -221,7 +276,10 @@ def side_character(span, n, side):
             perm = tuple(list(base) + list(range(n, 2 * n)))
         else:
             perm = tuple(list(range(n)) + [n + i for i in base])
-        values[mu] = int(span.trace_of(perm))
+        trace = span.trace_of(perm)
+        if trace != int(trace):
+            raise ArithmeticError(f"trace {trace} at cycle type {mu} is not an integer")
+        values[mu] = int(trace)
     return values
 
 

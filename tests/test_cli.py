@@ -215,7 +215,7 @@ def test_empty_suite_exits_two():
 
 
 def test_suite_bound_over_limit_exits_three():
-    for suite, bound in (("skew", "9"), ("harmonics", "6")):
+    for suite, bound in (("skew", "9"), ("harmonics", "7")):
         args = (suite, "--all", bound)
         proc = run_cli("verify", *args, "--format", "json")
         assert proc.returncode == 3, args

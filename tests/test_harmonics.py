@@ -1,26 +1,34 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilpair.diagrams import parse
+from nilpair.diagrams import parse, partitions
 from nilpair.harmonics import (
+    SpanModule,
+    _span_closure,
+    adjacent_transpositions,
     alternant,
     c_regular_samples,
     divide_constant,
     exponent_sums,
+    gram_value,
     harmonicity,
     in_regular_locus,
     is_diagonally_skew,
     pair_alternant,
+    perm_of_partition,
+    side_character,
     u_side_span,
     vanishing_scan,
     vandermonde_determinant,
     wxw_span,
 )
-from nilpair.linalg import Matrix, frac
+from nilpair.linalg import EchelonBasis, Matrix, frac
+from nilpair.multiplicity import _perm_sign
 from nilpair.pairs import build_pair
 from nilpair.polys import MultivariatePoly
 
@@ -192,3 +200,90 @@ def test_u_side_span_of_row_products():
     p = MultivariatePoly(3, {(1, 0, 0): 1, (0, 1, 0): -1})
     span = u_side_span(p, 3)
     assert span.dim == 2
+
+
+# Young shapes of 1 to 5 boxes, as "4,1"-style specs
+SHAPES_TO_5 = [",".join(map(str, lam)) for k in range(1, 6) for lam in partitions(k)]
+
+
+def _closure_wxw_span(p, n):
+    """The reference two-sided span: p closed under the adjacent
+    transpositions of the u's and of the v's, one translate at a time."""
+    gens = adjacent_transpositions(2 * n, 0, n) + adjacent_transpositions(2 * n, n, n)
+    return SpanModule(_span_closure(p, gens))
+
+
+def _closure_trace(span, n, mu, nu):
+    """Trace on the reference span of a permutation of cycle type mu on the
+    u's and nu on the v's."""
+    pu, pv = perm_of_partition(mu, n), perm_of_partition(nu, n)
+    return span.trace_of(tuple(pu) + tuple(n + i for i in pv))
+
+
+@pytest.mark.parametrize("spec", SHAPES_TO_5 + ["5,1"])
+def test_gram_span_matches_closure(spec):
+    d = parse(spec)
+    n = d.n
+    delta = pair_alternant(d)
+    gram, closure = wxw_span(delta, n), _closure_wxw_span(delta, n)
+    assert gram.dim == closure.dim > 0
+    for mu in partitions(n):
+        for nu in partitions(n):
+            assert gram.trace(mu, nu) == _closure_trace(closure, n, mu, nu), (mu, nu)
+
+
+@pytest.mark.parametrize("spec", SHAPES_TO_5)
+def test_gram_value_is_a_class_function(spec):
+    d = parse(spec)
+    n = d.n
+    delta = pair_alternant(d)
+    group = list(permutations(range(n)))
+    g = {perm: gram_value(delta, n, perm) for perm in group}
+    # <delta, delta>: one monomial of coefficient +-1 per permutation
+    assert g[tuple(range(n))] == factorial(n)
+    for rho in group:
+        inverse = [0] * n
+        for i, r in enumerate(rho):
+            inverse[r] = i
+        for pi in group:
+            conjugate = tuple(rho[pi[inverse[i]]] for i in range(n))
+            assert g[conjugate] == g[pi]
+
+
+def test_wxw_span_needs_diagonal_alternation():
+    # u1 is not alternating under the diagonal swap
+    with pytest.raises(ValueError):
+        wxw_span(MultivariatePoly.variable(4, 0), 2)
+    with pytest.raises(ValueError):
+        wxw_span(pair_alternant(parse("2,1")), 2)
+
+
+def _summed_vandermonde(d):
+    """The determinant form as a sum of n! one-term polynomials."""
+    boxes = list(d.boxes)
+    n = len(boxes)
+    total = MultivariatePoly.zero(2 * n)
+    for perm in permutations(range(n)):
+        exp = [0] * (2 * n)
+        for i in range(n):
+            a, b = boxes[perm[i]]
+            exp[i] += a
+            exp[n + i] += b
+        mono = MultivariatePoly(2 * n, {tuple(exp): 1})
+        total = total + (mono if _perm_sign(perm) > 0 else -mono)
+    return total
+
+
+@pytest.mark.parametrize("spec", SHAPES_TO_5)
+def test_vandermonde_determinant_matches_summation(spec):
+    d = parse(spec)
+    assert vandermonde_determinant(d) == _summed_vandermonde(d)
+
+
+def test_side_character_rejects_non_integer_trace():
+    # the line of u1 + 2 u2 is not stable under the swap, whose "trace" on
+    # the normalised row u2 + u1/2 reads 1/2
+    span = EchelonBasis()
+    span.add({(1, 0): Fraction(1), (0, 1): Fraction(2)})
+    with pytest.raises(ArithmeticError):
+        side_character(SpanModule(span), 2, "u")

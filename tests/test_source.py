@@ -95,3 +95,12 @@ def test_pair_path_modules_do_not_name_matrix():
         if "Matrix" in (Path(nilpair.__file__).parent / name).read_text()
     ]
     assert found == []
+
+
+def test_harmonics_grows_no_two_sided_closure():
+    # the S_n x S_n span comes from the Gram class function (wxw_span); the
+    # two-sided closure is a test reference, and the package closes one
+    # side only (u_side_span)
+    text = (Path(nilpair.__file__).parent / "harmonics.py").read_text()
+    assert "def wxw_span" in text and "def u_side_span" in text
+    assert 'side="both"' not in text and "side='both'" not in text
