@@ -72,3 +72,13 @@ def test_multiplicity_suite_jobs_match_serial():
 def test_multiplicity_tensor_degree_is_a_resource_bound():
     with pytest.raises(surveys.ResourceLimit):
         surveys.multiplicity_checks_for("2,1", (9,))
+
+
+@pytest.mark.parametrize(
+    "spec", ["6", "5,1", "4,2", "4,1,1", "3,3", "3,2,1", "3,1,1,1", "2,2,2",
+             "2,2,1,1", "2,1,1,1,1", "1,1,1,1,1,1"],
+)
+def test_harmonics_checks_six_boxes(spec):
+    # the reach the Gram route opens: every six-box row of `harmonics --all 6`
+    row = surveys.harmonics_checks(parse(spec))
+    assert row["ok"], row
