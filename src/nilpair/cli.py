@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import surveys
 from .diagrams import ParseError, ResourceError, ShapeClass, ShapeError
@@ -145,7 +144,7 @@ def cmd_pair(args, config):
         )
     if args.action == "limits":
         n = pair.n
-        cartan = [{i * (n + 1): Fraction(1)} for i in range(n)]
+        cartan = [{i * (n + 1): 1} for i in range(n)]
         lim = limit_space(PairAction.adjoint(pair), Subspace(n * n, cartan))
         zgl = centralizer(pair, "gl", h=h)
         return {

@@ -16,7 +16,6 @@ generating identity below forces axis classes.)
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -399,7 +398,7 @@ def young_se_slice(pair, include_skipped=False):
         qmax = col_top[p]
         pmax = row_end[q]
         m = {
-            index[(pmax - p + i, q)] * n + index[(i, qmax)]: Fraction(1)
+            index[(pmax - p + i, q)] * n + index[(i, qmax)]: 1
             for i in range(p + 1)
         }
         out.append(((p, q), m))

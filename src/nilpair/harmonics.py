@@ -60,7 +60,7 @@ def alternant(x1, x2, d1, d2):
         fact = 1
         for a, b in pairs:
             fact *= factorial(a) * factorial(b)
-        c = det / fact
+        c = frac(det) / fact
         for perm, sign in signed:
             a = tuple(pairs[k][0] for k in perm)
             b = tuple(pairs[k][1] for k in perm)
@@ -124,10 +124,14 @@ def polarized_power_sum(n, a, b):
 
 
 def harmonicity(p, n):
-    """Annihilation by every polarized power sum of positive degree up to the
-    degree of p; those operators generate the diagonal invariants."""
-    deg = p.total_degree()
-    for total in range(1, deg + 1):
+    """Annihilation by every diagonal invariant of positive degree, acting as
+    a differential operator.  By Weyl's theorem on polarizations (H. Weyl,
+    The Classical Groups, 1939, ch. II), the polarized power sums
+    p_{a,b} = sum_i u_i^a v_i^b with 1 <= a + b <= n generate the diagonal
+    invariants of S_n over Q, so annihilation by those implies annihilation
+    by every invariant without constant term.  An operator of degree above
+    deg p kills p anyway, so the degrees stop at min(n, deg p)."""
+    for total in range(1, min(n, p.total_degree()) + 1):
         for a in range(total + 1):
             b = total - a
             op = polarized_power_sum(n, a, b)
@@ -236,11 +240,18 @@ def wxw_span(p, n):
     and the span is the sum of the blocks where it is nonzero.  (sigma, tau)
     acts on a block by a -> sgn(sigma) tau a sigma^{-1}, whose trace is
     sgn(sigma) chi_lambda(sigma) chi_lambda(tau).  One permutation and one
-    dot product per cycle type decide it all."""
+    dot product per cycle type decide it all.  Raises ValueError unless p
+    is a diagonally alternating polynomial in 2n variables."""
     if p.nvars != 2 * n:
         raise ValueError(f"expected a polynomial in {2 * n} variables")
     if not is_diagonally_skew(p, n):
         raise ValueError("the Gram route needs a diagonally alternating polynomial")
+    return _gram_span(p, n)
+
+
+def _gram_span(p, n):
+    """wxw_span without its guard, for a caller that has already checked
+    that p is diagonally alternating in 2n variables."""
     parts = partitions(n)
     g = {mu: gram_value(p, n, perm_of_partition(mu, n)) for mu in parts}
     support = tuple(
@@ -360,7 +371,7 @@ def divide_constant(p, q):
     pivot = min(q.coeffs)
     if pivot not in p.coeffs and p:
         return None
-    c = p.coeffs.get(pivot, Fraction(0)) / q.coeffs[pivot]
+    c = frac(p.coeffs.get(pivot, 0)) / q.coeffs[pivot]
     return c if q.scale(c) == p else None
 
 

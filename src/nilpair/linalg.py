@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Everything runs on Python Fractions; no floating point enters any
-computation.  A vector is a sparse row {key: value} of its nonzero entries;
-every routine also reads a dense sequence as the row keyed by position
-(`entries`).  Subspaces keep their canonical reduced row echelon rows in one
-EchelonBasis, so two equal subspaces have equal rows and compare
-structurally.  Dense tuples appear where a Matrix is built or flattened, and
-as the flattened members of a commuting pair, which caches hash; `matmul`
-is the one product of flattened square matrices, either form in and a
-sparse row out.
+Every number is an exact rational: an int where it is integral, a Fraction
+otherwise, never a float.  `small` is the one normaliser: EchelonBasis stores
+its rows through it, so elimination on integral data runs on int arithmetic
+and a Fraction appears only where a pivot division is not exact; every true
+division has a Fraction operand.  A vector is a sparse row {key: value} of
+its nonzero entries; every routine also reads a dense sequence as the row
+keyed by position (`entries`).  Subspaces keep their canonical reduced row
+echelon rows in one EchelonBasis, so two equal subspaces have equal rows and
+compare structurally (1 == Fraction(1), with equal hashes).  Dense tuples
+appear where a Matrix is built or flattened, and as the flattened members of
+a commuting pair, which caches hash; `matmul` is the one product of
+flattened square matrices, either form in and a sparse row out.
 """
 
 from __future__ import annotations
@@ -18,6 +21,15 @@ from fractions import Fraction
 
 def frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def small(x):
+    """x with an integral Fraction replaced by its int numerator; anything
+    else comes back unchanged.  Both compare and hash equal, and int
+    arithmetic is several times cheaper."""
+    if x.__class__ is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 def entries(vec):
@@ -40,8 +52,7 @@ def rref(rows):
     for r in rows:
         ech.add(r)
     pivots = sorted(ech.rows)
-    zero = Fraction(0)
-    red = [tuple(ech.rows[p].get(c, zero) for c in range(ncols)) for p in pivots]
+    red = [tuple(ech.rows[p].get(c, 0) for c in range(ncols)) for p in pivots]
     return red, pivots
 
 
@@ -66,12 +77,13 @@ def solve_affine(rows, rhs):
     if _RHS in ech.rows:
         return None
     x = {p: row[_RHS] for p, row in ech.rows.items() if _RHS in row}
-    return x if sparse else tuple(x.get(c, Fraction(0)) for c in range(n))
+    return x if sparse else tuple(x.get(c, 0) for c in range(n))
 
 
 class Subspace:
     """A linear subspace of Q^ambient_dim, held as the canonical rows of one
-    EchelonBasis: sparse rows {index: Fraction} in reduced row echelon form.
+    EchelonBasis: sparse rows {index: exact rational} in reduced row echelon
+    form.
 
     ``basis`` lists those rows in pivot order and ``pivots`` their pivots;
     the rows are shared and must not be mutated.  Equal subspaces have equal
@@ -148,16 +160,19 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim):
-        return Subspace(ambient_dim, [{i: Fraction(1)} for i in range(ambient_dim)])
+        return Subspace(ambient_dim, [{i: 1} for i in range(ambient_dim)])
 
 
 class EchelonBasis:
-    """An incrementally grown basis of sparse rows {key: Fraction}.
+    """An incrementally grown basis of sparse rows {key: exact rational}.
 
     Keys are any mutually orderable values (flat indices, tensor indices,
     exponent tuples).  Each row's pivot is its least key, normalised to 1,
     and no other row has an entry there, so the rows are the unique reduced
-    row echelon form of the span whatever the insertion order.
+    row echelon form of the span whatever the insertion order.  Entries are
+    exact rationals, never floats: incoming entries and each new row pass
+    through `small`, so integral data stay ints and a Fraction enters only
+    through a pivot division that is not exact.
     """
 
     def __init__(self):
@@ -171,7 +186,7 @@ class EchelonBasis:
         """Remainder of vec after elimination against the rows.  The rows
         vanish at each other's pivots, so each one is subtracted once, with
         vec's own entry at its pivot."""
-        v = {k: x for k, x in entries(vec) if x}
+        v = {k: small(x) for k, x in entries(vec) if x}
         for p in [p for p in v if p in self.rows]:
             c = v[p]
             for k, x in self.rows[p].items():
@@ -189,8 +204,10 @@ class EchelonBasis:
         if not rem:
             return rem
         pivot = min(rem)
-        inv = 1 / frac(rem[pivot])
-        new = {k: x * inv for k, x in rem.items()}
+        lead = rem[pivot]
+        # most pivots of integral data are +-1, each its own inverse
+        inv = lead if lead == 1 or lead == -1 else small(1 / frac(lead))
+        new = {k: small(x * inv) for k, x in rem.items()}
         for row in self.rows.values():
             c = row.get(pivot)
             if c:
@@ -209,7 +226,7 @@ class EchelonBasis:
     def coordinates(self, vec):
         """Coefficients {pivot: c} of vec in the rows; raises ValueError when
         vec is off the span."""
-        coords = {p: x for p, x in entries(vec) if x and p in self.rows}
+        coords = {p: small(x) for p, x in entries(vec) if x and p in self.rows}
         if self.reduce(vec):
             raise ValueError("vector is not in the span")
         return coords
@@ -317,7 +334,7 @@ def _null_space(rows, ncols):
     vecs = []
     for c in range(ncols):
         if c not in ech.rows:
-            v = {c: Fraction(1)}
+            v = {c: 1}
             for p, row in ech.rows.items():
                 if c in row:
                     v[p] = -row[c]
@@ -454,7 +471,7 @@ class Matrix:
                 m[c], m[p] = m[p], m[c]
                 det = -det
             det *= m[c][c]
-            inv = 1 / m[c][c]
+            inv = 1 / frac(m[c][c])
             for i in range(c + 1, n):
                 f = m[i][c] * inv
                 if f:

@@ -53,7 +53,7 @@ def _highest_weight_tensor(n, lam):
     for j in range(max(lam) if lam else 0):
         height = sum(1 for part in lam if part > j)
         cols.append(height)
-    vec = {(): Fraction(1)}
+    vec = {(): 1}
     for height in cols:
         new = {}
         for perm in permutations(range(height)):
@@ -183,7 +183,7 @@ class WeightModule:
 
 class PairAction:
     """A commuting nilpotent pair (A, B) acting on Q^dim, held as the sparse
-    columns ``{row: Fraction}`` of A and of B.
+    columns ``{row: c}`` of A and of B.
 
     The operator towers the bifiltration needs are built from those columns
     and memoized per (i, j, columns), so no dim-size product is formed.
@@ -228,7 +228,7 @@ class PairAction:
                 prev = self.product_power(0, j - 1, cols)
                 block = tuple(combine(self.sparse2, v) for v in prev)
             else:
-                block = tuple({c: Fraction(1)} for c in cols)
+                block = tuple({c: 1} for c in cols)
             self._towers[key] = block
         return block
 
@@ -243,7 +243,7 @@ class PairAction:
 def _nilpotency_index(columns):
     """Least k with the operator's k-th power zero, found by applying it to
     the basis until every image vanishes."""
-    vecs = [{c: Fraction(1)} for c in range(len(columns))]
+    vecs = [{c: 1} for c in range(len(columns))]
     k = 0
     while vecs:
         if k > len(columns):
@@ -489,5 +489,5 @@ def module_limit_check(pair, h, module, mu):
 
 
 def _limit_of_columns(action, cols):
-    units = [{c: Fraction(1)} for c in cols]
+    units = [{c: 1} for c in cols]
     return grassmannian_limit(action, Subspace(action.dim, units))

@@ -16,7 +16,7 @@ from math import isqrt
 
 from .diagrams import Diagram, ShapeClass, ShapeError, SKEWISH, classify_shape
 from .diagrams import subset_pairs
-from .linalg import EchelonBasis, Matrix, Subspace, entries, frac
+from .linalg import EchelonBasis, Matrix, Subspace, entries, frac, small
 from .linalg import kernel_in, matmul, relations, shifted
 
 
@@ -69,13 +69,15 @@ class SemisimplePair:
 
 class NilPair:
     """A pair of commuting nilpotent n x n matrices with provenance, each
-    member held as its flattened tuple of n^2 Fractions (row-major)."""
+    member held as its flattened tuple of n^2 exact rationals (row-major):
+    an int where the entry is integral, a Fraction otherwise, never a
+    float."""
 
     __slots__ = ("n", "e1", "e2", "provenance")
 
     def __init__(self, e1, e2, provenance="custom", check=True):
-        self.e1 = tuple(frac(x) for x in e1)
-        self.e2 = tuple(frac(x) for x in e2)
+        self.e1 = tuple(small(frac(x)) for x in e1)
+        self.e2 = tuple(small(frac(x)) for x in e2)
         self.n = isqrt(len(self.e1))
         self.provenance = provenance
         if self.n**2 != len(self.e1) or len(self.e2) != len(self.e1):
@@ -192,7 +194,7 @@ def ad_matrix(x):
 
 def ad(x, v, n):
     """[x, v] for flattened n x n matrices x and v, each a sparse row or a
-    dense sequence, as a sparse row {index: Fraction}.
+    dense sequence, as a sparse row {index: exact rational}.
 
     Sparse in both arguments: each nonzero x_ia contributes x_ia V_ab to
     entry (i, b) and -V_ji x_ia to entry (j, a)."""
@@ -223,7 +225,7 @@ def ad_columns(members, n):
     nn = n * n
     cols = []
     for j in range(nn):
-        unit = {j: Fraction(1)}
+        unit = {j: 1}
         col = {}
         for i, x in enumerate(members):
             col.update(shifted(ad(x, unit, n), i * nn))
@@ -261,7 +263,7 @@ def _bigraded_pieces(h, ambient):
             groups.setdefault(key, []).append(i * n + j)
     pieces = {}
     for key, idxs in groups.items():
-        sp = Subspace(n * n, [{idx: Fraction(1)} for idx in idxs])
+        sp = Subspace(n * n, [{idx: 1} for idx in idxs])
         if ambient == "sl" and key == (Fraction(0), Fraction(0)):
             sp = traceless_cut(sp)
         pieces[_int_key(key)] = sp
@@ -332,7 +334,7 @@ def centralizer(pair, ambient="sl", h=None):
     cols = ad_columns((pair.e1, pair.e2), n)
     if ambient == "sl":
         for j in range(0, n * n, n + 1):
-            cols[j][2 * n * n] = Fraction(1)
+            cols[j][2 * n * n] = 1
     return relations(cols)
 
 
@@ -430,7 +432,7 @@ def monomial_basis_check(pair):
 def _power_tower(m, n, top):
     """The powers m^0, ..., m^top of a flattened n x n matrix as sparse
     rows."""
-    tower = [{i * (n + 1): Fraction(1) for i in range(n)}]
+    tower = [{i * (n + 1): 1 for i in range(n)}]
     for _ in range(top):
         tower.append(matmul(tower[-1], m, n))
     return tower

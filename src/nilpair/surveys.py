@@ -430,8 +430,9 @@ def harmonics_checks(d):
     parts = partitions(n)
     skew = ha.is_diagonally_skew(delta, n)
     # the Gram route to the two-sided span holds for a diagonally
-    # alternating delta only; otherwise the row fails on `diagonally_skew`
-    span = ha.wxw_span(delta, n) if skew else None
+    # alternating delta only; otherwise the row fails on `diagonally_skew`.
+    # delta has 2n variables and `skew` is wxw_span's guard, run once here
+    span = ha._gram_span(delta, n) if skew else None
     factor_ok = span is not None and all(
         span.trace(mu, nu) == chi1[mu] * chi2[nu] for mu in parts for nu in parts
     )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilpair import harmonics, surveys
 from nilpair.diagrams import parse, partitions
 from nilpair.harmonics import (
     SpanModule,
@@ -21,6 +22,7 @@ from nilpair.harmonics import (
     is_diagonally_skew,
     pair_alternant,
     perm_of_partition,
+    polarized_power_sum,
     side_character,
     u_side_span,
     vanishing_scan,
@@ -31,6 +33,10 @@ from nilpair.linalg import EchelonBasis, Matrix, frac
 from nilpair.multiplicity import _perm_sign
 from nilpair.pairs import build_pair
 from nilpair.polys import MultivariatePoly
+
+
+# Young shapes of 1 to 5 boxes, as "4,1"-style specs
+SHAPES_TO_5 = [",".join(map(str, lam)) for k in range(1, 6) for lam in partitions(k)]
 
 
 def _compositions(total, parts):
@@ -148,6 +154,42 @@ def test_harmonicity_examples():
     assert not harmonicity(s, 3)
 
 
+def _full_range_harmonicity(p, n):
+    """The reference: annihilation by every polarized power sum p_{a,b}
+    with 1 <= a + b <= deg p."""
+    return not any(
+        p.apply_diff_operator(polarized_power_sum(n, a, total - a))
+        for total in range(1, p.total_degree() + 1)
+        for a in range(total + 1)
+    )
+
+
+@pytest.mark.parametrize("spec", SHAPES_TO_5)
+def test_harmonicity_matches_full_range(spec):
+    # the shape's alternant is harmonic; times u1 it is not; the rows
+    # (k) have degree k(k-1)/2, above n from 4 boxes on
+    d = parse(spec)
+    n = d.n
+    delta = pair_alternant(d)
+    u1 = MultivariatePoly.variable(2 * n, 0)
+    for p, expected in ((delta, True), (delta * u1, False)):
+        assert harmonicity(p, n) == _full_range_harmonicity(p, n) == expected
+
+
+def test_harmonicity_matches_full_range_above_degree_n():
+    # non-harmonic polynomials of degree above n; (u1 - u2)^(n+1) passes
+    # both operators of degree 1 and fails p_{2,0}
+    for n in (2, 3):
+        u1, u2 = MultivariatePoly.variable(2 * n, 0), MultivariatePoly.variable(2 * n, 1)
+        for p in (u1 ** (n + 1), (u1 - u2) ** (n + 1)):
+            assert p.total_degree() > n
+            assert harmonicity(p, n) == _full_range_harmonicity(p, n) is False
+    delta = pair_alternant(parse("2,1"))
+    p = delta * delta
+    assert p.total_degree() > 3
+    assert harmonicity(p, 3) == _full_range_harmonicity(p, 3) is False
+
+
 def test_classical_vandermonde_harmonic():
     assert harmonicity(pair_alternant(parse("3")), 3)
 
@@ -202,10 +244,6 @@ def test_u_side_span_of_row_products():
     assert span.dim == 2
 
 
-# Young shapes of 1 to 5 boxes, as "4,1"-style specs
-SHAPES_TO_5 = [",".join(map(str, lam)) for k in range(1, 6) for lam in partitions(k)]
-
-
 def _closure_wxw_span(p, n):
     """The reference two-sided span: p closed under the adjacent
     transpositions of the u's and of the v's, one translate at a time."""
@@ -256,6 +294,23 @@ def test_wxw_span_needs_diagonal_alternation():
         wxw_span(MultivariatePoly.variable(4, 0), 2)
     with pytest.raises(ValueError):
         wxw_span(pair_alternant(parse("2,1")), 2)
+
+
+def test_harmonics_checks_runs_the_skew_check_once(monkeypatch):
+    # the row's `diagonally_skew` field is wxw_span's guard; the row reads
+    # the span without running that guard a second time
+    real = harmonics.is_diagonally_skew
+    calls = []
+
+    def counted(p, n):
+        calls.append(n)
+        return real(p, n)
+
+    monkeypatch.setattr(harmonics, "is_diagonally_skew", counted)
+    for spec in ("2,1", "3,1"):
+        calls.clear()
+        row = surveys.harmonics_checks(parse(spec))
+        assert row["ok"] and calls == [parse(spec).n]
 
 
 def _summed_vandermonde(d):

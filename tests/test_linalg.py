@@ -16,6 +16,7 @@ from nilpair.linalg import (
     matmul,
     relations,
     rref,
+    small,
     solve_affine,
 )
 
@@ -454,3 +455,136 @@ def test_echelon_basis_add_returns_remainder():
     assert ech.add({0: Fraction(1), 2: Fraction(3)}) == {1: -1, 2: 3}
     # fully reduced: the first row lost its entry at the new pivot 1
     assert ech.rows == {0: {0: 1, 2: 3}, 1: {1: 1, 2: -3}}
+
+
+# Integral entries are ints in EchelonBasis and its callers; the all-Fraction
+# elimination below is the reference they are checked against.  Each family
+# is given three ways: all Fractions, int-normalised (`small`), and dense
+# tuples whose integral entries are ints or Fractions at random.
+
+
+class _FractionEchelon:
+    """The all-Fraction EchelonBasis: the same elimination with every entry
+    a Fraction and nothing normalised."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def add(self, vec):
+        rem = {k: Fraction(x) for k, x in vec.items() if x}
+        for p in [p for p in rem if p in self.rows]:
+            c = rem[p]
+            for k, x in self.rows[p].items():
+                nv = rem.get(k, Fraction(0)) - c * x
+                if nv:
+                    rem[k] = nv
+                else:
+                    del rem[k]
+        if not rem:
+            return rem
+        pivot = min(rem)
+        inv = 1 / rem[pivot]
+        new = {k: x * inv for k, x in rem.items()}
+        for row in self.rows.values():
+            c = row.get(pivot)
+            if c:
+                for k, x in new.items():
+                    nv = row.get(k, Fraction(0)) - c * x
+                    if nv:
+                        row[k] = nv
+                    else:
+                        del row[k]
+        self.rows[pivot] = new
+        return rem
+
+
+def _exact(rows):
+    """Every entry of the sparse rows is an int or a Fraction: never a
+    float, never a bool."""
+    return all(type(x) in (int, Fraction) for row in rows for x in row.values())
+
+
+@st.composite
+def mixed_families(draw, max_dim=6, max_count=6):
+    """Two families of sparse vectors of one length (mostly integral,
+    some with denominators) and a coefficient list, in the three forms."""
+    dim = draw(st.integers(1, max_dim))
+    entry = st.one_of(
+        st.just(Fraction(0)), st.integers(-3, 3).map(Fraction), small_fracs
+    )
+    vec = st.lists(entry, min_size=dim, max_size=dim)
+    fams = [draw(st.lists(vec, max_size=max_count)) for _ in range(2)]
+    coeffs = draw(st.lists(entry, min_size=max_count, max_size=max_count))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def mixed(x):
+        return x.numerator if x.denominator == 1 and rng.random() < 0.5 else x
+
+    forms = {
+        "fraction": lambda v: {k: Fraction(x) for k, x in enumerate(v) if x},
+        "int": lambda v: {k: small(x) for k, x in enumerate(v) if x},
+        "mixed": lambda v: tuple(mixed(x) for x in v),
+    }
+    return dim, fams, coeffs, forms
+
+
+@given(mixed_families())
+@settings(max_examples=120, deadline=None)
+def test_int_entries_match_the_fraction_reference(case):
+    dim, (fam_a, fam_b), coeffs, forms = case
+    ref = _FractionEchelon()
+    ref_rems = [ref.add(dict(enumerate(v))) for v in fam_a]
+    ref_rows = [ref.rows[p] for p in sorted(ref.rows)]
+    assert [_dense(r, dim) for r in ref_rows] == _dense_rref(fam_a)[0]
+    # a combination of the family lies in its span; a vector that raised
+    # the dimension when added last does not
+    inside = [
+        sum((c * v[k] for c, v in zip(coeffs, fam_a)), Fraction(0)) for k in range(dim)
+    ]
+    outside = next(
+        (v for v in fam_b if len(_dense_rref(fam_a + [v])[0]) > len(ref_rows)), None
+    )
+    results = {}
+    for name, form in forms.items():
+        a = [form(v) for v in fam_a]
+        b = [form(v) for v in fam_b]
+        ech = EchelonBasis()
+        assert [ech.add(v) for v in a] == ref_rems, name
+        assert ech.rows == ref.rows and _exact(ech.rows.values()), name
+        sa, sb = Subspace(dim, a), Subspace(dim, b)
+        assert list(sa.basis) == ref_rows and list(sa.pivots) == sorted(ref.rows)
+        coords = sa.coordinates(form(inside))
+        rebuilt = [Fraction(0)] * dim
+        for p, c in coords.items():
+            for k, x in ref.rows[p].items():
+                rebuilt[k] += c * x
+        assert rebuilt == inside, name
+        if outside is not None:
+            with pytest.raises(ValueError):
+                sa.coordinates(form(outside))
+        images = [b[i % len(b)] if b else form([0] * dim) for i in range(sa.dim)]
+        rhs = [small(c) if i % 2 else c for i, c in enumerate(coeffs[: len(a)])]
+        out = {
+            "span": sa,
+            "coordinates": coords,
+            "intersect": sa.intersect(sb),
+            "relations": relations(a),
+            "kernel_in": kernel_in(sa, images),
+            "solve_affine": solve_affine(a, rhs) if a else None,
+        }
+        spaces = [out[k] for k in ("span", "intersect", "relations", "kernel_in")]
+        assert all(_exact(s.basis) for s in spaces), name
+        assert _exact([out["coordinates"]]), name
+        sol = out["solve_affine"]
+        if sol is not None:
+            assert _exact([sol if isinstance(sol, dict) else dict(enumerate(sol))])
+        results[name] = out
+    base = results["fraction"]
+    for name, out in results.items():
+        for key, value in out.items():
+            if key == "solve_affine" and isinstance(value, tuple):
+                value = {k: x for k, x in enumerate(value) if x}
+            assert value == base[key], (name, key)
+            if key in ("span", "intersect", "relations", "kernel_in"):
+                assert hash(value) == hash(base[key]), (name, key)
+                assert value.pivots == base[key].pivots, (name, key)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilpair.cohomology import slice_basis, slice_samples
 from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
-from nilpair.linalg import EchelonBasis, Matrix, Subspace, bracket, relations
+from nilpair.linalg import EchelonBasis, Matrix, Subspace, bracket, entries, relations
 from nilpair.modules import PairAction, grassmannian_limit, limit_space
 from nilpair.pairs import (
     HypothesisError,
@@ -21,6 +22,7 @@ from nilpair.pairs import (
     centralizer_bigraded,
     classify_pair,
     direct_sum,
+    graded_kernels,
     is_nilpotent_family,
     monomial_basis_check,
     parabolic_checks,
@@ -631,3 +633,37 @@ def test_sparse_ad_matches_bracket(case):
     x_sparse = {k: y for k, y in enumerate(x.flatten()) if y}
     assert ad(x_sparse, v, n) == got
     assert ad(x_sparse, {k: y for k, y in enumerate(v) if y}, n) == got
+
+
+def _exact_rows(space):
+    """Every entry of the space's rows is an int or a Fraction: never a
+    float, never a bool."""
+    return all(type(x) in (int, Fraction) for row in space.basis for x in row.values())
+
+
+def test_pair_spaces_hold_exact_rationals():
+    # integral entries travel as ints through the pair path; whatever they
+    # meet, each stored entry stays an exact rational
+    walked = 0
+    for n in range(1, 6):
+        shapes = [ShapeClass.YOUNG] + ([ShapeClass.SKEW] if n > 1 else [])
+        for d in (d for shape in shapes for d in enumerate_diagrams(n, shape)):
+            pair, h = build_pair(d)
+            assert all(type(x) is int for x in pair.e1 + pair.e2)
+            spaces = []
+            for ambient in ("sl", "gl"):
+                for kernels in graded_kernels(pair, h, ambient):
+                    spaces.extend(kernels.values())
+                spaces.append(centralizer(pair, ambient, h=h))
+                # the ungraded route: the relations among the ad columns
+                spaces.append(centralizer(NilPair(pair.e1, pair.e2), ambient))
+            for quadrant in ("se", "nw"):
+                sb = slice_basis(pair, h, quadrant)
+                for _, x1, x2, _, zx in slice_samples(pair, h, sb):
+                    assert all(type(x) in (int, Fraction) for _, x in entries(x1))
+                    assert all(type(x) in (int, Fraction) for _, x in entries(x2))
+                    if zx is not None:
+                        spaces.append(zx)
+            assert all(_exact_rows(sp) for sp in spaces), d.serialize()
+            walked += len(spaces)
+    assert walked > 1000

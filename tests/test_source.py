@@ -104,3 +104,30 @@ def test_harmonics_grows_no_two_sided_closure():
     text = (Path(nilpair.__file__).parent / "harmonics.py").read_text()
     assert "def wxw_span" in text and "def u_side_span" in text
     assert 'side="both"' not in text and "side='both'" not in text
+
+
+def _exact_operand(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("frac", "Fraction")
+    )
+
+
+def test_every_division_has_a_fraction_operand():
+    # integral values travel as ints, and int / int is a float; a true
+    # division stays exact only with a frac(...) or Fraction(...) operand
+    divisions, found = 0, []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                operands = (node.left, node.right)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+                operands = (node.value,)
+            else:
+                continue
+            divisions += 1
+            if not any(_exact_operand(op) for op in operands):
+                found.append(f"{path.name}:{node.lineno}")
+    assert divisions >= 4
+    assert found == []
