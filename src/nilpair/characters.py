@@ -10,8 +10,10 @@ from math import factorial
 from .diagrams import ShapeClass, classify_shape, column_lengths, partitions, row_lengths
 
 
+@lru_cache(maxsize=None)
 def class_size(mu):
-    """Size of the conjugacy class with cycle type mu."""
+    """Size of the conjugacy class with cycle type mu (a tuple), cached:
+    every inner product over S_n reads all of them."""
     n = sum(mu)
     z = 1
     counts = {}

@@ -28,7 +28,7 @@ from .pairs import (
     ad_image,
     bigraded_pieces,
     centralizer_bigraded,
-    graded_kernels,
+    member_kernels,
     provenance_grading,
 )
 from .polys import BivariatePoly, one_minus, prod_poly
@@ -49,11 +49,9 @@ def tower_steps(pair, h, member, ambient="sl"):
 
 @lru_cache(maxsize=64)
 def _tower_steps(e1, e2, h, member, ambient):
-    k1, k2, _ = graded_kernels(NilPair(e1, e2, check=False), h, ambient)
-    if member == 1:
-        blocks, x, (a, b) = k1, e2, (1, 0)
-    else:
-        blocks, x, (a, b) = k2, e1, (0, 1)
+    pair = NilPair(e1, e2, check=False)
+    blocks = member_kernels(pair, h, member, ambient)
+    x, (a, b) = (e2, (1, 0)) if member == 1 else (e1, (0, 1))
     zero = Subspace.zero(len(e1))
     steps = {}
     for (p, q) in blocks:
@@ -423,8 +421,7 @@ def slice_samples(pair, h, sb):
     from the rank of their images.
     """
     n = pair.n
-    k1, k2, _ = graded_kernels(pair, h, "gl")
-    blocks = k1 if sb.quadrant == "se" else k2
+    blocks = member_kernels(pair, h, 1 if sb.quadrant == "se" else 2, "gl")
     z_fixed = Subspace(n * n, [v for sp in blocks.values() for v in sp.basis])
     fixed, start = (pair.e1, pair.e2) if sb.quadrant == "se" else (pair.e2, pair.e1)
     start = {k: x for k, x in enumerate(start) if x}

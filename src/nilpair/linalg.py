@@ -503,20 +503,38 @@ def bracket(a, b):
     return a * b - b * a
 
 
-def jordan_type(m):
-    """Jordan block sizes of a nilpotent matrix, largest first."""
-    if not m.is_nilpotent():
+def matrix_rank(vec, n):
+    """The rank of a flattened n x n matrix, a sparse row or a dense
+    sequence: one EchelonBasis over its nonzero rows."""
+    rows = {}
+    for k, x in entries(vec):
+        if x:
+            i, j = divmod(k, n)
+            rows.setdefault(i, {})[j] = x
+    ech = EchelonBasis()
+    for row in rows.values():
+        ech.add(row)
+    return ech.dim
+
+
+def jordan_type(m, n):
+    """Jordan block sizes of a nilpotent flattened n x n matrix, a sparse
+    row or a dense sequence, largest first.  m has rank m^(k-1) - rank m^k
+    blocks of size at least k; the ranks are those of its sparse powers.
+    Raises ValueError if m is not nilpotent."""
+    m = {k: x for k, x in entries(m) if x}
+    ranks = [n]  # rank m^k for k = 0, 1, ... while m^k is nonzero
+    power = m
+    for _ in range(n):
+        if not power:
+            break
+        ranks.append(matrix_rank(power, n))
+        power = matmul(power, m, n)
+    if power:
         raise ValueError("matrix is not nilpotent")
-    n = m.rows
-    kdims = [0]
-    power = Matrix.identity(n)
-    while kdims[-1] < n:
-        power = power * m
-        kdims.append(n - power.rank())
-    counts = [kdims[k] - kdims[k - 1] for k in range(1, len(kdims))]
+    ranks.append(0)
+    at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))] + [0]
     parts = []
-    for size in range(len(counts), 0, -1):
-        at_least = counts[size - 1]
-        above = counts[size] if size < len(counts) else 0
-        parts.extend([size] * (at_least - above))
-    return tuple(sorted(parts, reverse=True))
+    for size in range(len(at_least) - 1, 0, -1):
+        parts.extend([size] * (at_least[size - 1] - at_least[size]))
+    return tuple(parts)

@@ -135,12 +135,17 @@ def _check_grading(pair, h):
     nonzero entry of e1 has bidegree (1, 0) and each one of e2 (0, 1)."""
     if h.n != pair.n:
         raise GradingError("the semisimple pair has the wrong size")
-    for m, degree in ((pair.e1, (1, 0)), (pair.e2, (0, 1))):
-        for k, x in enumerate(m):
-            if x and h.bidegree(*divmod(k, pair.n)) != degree:
-                raise GradingError(
-                    "the semisimple pair does not grade the nilpotent pair"
-                )
+    if not (
+        _homogeneous(pair.e1, (1, 0), h, pair.n)
+        and _homogeneous(pair.e2, (0, 1), h, pair.n)
+    ):
+        raise GradingError("the semisimple pair does not grade the nilpotent pair")
+
+
+def _homogeneous(m, degree, h, n):
+    """Whether every nonzero entry of the flattened n x n matrix m has the
+    given bidegree under h."""
+    return all(not x or h.bidegree(*divmod(k, n)) == degree for k, x in enumerate(m))
 
 
 def direct_sum(pairs_and_gradings):
@@ -290,34 +295,64 @@ def ad_map_between(x, source, target):
         raise StabilityError("bracket image leaves the target piece") from None
 
 
-def graded_kernels(pair, h, ambient="sl"):
-    """Bigraded kernels of the two bracket actions: three dicts
-    {(p, q): Subspace} holding K1 = ker [e1, .], K2 = ker [e2, .] and their
-    joint kernel K12 on each piece g_{p,q}, nonzero kernels only."""
-    return _graded_kernels(pair.e1, pair.e2, h, ambient)
+def member_kernels(pair, h, member, ambient="sl"):
+    """The kernel of [e_member, .] on each bigraded piece g_{p,q}:
+    {(p, q): Subspace}, nonzero kernels only.  It depends on that member
+    alone, so K1 is cached per (e1, h, ambient) and K2 per (e2, h,
+    ambient), shared between callers, who must not mutate them."""
+    if member == 1:
+        return _member_kernels(pair.e1, (1, 0), h, ambient)
+    return _member_kernels(pair.e2, (0, 1), h, ambient)
 
 
 @lru_cache(maxsize=64)
-def _graded_kernels(e1, e2, h, ambient):
+def _member_kernels(x, step, h, ambient):
     pieces = bigraded_pieces(h, ambient)
-    nn = len(e1)
-    zero = Subspace.zero(nn)
-    k1, k2, k12 = {}, {}, {}
+    zero = Subspace.zero(len(x))
+    out = {}
     for (p, q), piece in pieces.items():
-        im1 = ad_map_between(e1, piece, pieces.get((p + 1, q), zero))
-        im2 = ad_map_between(e2, piece, pieces.get((p, q + 1), zero))
-        # both images side by side, the second keyed nn + pivot
-        both = [{**a, **shifted(b, nn)} for a, b in zip(im1, im2)]
-        for out, images in ((k1, im1), (k2, im2), (k12, both)):
-            kern = kernel_in(piece, images)
-            if kern.dim:
-                out[(p, q)] = kern
-    return k1, k2, k12
+        target = pieces.get((p + step[0], q + step[1]), zero)
+        kern = kernel_in(piece, ad_map_between(x, piece, target))
+        if kern.dim:
+            out[(p, q)] = kern
+    return out
 
 
 def centralizer_bigraded(pair, h, ambient="sl"):
-    """Bigraded joint centralizer: {(p, q): Subspace}, computed blockwise."""
-    return graded_kernels(pair, h, ambient)[2]
+    """Bigraded joint centralizer K12: {(p, q): Subspace}, nonzero blocks
+    only.  Each block is the kernel of [e2, .] on the K1 block, which is
+    smaller than the piece, so K2 is never built for it.  Raises
+    StabilityError when h does not grade the pair."""
+    return _joint_kernels(pair.e1, pair.e2, h, ambient)
+
+
+@lru_cache(maxsize=64)
+def _joint_kernels(e1, e2, h, ambient):
+    # e2 is bracketed on the K1 blocks only, so its images cannot show that
+    # it leaves the bigrading; its entries' bidegrees (and e1's) are checked
+    n = h.n
+    if not (_homogeneous(e1, (1, 0), h, n) and _homogeneous(e2, (0, 1), h, n)):
+        raise StabilityError("the pair is not homogeneous for this bigrading")
+    pieces = bigraded_pieces(h, ambient)
+    zero = Subspace.zero(n * n)
+    out = {}
+    for (p, q), block in _member_kernels(e1, (1, 0), h, ambient).items():
+        target = pieces.get((p, q + 1), zero)
+        kern = kernel_in(block, ad_map_between(e2, block, target))
+        if kern.dim:
+            out[(p, q)] = kern
+    return out
+
+
+def graded_kernels(pair, h, ambient="sl"):
+    """K1 = ker [e1, .], K2 = ker [e2, .] and their joint kernel K12 on each
+    bigraded piece, as three dicts {(p, q): Subspace}, nonzero kernels
+    only: member_kernels for the first two, centralizer_bigraded for K12."""
+    return (
+        member_kernels(pair, h, 1, ambient),
+        member_kernels(pair, h, 2, ambient),
+        centralizer_bigraded(pair, h, ambient),
+    )
 
 
 def centralizer(pair, ambient="sl", h=None):
@@ -423,13 +458,13 @@ def monomial_basis_check(pair):
         raise ShapeError("monomial basis check needs a Young-diagram pair")
     n = pair.n
     top = max(max(b) for b in d.boxes)
-    t1, t2 = _power_tower(pair.e1, n, top), _power_tower(pair.e2, n, top)
+    t1, t2 = power_tower(pair.e1, n, top), power_tower(pair.e2, n, top)
     vecs = [matmul(t1[p], t2[q], n) for p, q in d.boxes if (p, q) != (0, 0)]
     span = Subspace(n * n, vecs)
     return span == centralizer(pair, ambient="sl")
 
 
-def _power_tower(m, n, top):
+def power_tower(m, n, top):
     """The powers m^0, ..., m^top of a flattened n x n matrix as sparse
     rows."""
     tower = [{i * (n + 1): 1 for i in range(n)}]
@@ -464,7 +499,7 @@ def weak_lefschetz_report(pair, h=None):
     if h is None:
         h = provenance_grading(pair)
     pieces = bigraded_pieces(h, ambient="sl")
-    k1, k2, _ = graded_kernels(pair, h, "sl")
+    k1, k2 = (member_kernels(pair, h, member, "sl") for member in (1, 2))
     zero = Subspace.zero(pair.n**2)
     records = []
     for key in sorted(pieces, key=lambda k: (k[1], k[0])):

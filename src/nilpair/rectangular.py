@@ -6,12 +6,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagrams import SKEWISH, classify_shape
-from .linalg import Matrix, Subspace, bracket, jordan_type
-from .linalg import relations, solve_affine, transpose
-from .pairs import ad_columns, is_nilpotent_family
+from .linalg import Subspace, add_multiple, entries, frac, jordan_type, matmul
+from .linalg import matrix_rank, relations, solve_affine, transpose
+from .pairs import ad, ad_columns, is_nilpotent_family, power_tower
 
 
 class FormError(ValueError):
@@ -156,26 +155,34 @@ def summand_count(spec):
     Equal to sum(decompose_adjoint(spec).values()), with the same
     FormError."""
     _check_form(spec)
-    labels = [(n - 1, m - 1) for n, m in spec.summands]
+    return _closed_form_count(spec.algebra, spec.summands)
 
-    def sym(a):
-        return a // 2 + 1
 
-    def alt(a):
-        return (a - 1) // 2 + 1 if a else 0
-
-    def cross(i, j):
-        (a1, b1), (a2, b2) = labels[i], labels[j]
-        return (min(a1, a2) + 1) * (min(b1, b2) + 1)
-
-    k = len(labels)
-    if spec.algebra == "sl":
-        return sum(cross(i, j) for i in range(k) for j in range(k)) - 1
-    if spec.algebra == "sp":
-        own = sum(sym(a) * sym(b) + alt(a) * alt(b) for a, b in labels)
+def _closed_form_count(algebra, summands):
+    labels = [(n - 1, m - 1) for n, m in summands]
+    cross = sum(
+        (min(a1, a2) + 1) * (min(b1, b2) + 1)
+        for i, (a1, b1) in enumerate(labels)
+        for a2, b2 in labels[i + 1 :]
+    )
+    if algebra == "sl":
+        # V (x) V: R(a) (x) R(a) has a + 1 summands, each cross term twice
+        return sum((a + 1) * (b + 1) for a, b in labels) + 2 * cross - 1
+    if algebra == "sp":
+        own = sum(_sym(a) * _sym(b) + _alt(a) * _alt(b) for a, b in labels)
     else:
-        own = sum(sym(a) * alt(b) + alt(a) * sym(b) for a, b in labels)
-    return own + sum(cross(i, j) for i in range(k) for j in range(i + 1, k))
+        own = sum(_sym(a) * _alt(b) + _alt(a) * _sym(b) for a, b in labels)
+    return own + cross
+
+
+def _sym(a):
+    """Summands of Sym^2 R(a)."""
+    return a // 2 + 1
+
+
+def _alt(a):
+    """Summands of Alt^2 R(a)."""
+    return (a - 1) // 2 + 1 if a else 0
 
 
 def is_regular_embedding(spec):
@@ -257,13 +264,18 @@ def survey_embeddings(algebra, dim_bound, max_summands=3):
     agree = True
     for count in range(1, max_summands + 1):
         for J in _multisets(singles, count, dim_bound):
+            dim = sum(n * m for n, m in J)
+            if dim < 2 or (algebra == "sp" and dim % 2):
+                continue
             spec = EmbeddingSpec(algebra, J)
-            if spec.algebra == "sp" and spec.dim_v % 2:
-                continue
-            if spec.dim_v < 2:
-                continue
-            accepted, exps = is_regular_embedding(spec)
-            expected = classification_list_predicate(spec) and _form_possible(spec)
+            # the form test and the closed-form count once per multiset;
+            # decomposed only where the count equals the rank
+            form_ok = _form_possible(spec)
+            if form_ok and _closed_form_count(algebra, J) == spec.rank():
+                accepted, exps = is_regular_embedding(spec)
+            else:
+                accepted, exps = False, None
+            expected = form_ok and classification_list_predicate(spec)
             agree = agree and accepted == expected
             rows.append(
                 {
@@ -282,70 +294,81 @@ def survey_embeddings(algebra, dim_bound, max_summands=3):
 
 
 def orthogonal_form_antidiagonal(n):
-    """Gram matrix of sum x_i x_{n+1-i} (1-indexed)."""
-    return Matrix([[1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)])
+    """Gram matrix of sum x_i x_{n+1-i} (1-indexed), flattened as a sparse
+    row."""
+    return {i * n + n - 1 - i: 1 for i in range(n)}
 
 
-def is_form_skew_adjoint(x, gram):
-    return (gram * x + x.transpose() * gram).is_zero()
+def _transposed(x, n):
+    """The transpose of a flattened n x n matrix, as a sparse row."""
+    return {k % n * n + k // n: y for k, y in entries(x) if y}
 
 
-def orthogonal_columns(members, gram):
+def is_form_skew_adjoint(x, gram, n):
+    """Whether G X + X^T G = 0 for flattened n x n matrices X and G, each a
+    sparse row or a dense sequence."""
+    out = matmul(gram, x, n)
+    add_multiple(out, 1, matmul(_transposed(x, n), gram, n))
+    return not out
+
+
+def orthogonal_columns(members, gram, n):
     """The columns, on flattened X, of the brackets [x, X] for x in members
     (`pairs.ad_columns`) followed by G X + X^T G, keyed after them: the
-    equations of the members' joint centralizer in the form's algebra."""
-    n = gram.rows
-    cols = ad_columns([m.flatten() for m in members], n)
+    equations of the members' joint centralizer in the form's algebra.
+    Members and the Gram matrix are flattened n x n matrices, sparse rows
+    or dense sequences."""
+    cols = ad_columns(members, n)
     off = len(members) * n * n
+    gram = dict(entries(gram))
     for j, col in enumerate(cols):
         a, b = divmod(j, n)
         for i in range(n):
             # G E_ab + E_ba G: G_ia at (i, b) and G_ai at (b, i)
-            for k, y in ((i * n + b, gram.data[i][a]), (b * n + i, gram.data[a][i])):
+            for k, y in (
+                (i * n + b, gram.get(i * n + a)),
+                (b * n + i, gram.get(a * n + i)),
+            ):
                 if y:
                     col[off + k] = col.get(off + k, 0) + y
     return cols
 
 
-def orthogonal_centralizer(members, gram):
+def orthogonal_centralizer(members, gram, n):
     """Joint centralizer of the members inside the form's algebra."""
-    return relations(orthogonal_columns(members, gram))
+    return relations(orthogonal_columns(members, gram, n))
 
 
 def even_orthogonal_pair(n):
     """The explicit pair in the even orthogonal algebra of dimension 4n + 2
     whose members have block sizes (2n+1, 2n+1) and (2, ..., 2, 1, 1).
 
-    Returns the pair matrices, the Gram matrix, the columns of the joint
-    centralizer's equations (`orthogonal_columns`), that centralizer inside
-    the orthogonal algebra, and the stated spanning set.
+    Returns the pair members and the Gram matrix as flattened sparse rows,
+    the columns of the joint centralizer's equations
+    (`orthogonal_columns`), that centralizer inside the orthogonal algebra,
+    and the stated spanning set.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     N = 4 * n + 2
     gram = orthogonal_form_antidiagonal(N)
-    e1 = [[Fraction(0)] * N for _ in range(N)]
-    e2 = [[Fraction(0)] * N for _ in range(N)]
     # 1-indexed description: e1 v_j = v_{j-1} for j >= 2n+3,
     # e1 v_j = -v_{j-1} for 2 <= j <= 2n+1, zero on v_1 and v_{2n+2};
     # e2 v_j = (-1)^j v_{j-2n-2} for j >= 2n+3.
+    e1 = {}
     for j in range(2, N + 1):
         if j >= 2 * n + 3:
-            e1[j - 2][j - 1] = Fraction(1)
+            e1[(j - 2) * N + j - 1] = 1
         elif j <= 2 * n + 1:
-            e1[j - 2][j - 1] = Fraction(-1)
-    for j in range(2 * n + 3, N + 1):
-        e2[j - 2 * n - 3][j - 1] = Fraction(-1) ** j
-    e1 = Matrix(e1)
-    e2 = Matrix(e2)
-    x = [[Fraction(0)] * N for _ in range(N)]
-    x[2 * n + 1][N - 1] = Fraction(1)  # v_{4n+2} -> v_{2n+2}
-    x[0][2 * n] = Fraction(-1)  # v_{2n+1} -> -v_1
-    x = Matrix(x)
-    basis = [e1**k for k in range(1, 2 * n, 2)]
-    basis += [(e1**k) * e2 for k in range(0, 2 * n - 1, 2)]
+            e1[(j - 2) * N + j - 1] = -1
+    e2 = {(j - 2 * n - 3) * N + j - 1: (-1) ** j for j in range(2 * n + 3, N + 1)}
+    # v_{4n+2} -> v_{2n+2} and v_{2n+1} -> -v_1
+    x = {(2 * n + 1) * N + N - 1: 1, 2 * n: -1}
+    tower = power_tower(e1, N, 2 * n - 1)
+    basis = [tower[k] for k in range(1, 2 * n, 2)]
+    basis += [matmul(tower[k], e2, N) for k in range(0, 2 * n - 1, 2)]
     basis += [x]
-    columns = orthogonal_columns((e1, e2), gram)
+    columns = orthogonal_columns((e1, e2), gram, N)
     return {
         "n": n,
         "dim": N,
@@ -362,17 +385,17 @@ def even_orthogonal_pair_report(n):
     data = even_orthogonal_pair(n)
     e1, e2, gram = data["e1"], data["e2"], data["gram"]
     N = data["dim"]
-    span = Subspace(N * N, [m.flatten() for m in data["stated_basis"]])
+    span = Subspace(N * N, data["stated_basis"])
     cent = data["centralizer"]
     rank = N // 2
     candidate = _associated_grading_candidate(e1, e2, data["columns"])
     report = {
         "n": n,
         "dim": N,
-        "commute": bracket(e1, e2).is_zero(),
-        "skew_adjoint": is_form_skew_adjoint(e1, gram) and is_form_skew_adjoint(e2, gram),
-        "jordan_e1": list(jordan_type(e1)),
-        "jordan_e2": list(jordan_type(e2)),
+        "commute": not ad(e1, e2, N),
+        "skew_adjoint": all(is_form_skew_adjoint(e, gram, N) for e in (e1, e2)),
+        "jordan_e1": list(jordan_type(e1, N)),
+        "jordan_e2": list(jordan_type(e2, N)),
         "centralizer_dim": cent.dim,
         "rank": rank,
         "regular": cent.dim == rank,
@@ -380,19 +403,11 @@ def even_orthogonal_pair_report(n):
         "grading_candidate_found": candidate is not None,
     }
     if candidate is not None:
-        h1, h2 = candidate
-        report["candidate_h1"] = [
-            [i, j, f"{h1.data[i][j].numerator}/{h1.data[i][j].denominator}"]
-            for i in range(N)
-            for j in range(N)
-            if h1.data[i][j]
-        ]
-        report["candidate_h2"] = [
-            [i, j, f"{h2.data[i][j].numerator}/{h2.data[i][j].denominator}"]
-            for i in range(N)
-            for j in range(N)
-            if h2.data[i][j]
-        ]
+        for name, sol in zip(("candidate_h1", "candidate_h2"), candidate):
+            report[name] = [
+                [*divmod(k, N), f"{frac(y).numerator}/{frac(y).denominator}"]
+                for k, y in sorted(sol.items())
+            ]
     report["ok"] = (
         report["commute"]
         and report["skew_adjoint"]
@@ -406,23 +421,24 @@ def even_orthogonal_pair_report(n):
 
 def _associated_grading_candidate(e1, e2, columns):
     """Solve the affine systems [h, e_i] = delta e_i inside the orthogonal
-    algebra; returns one deterministic solution pair or None.
+    algebra; returns one deterministic solution pair, each a flattened
+    sparse row of its nonzero entries, or None.
 
     As [h, e] = -[e, h], the equations are the rows of the members'
-    `orthogonal_columns`, given as `columns`, with right-hand side -e_i on
-    member i's keys."""
-    N = e1.rows
+    `orthogonal_columns`, given as `columns` (one per entry of h), with
+    right-hand side -e_i on member i's keys."""
+    nn = len(columns)
     rows = transpose(columns)
     sols = []
     for i, target in enumerate((e1, e2)):
-        rhs = {i * N * N + k: -x for k, x in enumerate(target.flatten()) if x}
+        rhs = {i * nn + k: -x for k, x in entries(target) if x}
         keys = rows.keys() | rhs.keys()
         sol = solve_affine(
             [rows.get(k, {}) for k in keys], [rhs.get(k, 0) for k in keys]
         )
         if sol is None:
             return None
-        sols.append(Matrix.unflatten(sol, N))
+        sols.append(sol)
     return tuple(sols)
 
 
@@ -455,29 +471,23 @@ def symmetric_diagram_pair(d):
         raise FormError("diagram must be connected")
     n = len(boxes)
     index = {b: i for i, b in enumerate(boxes)}
-    e1 = [[Fraction(0)] * n for _ in range(n)]
-    e2 = [[Fraction(0)] * n for _ in range(n)]
+    e1, e2, gram = {}, {}, {}
     for (p, q), i in index.items():
         if (p + 1, q) in index:
-            e1[index[(p + 1, q)]][i] = Fraction(1)
+            e1[index[(p + 1, q)] * n + i] = 1
         if (p, q + 1) in index:
-            e2[index[(p, q + 1)]][i] = Fraction(1)
-    e1, e2 = Matrix(e1), Matrix(e2)
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for (p, q), i in index.items():
-        j = index[(-p, -q)]
-        gram[i][j] = Fraction(-1) ** (p + q)
-    gram = Matrix(gram)
+            e2[index[(p, q + 1)] * n + i] = 1
+        gram[i * n + index[(-p, -q)]] = -1 if (p + q) % 2 else 1
     shape = classify_shape(d)
     report = {
         "diagram": d.serialize(),
         "shape": shape.value,
-        "form_nondegenerate": gram.rank() == n,
-        "skew_adjoint": is_form_skew_adjoint(e1, gram) and is_form_skew_adjoint(e2, gram),
-        "commute": bracket(e1, e2).is_zero(),
+        "form_nondegenerate": matrix_rank(gram, n) == n,
+        "skew_adjoint": all(is_form_skew_adjoint(e, gram, n) for e in (e1, e2)),
+        "commute": not ad(e1, e2, n),
     }
     if shape in SKEWISH:
-        cent = orthogonal_centralizer((e1, e2), gram)
+        cent = orthogonal_centralizer((e1, e2), gram, n)
         report["orthogonal_centralizer_dim"] = cent.dim
         report["centralizer_nilpotent"] = is_nilpotent_family(cent, n)
         report["distinguished"] = report["centralizer_nilpotent"]

@@ -32,8 +32,8 @@ from .pairs import (
     centralizer,
     centralizer_bigraded,
     classify_pair,
-    graded_kernels,
     is_nilpotent_family,
+    member_kernels,
     monomial_basis_check,
     shift_basis_check,
     weak_lefschetz_report,
@@ -143,7 +143,7 @@ def _ddbar_identity(pair, h):
     """ker(ad e1 ad e2) = ker(ad e1) + ker(ad e2) per non-negative bidegree."""
     n = pair.n
     pieces = bigraded_pieces(h, "sl")
-    k1, k2, _ = graded_kernels(pair, h, "sl")
+    k1, k2 = (member_kernels(pair, h, member, "sl") for member in (1, 2))
     zero = Subspace.zero(n * n)
     for (p, q), piece in pieces.items():
         if p < 0 or q < 0:

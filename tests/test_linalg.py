@@ -297,11 +297,69 @@ def test_solve_affine_picks_particular_solution():
     assert solve_affine([{}], (1,)) is None
 
 
+def _dense_jordan_type(m):
+    """Dense reference: Jordan block sizes of a nilpotent Matrix, largest
+    first, from the ranks of its dense powers."""
+    if not m.is_nilpotent():
+        raise ValueError("matrix is not nilpotent")
+    n = m.rows
+    kdims = [0]
+    power = Matrix.identity(n)
+    while kdims[-1] < n:
+        power = power * m
+        kdims.append(n - power.rank())
+    counts = [kdims[k] - kdims[k - 1] for k in range(1, len(kdims))]
+    parts = []
+    for size in range(len(counts), 0, -1):
+        at_least = counts[size - 1]
+        above = counts[size] if size < len(counts) else 0
+        parts.extend([size] * (at_least - above))
+    return tuple(sorted(parts, reverse=True))
+
+
 def test_jordan_type():
-    j3 = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    assert jordan_type(j3) == (3,)
-    m = Matrix.zero(4)
-    assert jordan_type(m) == (1, 1, 1, 1)
+    j3 = (0, 1, 0, 0, 0, 1, 0, 0, 0)
+    assert jordan_type(j3, 3) == (3,)
+    assert jordan_type({1: 1, 5: 1}, 3) == (3,)
+    assert jordan_type({}, 4) == (1, 1, 1, 1)
+    assert jordan_type({1: 7}, 4) == (2, 1, 1)
+    # 2 x 2 matrices that are not nilpotent, sparse and dense
+    for m in ({0: 1}, (0, 1, 1, 0), {1: 1, 2: 1, 3: -1}):
+        with pytest.raises(ValueError):
+            jordan_type(m, 2)
+
+
+@st.composite
+def _strictly_upper(draw):
+    """A strictly upper-triangular integer matrix of size 1..6, flattened,
+    sparse or dense."""
+    n = draw(st.integers(1, 6))
+    cell = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
+    vec = [draw(cell) if j > i else 0 for i in range(n) for j in range(n)]
+    return n, vec
+
+
+@given(_strictly_upper(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_jordan_type_matches_dense_reference(case, sparse):
+    n, vec = case
+    want = _dense_jordan_type(Matrix.unflatten(vec, n))
+    got = jordan_type({k: x for k, x in enumerate(vec) if x} if sparse else vec, n)
+    assert got == want
+    assert sum(got) == n
+
+
+def test_jordan_type_of_the_even_orthogonal_members():
+    from nilpair.rectangular import even_orthogonal_pair
+
+    for n in (1, 2, 3):
+        data = even_orthogonal_pair(n)
+        N = data["dim"]
+        for name in ("e1", "e2"):
+            got = jordan_type(data[name], N)
+            assert got == _dense_jordan_type(Matrix.unflatten(data[name], N))
+        assert jordan_type(data["e1"], N) == (2 * n + 1, 2 * n + 1)
+        assert jordan_type(data["e2"], N) == (2,) * (2 * n) + (1, 1)
 
 
 def test_bracket_antisymmetry():

@@ -6,7 +6,15 @@ from hypothesis import strategies as st
 
 from nilpair.cohomology import slice_basis, slice_samples
 from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
-from nilpair.linalg import EchelonBasis, Matrix, Subspace, bracket, entries, relations
+from nilpair.linalg import (
+    EchelonBasis,
+    Matrix,
+    Subspace,
+    bracket,
+    entries,
+    matmul,
+    relations,
+)
 from nilpair.modules import PairAction, grassmannian_limit, limit_space
 from nilpair.pairs import (
     HypothesisError,
@@ -442,12 +450,96 @@ def test_ad_map_between_rejects_wrong_target():
 
 @pytest.mark.parametrize("ambient", ["sl", "gl"])
 def test_graded_kernels_reject_a_grading_of_another_pair(ambient):
-    from nilpair.pairs import SemisimplePair, StabilityError, graded_kernels
+    from nilpair.pairs import SemisimplePair, StabilityError, member_kernels
 
     pair, h = build_pair(parse("2,1"))
     swapped = SemisimplePair(h.h2, h.h1)
     with pytest.raises(StabilityError):
         graded_kernels(pair, swapped, ambient)
+    with pytest.raises(StabilityError):
+        centralizer_bigraded(pair, swapped, ambient)
+    # doubling h2 keeps e1 of bidegree (1, 0) but gives e2 (0, 2): K1 is
+    # built, and K12, which brackets e2 on the K1 blocks only, still refuses
+    stretched = SemisimplePair(h.h1, [2 * q for q in h.h2])
+    assert member_kernels(pair, stretched, 1, ambient)
+    with pytest.raises(StabilityError):
+        centralizer_bigraded(pair, stretched, ambient)
+    with pytest.raises(StabilityError):
+        member_kernels(pair, stretched, 2, ambient)
+    # (e1, e1^2) on the row (4) with the row's grading: e1^2 has bidegree
+    # (2, 0) and commutes with every K1 block (the powers of e1), so only
+    # the entrywise bidegree check can refuse it, as the stacked kernel did
+    row, h = build_pair(parse("4"))
+    square = matmul(row.e1, row.e1, row.n)
+    other = NilPair(row.e1, [square.get(k, 0) for k in range(row.n**2)])
+    assert member_kernels(other, h, 1, ambient)
+    with pytest.raises(StabilityError):
+        _stacked_joint_kernels(other, h, ambient)
+    with pytest.raises(StabilityError):
+        centralizer_bigraded(other, h, ambient)
+
+
+def _stacked_joint_kernels(pair, h, ambient):
+    """Reference for K12: on every whole piece, the kernel of the images of
+    e1 and e2 side by side, the second keyed n^2 + pivot."""
+    from nilpair.linalg import kernel_in, shifted
+    from nilpair.pairs import ad_map_between
+
+    pieces = bigraded_pieces(h, ambient)
+    nn = pair.n**2
+    zero = Subspace.zero(nn)
+    out = {}
+    for (p, q), piece in pieces.items():
+        im1 = ad_map_between(pair.e1, piece, pieces.get((p + 1, q), zero))
+        im2 = ad_map_between(pair.e2, piece, pieces.get((p, q + 1), zero))
+        kern = kernel_in(piece, [{**a, **shifted(b, nn)} for a, b in zip(im1, im2)])
+        if kern.dim:
+            out[(p, q)] = kern
+    return out
+
+
+def test_joint_kernels_match_the_stacked_reference():
+    # K12 from the K1 blocks equals the stacked joint kernel on every Young
+    # and skew shape up to 6 boxes, block by block, in both ambients
+    shapes = 0
+    for d in _shapes_up_to(6):
+        pair, h = build_pair(d)
+        for ambient in ("sl", "gl"):
+            got = centralizer_bigraded(pair, h, ambient)
+            assert got == _stacked_joint_kernels(pair, h, ambient), (
+                d.serialize(),
+                ambient,
+            )
+        shapes += 1
+    assert shapes == 67
+
+
+def test_centralizer_readers_build_no_second_member_kernel(monkeypatch):
+    # biexponents, classify_pair and skew_checks read K12 only, which is
+    # built from K1; no K2 block (the kernel of [e2, .]) is built for them
+    from nilpair import pairs
+    from nilpair.surveys import skew_checks
+
+    built = []
+    original = pairs._member_kernels
+
+    def counted(x, step, h, ambient):
+        built.append(step)
+        return original(x, step, h, ambient)
+
+    monkeypatch.setattr(pairs, "_member_kernels", counted)
+    for spec, run in (
+        ("3,2,1", lambda d: biexponents(*build_pair(d))),
+        ("4,2,1", lambda d: classify_pair(*build_pair(d))),
+        ("3,2/1", skew_checks),
+    ):
+        original.cache_clear()
+        pairs._joint_kernels.cache_clear()
+        run(parse(spec))
+    assert built and set(built) == {(1, 0)}
+    # the readers of both members still get K2
+    weak_lefschetz_report(*build_pair(parse("3,2,1")))
+    assert (0, 1) in built
 
 
 def _dense_check_grading(pair, h):

@@ -21,8 +21,10 @@ from nilpair.rectangular import (
     decompose_adjoint,
     even_orthogonal_pair,
     even_orthogonal_pair_report,
+    is_form_skew_adjoint,
     is_regular_embedding,
     orthogonal_centralizer,
+    orthogonal_form_antidiagonal,
     orthogonal_columns,
     summand_count,
     survey_embeddings,
@@ -277,7 +279,7 @@ def test_asymmetric_rejected():
 
 def _dense_skew_adjoint_rows(gram):
     """Dense rows on flattened X of the skew-adjointness constraints
-    (G X + X^T G)_{ij} = 0, i <= j."""
+    (G X + X^T G)_{ij} = 0, i <= j, for a dense Gram Matrix."""
     n = gram.rows
     rows = []
     for i in range(n):
@@ -292,9 +294,16 @@ def _dense_skew_adjoint_rows(gram):
     return rows
 
 
+def _dense(members, gram, n):
+    """The members and the Gram matrix as dense Matrix objects, built from
+    their flattened sparse rows."""
+    return [Matrix.unflatten(x, n) for x in members], Matrix.unflatten(gram, n)
+
+
 def _dense_grading_candidate(e1, e2, gram):
     """Dense reference: the negated ad_matrix rows of both members under the
-    skew-adjointness rows, solved by solve_affine on dense rows."""
+    skew-adjointness rows, solved by solve_affine on dense rows; each
+    solution comes back as a Matrix."""
     N = e1.rows
     form_rows = _dense_skew_adjoint_rows(gram)
     sols = []
@@ -317,36 +326,92 @@ def _dense_orthogonal_centralizer(members, gram):
     return Matrix(rows + _dense_skew_adjoint_rows(gram)).kernel()
 
 
+def _dense_skew_adjoint(x, gram):
+    return (gram * x + x.transpose() * gram).is_zero()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_orthogonal_systems_match_dense_reference(n, monkeypatch):
     # the report builds the members' orthogonal columns once, for both the
     # centralizer and the grading candidate
     built = []
 
-    def counted(members, gram):
+    def counted(members, gram, N):
         built.append(len(members))
-        return orthogonal_columns(members, gram)
+        return orthogonal_columns(members, gram, N)
 
     monkeypatch.setattr(rectangular, "orthogonal_columns", counted)
-    even_orthogonal_pair_report(n)
+    report = even_orthogonal_pair_report(n)
     assert built == [2]
     monkeypatch.undo()
     data = even_orthogonal_pair(n)
-    e1, e2, gram = data["e1"], data["e2"], data["gram"]
-    dense = _dense_orthogonal_centralizer((e1, e2), gram)
+    e1, e2, gram, N = data["e1"], data["e2"], data["gram"], data["dim"]
+    # the sparse members hold exact integers only
+    assert all(type(y) is int for m in (e1, e2, gram) for y in m.values())
+    (d1, d2), dgram = _dense((e1, e2), gram, N)
+    # the dense reference of the antidiagonal form and of the checks that
+    # the report runs on sparse rows
+    assert dgram == Matrix([[int(i + j == N - 1) for j in range(N)] for i in range(N)])
+    assert (d1 * d2 - d2 * d1).is_zero()
+    assert _dense_skew_adjoint(d1, dgram) and _dense_skew_adjoint(d2, dgram)
+    assert is_form_skew_adjoint(e1, gram, N) and is_form_skew_adjoint(e2, gram, N)
+    dense = _dense_orthogonal_centralizer((d1, d2), dgram)
     assert data["centralizer"] == dense
-    assert orthogonal_centralizer((e1, e2), gram) == dense
+    assert orthogonal_centralizer((e1, e2), gram, N) == dense
+    # the stated basis is e1^k (k odd), e1^k e2 (k even) and x
+    powers = [d1**k for k in range(2 * n)]
+    stated = [powers[k] for k in range(1, 2 * n, 2)]
+    stated += [powers[k] * d2 for k in range(0, 2 * n - 1, 2)]
+    got = [Matrix.unflatten(v, N) for v in data["stated_basis"]]
+    assert got[:-1] == stated
     candidate = _associated_grading_candidate(e1, e2, data["columns"])
     assert candidate is not None
-    assert candidate == _dense_grading_candidate(e1, e2, gram)
+    dense_candidate = _dense_grading_candidate(d1, d2, dgram)
+    assert tuple(Matrix.unflatten(h, N) for h in candidate) == dense_candidate
+    # the report's strings list the nonzero entries in row-major order
+    for name, h in zip(("candidate_h1", "candidate_h2"), dense_candidate):
+        assert report[name] == [
+            [i, j, f"{x.numerator}/{x.denominator}"]
+            for i in range(N)
+            for j in range(N)
+            if (x := h.data[i][j])
+        ]
+
+
+def test_skew_adjointness_matches_dense_reference():
+    # G X + X^T G on sparse rows against the dense products, for the
+    # antidiagonal form J and random integer members; half of them are made
+    # skew-adjoint as Y - J Y^T J
+    import random
+
+    rng = random.Random(5)
+    verdicts = set()
+    for n in range(1, 6):
+        gram = orthogonal_form_antidiagonal(n)
+        for trial in range(20):
+            y = {k: rng.choice((0, 0, 1, -1, 2)) for k in range(n * n)}
+            if trial % 2:
+                # (J Y^T J)_ij = Y_{n-1-j, n-1-i}
+                y = {
+                    i * n + j: y[i * n + j] - y[(n - 1 - j) * n + n - 1 - i]
+                    for i in range(n)
+                    for j in range(n)
+                }
+            x = {k: v for k, v in y.items() if v}
+            (dx,), dgram = _dense((x,), gram, n)
+            want = _dense_skew_adjoint(dx, dgram)
+            assert is_form_skew_adjoint(x, gram, n) == want, (n, x)
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_symmetric_diagram_centralizer_matches_dense_reference(monkeypatch):
     seen = []
 
-    def checked(members, gram):
-        got = orthogonal_centralizer(members, gram)
-        assert got == _dense_orthogonal_centralizer(members, gram)
+    def checked(members, gram, n):
+        got = orthogonal_centralizer(members, gram, n)
+        dense_members, dense_gram = _dense(members, gram, n)
+        assert got == _dense_orthogonal_centralizer(dense_members, dense_gram)
         seen.append(got.dim)
         return got
 

@@ -86,12 +86,18 @@ def test_trace_key_functions_hash_a_pair():
 
 
 def test_pair_path_modules_do_not_name_matrix():
-    # pair members, slice points and their brackets are flattened vectors;
-    # the dense Matrix stays in linalg, rectangular, harmonics, the ad_matrix
-    # reference in pairs and the tests
+    # pair members, slice points, the explicit orthogonal pairs and their
+    # brackets are flattened vectors; the dense Matrix stays in linalg,
+    # harmonics (determinants), the ad_matrix reference in pairs and the tests
     found = [
         name
-        for name in ("cohomology.py", "modules.py", "surveys.py", "cli.py")
+        for name in (
+            "cohomology.py",
+            "modules.py",
+            "surveys.py",
+            "cli.py",
+            "rectangular.py",
+        )
         if "Matrix" in (Path(nilpair.__file__).parent / name).read_text()
     ]
     assert found == []
