@@ -20,8 +20,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .diagrams import Diagram, ShapeClass, classify_shape
-from .linalg import EchelonBasis, Subspace, add_multiple, complement, lift
-from .linalg import relations, shifted
+from .linalg import Subspace, add_multiple, complement, kernel_in, row_echelon
+from .linalg import shifted
 from .pairs import (
     NilPair,
     ad,
@@ -76,6 +76,10 @@ def h1_table(pair, h=None):
 
 @lru_cache(maxsize=64)
 def _h1_table(e1, e2, h):
+    # dim H^1 = dim cocycles - dim coboundaries, each from one rank: the
+    # cocycles are the kernel of (u, v) |-> [e2,u] - [e1,v] on mid1 (+) mid2,
+    # and the coboundaries the image of s |-> ([e1,s], [e2,s]) on src, in
+    # the doubled space keyed k and nn + k
     n = h.n
     nn = n * n
     pieces = bigraded_pieces(h, "sl")
@@ -90,19 +94,18 @@ def _h1_table(e1, e2, h):
         if mid1.dim + mid2.dim == 0:
             continue
         src = pieces.get((p - 1, q - 1), zero)
-        # cocycles: [e2,u] = [e1,v] inside g_{p,q}; the doubled space keys
-        # the second summand nn + k
-        cols = [ad(e2, u, n) for u in mid1.basis]
-        cols += [{k: -x for k, x in ad(e1, v, n).items()} for v in mid2.basis]
-        doubled = list(mid1.basis) + [shifted(v, nn) for v in mid2.basis]
-        cocycle_space = lift(relations(cols), doubled, 2 * nn)
-        boundary_space = Subspace(
-            2 * nn,
-            [{**ad(e1, s, n), **shifted(ad(e2, s, n), nn)} for s in src.basis],
-        )
-        if not cocycle_space.contains_subspace(boundary_space):
-            raise ArithmeticError("a coboundary is not a cocycle")
-        dim = cocycle_space.dim - boundary_space.dim
+        # the sign of the second summand's images leaves their rank alone
+        images = [ad(e2, u, n) for u in mid1.basis]
+        images += [ad(e1, v, n) for v in mid2.basis]
+        cocycles = mid1.dim + mid2.dim - len(row_echelon(images))
+        boundaries = []
+        for s in src.basis:
+            u, v = ad(e1, s, n), ad(e2, s, n)
+            cocycle = ad(e2, u, n) == ad(e1, v, n)
+            if not (cocycle and mid1.contains(u) and mid2.contains(v)):
+                raise ArithmeticError("a coboundary is not a cocycle")
+            boundaries.append({**u, **shifted(v, nn)})
+        dim = cocycles - len(row_echelon(boundaries))
         if dim:
             out[(p, q)] = dim
     return out
@@ -422,7 +425,9 @@ def slice_samples(pair, h, sb):
     """
     n = pair.n
     blocks = member_kernels(pair, h, 1 if sb.quadrant == "se" else 2, "gl")
-    z_fixed = Subspace(n * n, [v for sp in blocks.values() for v in sp.basis])
+    # blocks of different bidegrees sit on disjoint keys, so their canonical
+    # rows together are canonical
+    z_fixed = Subspace.canonical(n * n, [v for sp in blocks.values() for v in sp.basis])
     fixed, start = (pair.e1, pair.e2) if sb.quadrant == "se" else (pair.e2, pair.e1)
     start = {k: x for k, x in enumerate(start) if x}
     mats = sb.matrices()
@@ -440,13 +445,10 @@ def slice_samples(pair, h, sb):
                 add_multiple(img, 1, extra)
         x1, x2 = (fixed, moved) if sb.quadrant == "se" else (moved, fixed)
         if len(pick) == 1 or len(pick) == len(mats):
-            zx = lift(relations(images), z_fixed.basis, n * n)
+            zx = kernel_in(z_fixed, images)
             yield pick, x1, x2, zx.dim, zx
         else:
-            rank = EchelonBasis()
-            for img in images:
-                rank.add(img)
-            yield pick, x1, x2, z_fixed.dim - rank.dim, None
+            yield pick, x1, x2, z_fixed.dim - len(row_echelon(images)), None
 
 
 def slice_report(pair, h=None, quadrant="se", reverse=False):
@@ -562,10 +564,13 @@ def _corner_containment_ok(n, zx, frames):
     centralizer: for every rectangle, the leading-corner components of its
     members commute with the pair.
 
-    One echelon basis of Z per row q, in the frame's order: a row whose
+    One row echelon form of Z per row q, in the frame's order: a row whose
     pivot has bidegree (p', q') with q' <= q lies in L_{<=p',q}, and the
     rows with p' <= p span Z cap L_{<=p,q}.  Such a row meets the corner
     (p, q) only if p' = p, so each row is tested on its pivot's corner.
+    Any echelon form will do: two of them differ by triangular changes
+    among rows of one corner and by rows that miss it, which leave the span
+    of each corner's parts alone.
 
     This is the content the slice theory actually provides; the stronger
     per-bidegree dimension match with the pair centralizer fails already on
@@ -575,10 +580,8 @@ def _corner_containment_ok(n, zx, frames):
     if zx.dim != n:
         return False
     for q, order, position, degrees, targets in frames:
-        ech = EchelonBasis()
-        for v in zx.basis:
-            ech.add({position[c]: x for c, x in v.items()})
-        for pivot, row in ech.rows.items():
+        rows = row_echelon({position[c]: x for c, x in v.items()} for v in zx.basis)
+        for pivot, row in rows.items():
             p, q_pivot = degrees[pivot]
             if q_pivot > q:
                 continue  # outside every rectangle of the row

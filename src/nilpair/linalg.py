@@ -103,6 +103,35 @@ class Subspace:
         self.pivots = tuple(sorted(ech.rows))
         self.basis = tuple(ech.rows[p] for p in self.pivots)
 
+    @staticmethod
+    def canonical(ambient_dim, rows):
+        """The subspace whose canonical basis the given sparse rows already
+        are, built without elimination: each row's least key holds 1, and no
+        other row has an entry there.  That is checked in one pass over the
+        entries, raising ValueError when it fails; entries pass through
+        `small`, and the rows may come in any order."""
+        ech = EchelonBasis()
+        for r in rows:
+            row = {k: small(x) for k, x in entries(r) if x}
+            if not row:
+                raise ValueError("a canonical row is zero")
+            pivot = min(row)
+            if row[pivot] != 1:
+                raise ValueError("a canonical row is not normalised at its pivot")
+            if pivot in ech.rows:
+                raise ValueError("two canonical rows share a pivot")
+            ech.rows[pivot] = row
+        pivots = ech.rows.keys()
+        for row in ech.rows.values():
+            if len(row.keys() & pivots) != 1:
+                raise ValueError("a canonical row has an entry at another pivot")
+        sub = Subspace.__new__(Subspace)
+        sub.ambient_dim = ambient_dim
+        sub.echelon = ech
+        sub.pivots = tuple(sorted(pivots))
+        sub.basis = tuple(ech.rows[p] for p in sub.pivots)
+        return sub
+
     @property
     def dim(self):
         return len(self.pivots)
@@ -147,8 +176,9 @@ class Subspace:
             ech.add(w)
         for v in self.basis:
             ech.add({**v, **shifted(v, n)})
+        # those rows are canonical already: each pivot is its row's least key
         vecs = [shifted(r, -n) for p, r in ech.rows.items() if p >= n]
-        return Subspace(n, vecs)
+        return Subspace.canonical(n, vecs)
 
     def _check(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -160,7 +190,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim):
-        return Subspace(ambient_dim, [{i: 1} for i in range(ambient_dim)])
+        return Subspace.canonical(ambient_dim, [{i: 1} for i in range(ambient_dim)])
 
 
 class EchelonBasis:
@@ -285,8 +315,15 @@ def matmul(a, b, n):
 
 def lift(coeff_space, basis, ambient_dim):
     """The span of sum_j c_j basis[j] over the coefficient vectors c of
-    coeff_space, as a Subspace of Q^ambient_dim."""
-    return Subspace(ambient_dim, [combine(basis, c) for c in coeff_space.basis])
+    coeff_space, as a Subspace of Q^ambient_dim.
+
+    `basis` is a canonical basis in pivot order: the rows of a Subspace, or
+    of subspaces on disjoint keys listed in key order.  Then each sum is a
+    canonical row already: a canonical c has 1 at its pivot j and 0 at the
+    other pivots of coeff_space, so the sum has 1 at the pivot of basis[j],
+    its least key, and 0 at the pivots of the other sums."""
+    sums = [combine(basis, c) for c in coeff_space.basis]
+    return Subspace.canonical(ambient_dim, sums)
 
 
 def kernel_in(piece, images):
@@ -325,21 +362,51 @@ def transpose(vectors):
 
 
 def _null_space(rows, ncols):
-    """The solutions in Q^ncols of the equation rows (sparse or dense): one
-    EchelonBasis over the rows, then one solution per free column, by
-    back-substitution into the pivot columns."""
+    """The solutions in Q^ncols of the equation rows (sparse or dense), in
+    canonical form with no second elimination.
+
+    The rows join one EchelonBasis keyed ncols - 1 - c, so each row's pivot
+    is its greatest column c and the row has no other entry at a pivot
+    column.  The solution e_c - sum_p row_p[c] e_p of a free column c then
+    has c as its least key, with coefficient 1, and vanishes at every other
+    free column: these solutions are the canonical basis of the null space.
+    """
+    last = ncols - 1
     ech = EchelonBasis()
     for r in rows:
-        ech.add(r)
-    vecs = []
-    for c in range(ncols):
-        if c not in ech.rows:
-            v = {c: 1}
-            for p, row in ech.rows.items():
-                if c in row:
-                    v[p] = -row[c]
-            vecs.append(v)
-    return Subspace(ncols, vecs)
+        ech.add({last - c: x for c, x in entries(r)})
+    sols = {c: {c: 1} for c in range(ncols) if last - c not in ech.rows}
+    for p, row in ech.rows.items():
+        for k, x in row.items():
+            if k != p:
+                sols[last - k][last - p] = -x
+    return Subspace.canonical(ncols, sols.values())
+
+
+def row_echelon(vectors):
+    """A row echelon form of the vectors (sparse rows or dense sequences):
+    {pivot: row}, each row normalised to 1 at its pivot, its least key.
+
+    Forward elimination only: each vector is reduced until its least key is
+    not a pivot yet, and the earlier rows are not cleared at the new pivot.
+    So the number of rows is the rank, and the rows with pivots from any key
+    on span the vectors' combinations that vanish before that key, but the
+    rows are not the canonical ones (EchelonBasis keeps those)."""
+    rows = {}
+    for vec in vectors:
+        v = {k: small(x) for k, x in entries(vec) if x}
+        while v:
+            pivot = min(v)
+            row = rows.get(pivot)
+            if row is None:
+                lead = v[pivot]
+                if lead != 1:
+                    inv = -1 if lead == -1 else small(1 / frac(lead))
+                    v = {k: small(x * inv) for k, x in v.items()}
+                rows[pivot] = v
+                break
+            add_multiple(v, -v[pivot], row)
+    return rows
 
 
 def complement(sub, within, reverse=False):
@@ -354,8 +421,9 @@ def complement(sub, within, reverse=False):
     for v in sub.basis:
         span.add(v)
     candidates = within.basis[::-1] if reverse else within.basis
+    # rows picked from a canonical basis are canonical
     picked = [v for v in candidates if span.add(v)]
-    return Subspace(sub.ambient_dim, picked)
+    return Subspace.canonical(sub.ambient_dim, picked)
 
 
 class Matrix:
@@ -425,37 +493,8 @@ class Matrix:
             )
         return self.scale(other)
 
-    def __pow__(self, k):
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        out = Matrix.identity(self.rows)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def apply(self, vec):
-        return tuple(sum(a * x for a, x in zip(row, vec) if a) for row in self.data)
-
-    def transpose(self):
-        return Matrix(list(zip(*self.data)))
-
-    def trace(self):
-        return sum(self.data[i][i] for i in range(min(self.rows, self.cols)))
-
     def is_zero(self):
         return all(not x for row in self.data for x in row)
-
-    def is_nilpotent(self):
-        m = self
-        for _ in range(self.rows):
-            if m.is_zero():
-                return True
-            m = m * self
-        return m.is_zero()
-
-    def rank(self):
-        red, _ = rref(self.data)
-        return len(red)
 
     def determinant(self):
         if self.rows != self.cols:

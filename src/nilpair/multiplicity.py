@@ -116,17 +116,16 @@ def root_data(h, alt=False):
 
 
 def _simple_roots(positive, n):
-    vecs = {}
-    for (i, j) in positive:
-        v = [0] * n
-        v[i] += 1
-        v[j] -= 1
-        vecs[(i, j)] = tuple(v)
-    sums = set()
-    for a in positive:
-        for b in positive:
-            sums.add(tuple(x + y for x, y in zip(vecs[a], vecs[b])))
-    return sorted(r for r in positive if vecs[r] not in sums)
+    """The simple roots of a positive system of type A_{n-1}, in sorted
+    order.  A positive root eps_i - eps_j is the sum of two positive roots
+    only as (eps_i - eps_k) + (eps_k - eps_j), so it is simple exactly when
+    no k has both (i, k) and (k, j) positive."""
+    pos = set(positive)
+    return sorted(
+        (i, j)
+        for (i, j) in positive
+        if not any((i, k) in pos and (k, j) in pos for k in range(n))
+    )
 
 
 def cone_coordinates(rd, vec):

@@ -38,14 +38,18 @@ class GradingError(ValueError):
 
 @dataclass(frozen=True)
 class SemisimplePair:
-    """A commuting pair of rational diagonal matrices grading the pair."""
+    """A commuting pair of rational diagonal matrices grading the pair.
+
+    The diagonals are held through `small`, so an integral grading has int
+    entries and int bidegrees; 1 == Fraction(1) with equal hashes, so
+    equality and hashing do not see the difference."""
 
     h1: tuple
     h2: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "h1", tuple(frac(x) for x in self.h1))
-        object.__setattr__(self, "h2", tuple(frac(x) for x in self.h2))
+        object.__setattr__(self, "h1", tuple(small(frac(x)) for x in self.h1))
+        object.__setattr__(self, "h2", tuple(small(frac(x)) for x in self.h2))
 
     @property
     def n(self):
@@ -58,7 +62,7 @@ class SemisimplePair:
         return all(x.denominator == 1 for x in self.h1 + self.h2)
 
     def bidegree(self, i, j):
-        return (self.h1[i] - self.h1[j], self.h2[i] - self.h2[j])
+        return (small(self.h1[i] - self.h1[j]), small(self.h2[i] - self.h2[j]))
 
     def to_jsonable(self):
         return {
@@ -263,25 +267,14 @@ def _bigraded_pieces(h, ambient):
     groups = {}
     for i in range(n):
         for j in range(n):
-            key = h.bidegree(i, j)
-            key = (key[0], key[1])
-            groups.setdefault(key, []).append(i * n + j)
+            groups.setdefault(h.bidegree(i, j), []).append(i * n + j)
     pieces = {}
     for key, idxs in groups.items():
-        sp = Subspace(n * n, [{idx: 1} for idx in idxs])
-        if ambient == "sl" and key == (Fraction(0), Fraction(0)):
+        sp = Subspace.canonical(n * n, [{idx: 1} for idx in idxs])
+        if ambient == "sl" and key == (0, 0):
             sp = traceless_cut(sp)
-        pieces[_int_key(key)] = sp
+        pieces[key] = sp
     return pieces
-
-
-def _int_key(key):
-    p, q = key
-    if isinstance(p, Fraction):
-        if p.denominator == 1 and q.denominator == 1:
-            return (int(p), int(q))
-        return (p, q)
-    return (int(p), int(q))
 
 
 def ad_map_between(x, source, target):
@@ -344,25 +337,16 @@ def _joint_kernels(e1, e2, h, ambient):
     return out
 
 
-def graded_kernels(pair, h, ambient="sl"):
-    """K1 = ker [e1, .], K2 = ker [e2, .] and their joint kernel K12 on each
-    bigraded piece, as three dicts {(p, q): Subspace}, nonzero kernels
-    only: member_kernels for the first two, centralizer_bigraded for K12."""
-    return (
-        member_kernels(pair, h, 1, ambient),
-        member_kernels(pair, h, 2, ambient),
-        centralizer_bigraded(pair, h, ambient),
-    )
-
-
 def centralizer(pair, ambient="sl", h=None):
     """Joint centralizer of the pair inside gl_n or its trace-zero part."""
     if h is None:
         h = provenance_grading(pair)
     if h is not None:
+        # blocks of different bidegrees sit on disjoint keys, so their
+        # canonical rows together are canonical
         blocks = centralizer_bigraded(pair, h, ambient)
         vecs = [v for sp in blocks.values() for v in sp.basis]
-        return Subspace(pair.n**2, vecs)
+        return Subspace.canonical(pair.n**2, vecs)
     # no grading: the joint kernel of both brackets on all of gl_n, and in
     # sl the trace as one more equation, keyed after the brackets
     n = pair.n
@@ -566,7 +550,7 @@ def lie_closure(vectors, n):
                     new.append(w)
         base.extend(new)
         frontier = new
-    return Subspace(n * n, ech.rows.values())
+    return Subspace.canonical(n * n, ech.rows.values())
 
 
 def parabolic_checks(pair, h=None):

@@ -9,16 +9,60 @@ from nilpair.linalg import (
     Matrix,
     Subspace,
     bracket,
+    combine,
     complement,
     jordan_type,
     kernel_in,
     lift,
     matmul,
     relations,
+    row_echelon,
     rref,
+    shifted,
     small,
     solve_affine,
 )
+
+
+# Dense Matrix operations that only the tests use: the package multiplies,
+# takes kernels and determinants of dense matrices, and nothing more.
+
+
+def mat_pow(m, k):
+    """The k-th power of a square Matrix."""
+    if m.rows != m.cols:
+        raise ValueError("power of a non-square matrix")
+    out = Matrix.identity(m.rows)
+    for _ in range(k):
+        out = out * m
+    return out
+
+
+def mat_apply(m, vec):
+    """The Matrix applied to a dense vector, as a tuple."""
+    return tuple(sum(a * x for a, x in zip(row, vec) if a) for row in m.data)
+
+
+def mat_transpose(m):
+    return Matrix(list(zip(*m.data)))
+
+
+def mat_trace(m):
+    return sum(m.data[i][i] for i in range(min(m.rows, m.cols)))
+
+
+def mat_is_nilpotent(m):
+    power = m
+    for _ in range(m.rows):
+        if power.is_zero():
+            return True
+        power = power * m
+    return power.is_zero()
+
+
+def mat_rank(m):
+    red, _ = rref(m.data)
+    return len(red)
 
 
 def _sparse(vec):
@@ -126,8 +170,8 @@ def matrices(draw, max_dim=4):
 def test_kernel_vectors_annihilate_and_rank_nullity(m):
     ker = m.kernel()
     for v in ker.basis:
-        assert all(x == 0 for x in m.apply(_dense(v, m.cols)))
-    assert m.rank() + ker.dim == m.cols
+        assert all(x == 0 for x in mat_apply(m, _dense(v, m.cols)))
+    assert mat_rank(m) + ker.dim == m.cols
 
 
 @given(matrices(max_dim=5), st.randoms(use_true_random=False))
@@ -300,14 +344,14 @@ def test_solve_affine_picks_particular_solution():
 def _dense_jordan_type(m):
     """Dense reference: Jordan block sizes of a nilpotent Matrix, largest
     first, from the ranks of its dense powers."""
-    if not m.is_nilpotent():
+    if not mat_is_nilpotent(m):
         raise ValueError("matrix is not nilpotent")
     n = m.rows
     kdims = [0]
     power = Matrix.identity(n)
     while kdims[-1] < n:
         power = power * m
-        kdims.append(n - power.rank())
+        kdims.append(n - mat_rank(power))
     counts = [kdims[k] - kdims[k - 1] for k in range(1, len(kdims))]
     parts = []
     for size in range(len(counts), 0, -1):
@@ -407,7 +451,7 @@ def test_rref_matches_dense_reference(case, rhs):
         for row, p in zip(red, piv):
             expect[p] = row[-1]
         assert sol == tuple(expect)
-        assert Matrix(rows).apply(sol) == tuple(rhs)
+        assert mat_apply(Matrix(rows), sol) == tuple(rhs)
     # the same system as sparse rows: the same solution, as a sparse row
     sparse = solve_affine([{k: x for k, x in enumerate(r) if x} for r in rows], rhs)
     assert sparse == (None if sol is None else {k: x for k, x in enumerate(sol) if x})
@@ -646,3 +690,156 @@ def test_int_entries_match_the_fraction_reference(case):
             if key in ("span", "intersect", "relations", "kernel_in"):
                 assert hash(value) == hash(base[key]), (name, key)
                 assert value.pivots == base[key].pivots, (name, key)
+
+
+# The null space and lift build canonical rows without a second elimination,
+# and rank-only callers use the forward elimination `row_echelon`; the
+# eliminating routes they replaced are the references below.
+
+
+def _eliminating_null_space(rows, ncols):
+    """The null space by back-substitution into one EchelonBasis over the
+    rows, its solutions re-eliminated by the Subspace constructor."""
+    ech = EchelonBasis()
+    for r in rows:
+        ech.add(r)
+    vecs = []
+    for c in range(ncols):
+        if c not in ech.rows:
+            v = {c: 1}
+            for p, row in ech.rows.items():
+                if c in row:
+                    v[p] = -row[c]
+            vecs.append(v)
+    return Subspace(ncols, vecs)
+
+
+def _eliminating_lift(coeff_space, basis, ambient_dim):
+    return Subspace(ambient_dim, [combine(basis, c) for c in coeff_space.basis])
+
+
+def _echelon_rank(vectors):
+    ech = EchelonBasis()
+    for v in vectors:
+        ech.add(v)
+    return ech.dim
+
+
+def _same_space(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert got.pivots == want.pivots and got.basis == want.basis
+    assert _exact(got.basis)
+    assert all(row[p] == 1 and min(row) == p for p, row in zip(got.pivots, got.basis))
+
+
+@st.composite
+def sparse_systems(draw, max_dim=7, max_count=7):
+    """Sparse rows of int and Fraction entries over `dim` columns: random,
+    all zero (rank 0), or an upper unitriangular family with random entries
+    above the diagonal (full rank), in shuffled order."""
+    dim = draw(st.integers(1, max_dim))
+    entry = st.one_of(
+        st.just(0), st.just(0), st.integers(-3, 3), small_fracs
+    )
+    kind = draw(st.sampled_from(["random", "random", "zero", "full"]))
+    if kind == "zero":
+        count = draw(st.integers(0, max_count))
+        rows = [{} for _ in range(count)]
+    elif kind == "full":
+        rows = [
+            {i: draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))}
+            | {j: x for j in range(i + 1, dim) if (x := draw(entry))}
+            for i in range(dim)
+        ]
+    else:
+        count = draw(st.integers(0, max_count))
+        rows = [
+            {k: x for k in range(dim) if (x := draw(entry))} for _ in range(count)
+        ]
+    rng = draw(st.randoms(use_true_random=False))
+    rng.shuffle(rows)
+    return dim, rows, kind
+
+
+@given(sparse_systems())
+@settings(max_examples=200, deadline=None)
+def test_canonical_null_space_matches_eliminating_reference(case):
+    from nilpair.linalg import _null_space
+
+    dim, rows, kind = case
+    got = _null_space(rows, dim)
+    _same_space(got, _eliminating_null_space(rows, dim))
+    if kind == "zero":
+        assert got == Subspace.full(dim)
+    if kind == "full":
+        assert got.dim == 0
+    # the same equations as dense tuples
+    assert _null_space([_dense(r, dim) for r in rows], dim) == got
+    # relations reads the transposed system: the rows are its vectors
+    rel = relations(rows)
+    _same_space(rel, _eliminating_null_space(list(_columns(rows, dim)), len(rows)))
+
+
+def _columns(rows, dim):
+    for k in range(dim):
+        yield {j: r[k] for j, r in enumerate(rows) if r.get(k)}
+
+
+@given(sparse_systems(), sparse_systems(), sparse_systems())
+@settings(max_examples=150, deadline=None)
+def test_canonical_lift_matches_eliminating_reference(a, b, c):
+    (da, ra, _), (db, rb, _), (_, rc, _) = a, b, c
+    first, second = Subspace(da, ra), Subspace(db, rb)
+    # a canonical basis, and the doubled one of two subspaces on disjoint
+    # keys, the second keyed da + k
+    for basis, ambient in (
+        (first.basis, da),
+        (first.basis + tuple(shifted(v, da) for v in second.basis), da + db),
+    ):
+        width = len(basis)
+        coeffs = Subspace(width, [{j: x for j, x in r.items() if j < width} for r in rc])
+        got = lift(coeffs, basis, ambient)
+        _same_space(got, _eliminating_lift(coeffs, basis, ambient))
+        assert got.dim == coeffs.dim
+    # a full coefficient space gives back the span of the basis
+    assert lift(Subspace.full(first.dim), first.basis, da) == first
+
+
+@given(sparse_systems())
+@settings(max_examples=200, deadline=None)
+def test_forward_rank_matches_echelon_basis(case):
+    dim, rows, kind = case
+    forward = row_echelon(rows)
+    assert len(forward) == _echelon_rank(rows)
+    assert len(row_echelon([_dense(r, dim) for r in rows])) == len(forward)
+    if kind == "zero":
+        assert forward == {}
+    if kind == "full":
+        assert len(forward) == dim
+    canonical = Subspace(dim, rows)
+    assert _exact(forward.values())
+    for p, row in forward.items():
+        assert min(row) == p and row[p] == 1
+    # the rows with pivots from any key t on span the part of the span that
+    # vanishes before t, as the canonical rows from t on do
+    for t in range(dim + 1):
+        tail = Subspace(dim, [r for p, r in forward.items() if p >= t])
+        want = Subspace(dim, [r for p, r in zip(canonical.pivots, canonical.basis) if p >= t])
+        assert tail == want
+
+
+def test_canonical_rows_constructor_checks_its_rows():
+    good = [{2: 1, 3: Fraction(4, 2)}, {0: Fraction(1), 1: -1, 3: 5}]
+    sub = Subspace.canonical(4, good)
+    assert sub == Subspace(4, good) and sub.pivots == (0, 2)
+    # entries pass through small, so integral ones are ints
+    assert all(type(x) is int for row in sub.basis for x in row.values())
+    for rows in (
+        [{0: 2, 1: 1}],  # pivot not normalised
+        [{0: 1, 1: 1}, {1: 1, 2: 3}],  # the first row touches the second pivot
+        [{1: 1}, {0: 1, 1: 2}],  # the same, rows in the other order
+        [{0: 1}, {0: 1, 1: 1}],  # two rows share a pivot
+        [{0: 1}, {}],  # a zero row
+    ):
+        with pytest.raises(ValueError):
+            Subspace.canonical(3, rows)

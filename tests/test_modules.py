@@ -16,6 +16,7 @@ from nilpair.modules import (
 )
 from nilpair.pairs import build_pair, centralizer
 from nilpair.polys import BivariatePoly
+from test_linalg import mat_is_nilpotent
 
 
 def test_weyl_dimension_values():
@@ -50,7 +51,7 @@ def test_module_operators_commute_and_nilpotent():
     m = WeightModule(3, (3,))
     e1, e2 = _dense(m.act_matrix(pair.e1)), _dense(m.act_matrix(pair.e2))
     assert (e1 * e2 - e2 * e1).is_zero()
-    assert e1.is_nilpotent() and e2.is_nilpotent()
+    assert mat_is_nilpotent(e1) and mat_is_nilpotent(e2)
 
 
 def test_direct_multiplicity_counts_weight_spaces_degenerate():

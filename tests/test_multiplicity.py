@@ -1,6 +1,6 @@
 import pytest
 
-from nilpair.diagrams import parse
+from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
 from nilpair.multiplicity import (
     BoundError,
     PartitionTable,
@@ -184,3 +184,34 @@ def test_multiplicity_formula_rejects_non_integral_argument():
     table = PartitionTable(rd, 4)
     with pytest.raises(ArithmeticError):
         multiplicity_formula(rd, table, (0, 1, 0), (0, 1, 0))
+
+
+def _pairwise_simple_roots(positive, n):
+    """Reference: the positive roots that are not the sum of two positive
+    roots, by forming every pairwise sum."""
+    vecs = {}
+    for (i, j) in positive:
+        v = [0] * n
+        v[i] += 1
+        v[j] -= 1
+        vecs[(i, j)] = tuple(v)
+    sums = set()
+    for a in positive:
+        for b in positive:
+            sums.add(tuple(x + y for x, y in zip(vecs[a], vecs[b])))
+    return sorted(r for r in positive if vecs[r] not in sums)
+
+
+def test_simple_roots_match_the_pairwise_sum_reference():
+    checked = 0
+    for n in range(1, 7):
+        shapes = [ShapeClass.YOUNG] + ([ShapeClass.SKEW] if n > 1 else [])
+        for d in (d for shape in shapes for d in enumerate_diagrams(n, shape)):
+            _, h = build_pair(d)
+            for alt in (False, True):
+                rd = root_data(h, alt=alt)
+                want = tuple(_pairwise_simple_roots(rd.positive, n))
+                assert rd.simple == want, (d.serialize(), alt)
+                assert len(rd.simple) == n - 1
+                checked += 1
+    assert checked == 2 * (29 + 38)

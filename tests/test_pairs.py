@@ -30,14 +30,26 @@ from nilpair.pairs import (
     centralizer_bigraded,
     classify_pair,
     direct_sum,
-    graded_kernels,
     is_nilpotent_family,
     monomial_basis_check,
     parabolic_checks,
     provenance_grading,
     shift_basis_check,
+    member_kernels,
     weak_lefschetz_report,
 )
+from test_linalg import mat_apply, mat_is_nilpotent, mat_pow, mat_rank, mat_trace
+
+
+def graded_kernels(pair, h, ambient="sl"):
+    """K1 = ker [e1, .], K2 = ker [e2, .] and their joint kernel K12 on each
+    bigraded piece, as three dicts {(p, q): Subspace}, nonzero kernels
+    only: member_kernels for the first two, centralizer_bigraded for K12."""
+    return (
+        member_kernels(pair, h, 1, ambient),
+        member_kernels(pair, h, 2, ambient),
+        centralizer_bigraded(pair, h, ambient),
+    )
 
 
 def trace_row(n):
@@ -136,7 +148,7 @@ def _dense_is_nilpotent_family(space, n):
             break
         current = new_mats
     closed = [Matrix.unflatten(v, n) for v in ech.rows.values()]
-    return all(m.is_nilpotent() for m in closed)
+    return all(mat_is_nilpotent(m) for m in closed)
 
 
 def _shapes_up_to(max_boxes):
@@ -332,10 +344,11 @@ def _dense_bifiltration(ops, i, j, ambient_dim):
     if (i == -1 and j <= 0) or (j == -1 and i <= 0):
         return Subspace.zero(ambient_dim)
     if i == -1:
-        return (B**j).kernel()
+        return mat_pow(B, j).kernel()
     if j == -1:
-        return (A**i).kernel()
-    rows = list((A ** (i + 1) * B**j).data) + list((A**i * B ** (j + 1)).data)
+        return mat_pow(A, i).kernel()
+    rows = list((mat_pow(A, i + 1) * mat_pow(B, j)).data)
+    rows += list((mat_pow(A, i) * mat_pow(B, j + 1)).data)
     return Matrix(rows).kernel()
 
 
@@ -353,8 +366,8 @@ def _dense_limit_space(ops, E):
             ) + _dense_bifiltration(ops, i, j - 1, N).intersect(E)
             if fij.dim - below.dim <= 0:
                 continue
-            op = (A**i) * (B**j)
-            img = Subspace(N, [op.apply(_dense(v, N)) for v in fij.basis])
+            op = mat_pow(A, i) * mat_pow(B, j)
+            img = Subspace(N, [mat_apply(op, _dense(v, N)) for v in fij.basis])
             dims.append(img.dim)
             vecs.extend(img.basis)
     out = Subspace(N, vecs)
@@ -635,13 +648,13 @@ def test_killing_pairing_dims():
             gram = Matrix(
                 [
                     [
-                        (Matrix.unflatten(u, pair.n) * Matrix.unflatten(v, pair.n)).trace()
+                        mat_trace(Matrix.unflatten(u, pair.n) * Matrix.unflatten(v, pair.n))
                         for v in b.basis
                     ]
                     for u in a.basis
                 ]
             )
-            assert gram.rank() == dim
+            assert mat_rank(gram) == dim
 
 
 def _span(blocks, n):
@@ -668,8 +681,6 @@ def test_ungraded_centralizer_matches_dense_reference():
 
 
 def test_graded_kernels_match_dense_kernels():
-    from nilpair.pairs import graded_kernels
-
     for d in _shapes_up_to(5):
         pair, h = build_pair(d)
         n = pair.n
@@ -718,7 +729,7 @@ def test_sparse_ad_matches_bracket(case):
     # a sparse row of the nonzero entries, equal to the dense references
     assert all(y and type(y) is Fraction for y in got.values())
     assert _dense(got, nn) == bracket(x, Matrix.unflatten(v, x.rows)).flatten()
-    assert _dense(got, nn) == ad_matrix(x).apply(v)
+    assert _dense(got, nn) == mat_apply(ad_matrix(x), v)
     # the same v as a sparse row
     assert ad(x.flatten(), {k: y for k, y in enumerate(v) if y}, n) == got
     # x as a sparse row, with v dense and sparse
@@ -759,3 +770,65 @@ def test_pair_spaces_hold_exact_rationals():
             assert all(_exact_rows(sp) for sp in spaces), d.serialize()
             walked += len(spaces)
     assert walked > 1000
+
+
+def _fraction_keyed_pieces(h, ambient):
+    """Reference pieces: every bidegree computed on Fractions, a key made of
+    ints only when both entries are integral, as before the grading held
+    its integral entries as ints."""
+    n = h.n
+    groups = {}
+    for i in range(n):
+        for j in range(n):
+            p = Fraction(h.h1[i]) - Fraction(h.h1[j])
+            q = Fraction(h.h2[i]) - Fraction(h.h2[j])
+            if p.denominator == 1 and q.denominator == 1:
+                key = (int(p), int(q))
+            else:
+                key = (p, q)
+            groups.setdefault(key, []).append(i * n + j)
+    pieces = {}
+    for key, idxs in groups.items():
+        sp = Subspace(n * n, [{k: 1} for k in idxs])
+        if ambient == "sl" and key == (0, 0):
+            trace = [1 if k % (n + 1) == 0 else 0 for k in range(n * n)]
+            sp = sp.intersect(Subspace(n * n, Matrix([trace]).kernel().basis))
+        pieces[key] = sp
+    return pieces
+
+
+@pytest.mark.parametrize(
+    "h1, h2",
+    [
+        ([0, 1, 0, 1], [0, 0, 1, 1]),  # the grading of (2,2)
+        ([Fraction(0), Fraction(2, 2), 0], [0, 0, Fraction(1)]),  # integral
+        ([Fraction(1, 2), 0, Fraction(-1, 3)], [0, 1, 1]),  # mixed
+        ([Fraction(1, 2), Fraction(3, 2)], [Fraction(1, 4), Fraction(1, 4)]),
+    ],
+    ids=["box-grading", "integral-fractions", "mixed", "non-integral"],
+)
+def test_gradings_hold_ints_and_key_pieces_by_exact_bidegree(h1, h2):
+    from nilpair.pairs import SemisimplePair
+
+    h = SemisimplePair(h1, h2)
+    integral = all(Fraction(x).denominator == 1 for x in h1 + h2)
+    assert h.is_integral() == integral
+    # integral entries are ints; equality, hashing and the JSON form are
+    # those of the all-Fraction grading
+    assert all((type(x) is int) == (x.denominator == 1) for x in h.h1 + h.h2)
+    as_fractions = SemisimplePair.__new__(SemisimplePair)
+    object.__setattr__(as_fractions, "h1", tuple(Fraction(x) for x in h1))
+    object.__setattr__(as_fractions, "h2", tuple(Fraction(x) for x in h2))
+    assert h == as_fractions and hash(h) == hash(as_fractions)
+    assert h.to_jsonable() == {
+        "h1": [f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in h1],
+        "h2": [f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in h2],
+    }
+    for ambient in ("gl", "sl"):
+        pieces = bigraded_pieces(h, ambient)
+        assert pieces == _fraction_keyed_pieces(h, ambient)
+        for key in pieces:
+            assert all((type(x) is int) == (x.denominator == 1) for x in key)
+        n = h.n
+        total = sum(sp.dim for sp in pieces.values())
+        assert total == n * n - (ambient == "sl")

@@ -31,6 +31,7 @@ from nilpair.rectangular import (
     sym2,
     symmetric_diagram_pair,
 )
+from test_linalg import mat_pow, mat_transpose
 
 
 def weight_multiset_decompose(weights):
@@ -327,7 +328,7 @@ def _dense_orthogonal_centralizer(members, gram):
 
 
 def _dense_skew_adjoint(x, gram):
-    return (gram * x + x.transpose() * gram).is_zero()
+    return (gram * x + mat_transpose(x) * gram).is_zero()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -359,7 +360,7 @@ def test_orthogonal_systems_match_dense_reference(n, monkeypatch):
     assert data["centralizer"] == dense
     assert orthogonal_centralizer((e1, e2), gram, N) == dense
     # the stated basis is e1^k (k odd), e1^k e2 (k even) and x
-    powers = [d1**k for k in range(2 * n)]
+    powers = [mat_pow(d1, k) for k in range(2 * n)]
     stated = [powers[k] for k in range(1, 2 * n, 2)]
     stated += [powers[k] * d2 for k in range(0, 2 * n - 1, 2)]
     got = [Matrix.unflatten(v, N) for v in data["stated_basis"]]

@@ -137,3 +137,39 @@ def test_every_division_has_a_fraction_operand():
                 found.append(f"{path.name}:{node.lineno}")
     assert divisions >= 4
     assert found == []
+
+
+def _function(module, name):
+    tree = ast.parse((Path(nilpair.__file__).parent / module).read_text())
+    return next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def _called_names(func):
+    """The plain names a function calls: f(...) gives f, and X.m(...)
+    gives X.m."""
+    names = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name):
+                names.add(f.id)
+            elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                names.add(f"{f.value.id}.{f.attr}")
+    return names
+
+
+def test_rank_only_paths_do_not_eliminate_fully():
+    # the slice samples, the staircase check and the H^1 table read ranks
+    # or echelon spans from the forward elimination, and the null space is
+    # built in canonical form, so none of them pays for a reduced basis
+    for name in ("slice_samples", "_corner_containment_ok", "_h1_table"):
+        called = _called_names(_function("cohomology.py", name))
+        assert "row_echelon" in called or "kernel_in" in called, name
+        assert not called & {"EchelonBasis", "lift"}, name
+    called = _called_names(_function("linalg.py", "_null_space"))
+    assert "Subspace.canonical" in called
+    assert "Subspace" not in called
