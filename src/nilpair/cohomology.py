@@ -546,7 +546,7 @@ def _corner_frames(pair, h):
 @lru_cache(maxsize=64)
 def _corner_frames_of(e1, e2, h):
     n = h.n
-    bid = [tuple(int(x) for x in h.bidegree(i, j)) for i in range(n) for j in range(n)]
+    bid = [h.bidegree(i, j) for i in range(n) for j in range(n)]
     z_pair = centralizer_bigraded(NilPair(e1, e2, check=False), h, "gl")
     zero = Subspace.zero(n * n)
     frames = []

@@ -31,7 +31,7 @@ from nilpair.cohomology import (
 from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
 from nilpair.linalg import EchelonBasis, Matrix, Subspace, bracket, combine
 from nilpair.linalg import relations, shifted
-from nilpair.pairs import SemisimplePair, ad, bigraded_pieces, build_pair
+from nilpair.pairs import NilPair, SemisimplePair, ad, bigraded_pieces, build_pair
 from nilpair.pairs import centralizer, centralizer_bigraded
 from nilpair.polys import one_minus, prod_poly
 from test_linalg import mat_pow
@@ -385,3 +385,17 @@ def test_rank_routes_match_the_eliminating_references(spec):
     for zx in spaces:
         got = _corner_containment_ok(n, zx, frames)
         assert got == _reduced_corner_containment_ok(n, zx, frames), spec
+
+
+def test_corner_frames_key_each_index_by_its_exact_bidegree():
+    # a grading with half-integral bidegrees: the frames and the centralizer
+    # blocks they look up share its exact keys, none truncated to an int
+    pair = NilPair((0,) * 4, (0,) * 4)
+    h = SemisimplePair((0, Fraction(1, 2)), (0, 0))
+    frames = _corner_frames(pair, h)
+    seen = {d for *_, degrees, _ in frames for d in degrees}
+    half = Fraction(1, 2)
+    assert seen == set(bigraded_pieces(h, "gl")) == {(0, 0), (half, 0), (-half, 0)}
+    # every matrix commutes with the zero pair, so every corner is in its
+    # block; the off-diagonal units sit in the blocks of degree +-1/2
+    assert _corner_containment_ok(2, Subspace(4, [{1: 1}, {2: 1}]), frames)

@@ -8,6 +8,7 @@ from nilpair.linalg import (
     EchelonBasis,
     Matrix,
     Subspace,
+    _null_space,
     bracket,
     combine,
     complement,
@@ -764,8 +765,6 @@ def sparse_systems(draw, max_dim=7, max_count=7):
 @given(sparse_systems())
 @settings(max_examples=200, deadline=None)
 def test_canonical_null_space_matches_eliminating_reference(case):
-    from nilpair.linalg import _null_space
-
     dim, rows, kind = case
     got = _null_space(rows, dim)
     _same_space(got, _eliminating_null_space(rows, dim))

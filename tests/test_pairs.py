@@ -31,11 +31,11 @@ from nilpair.pairs import (
     classify_pair,
     direct_sum,
     is_nilpotent_family,
+    member_kernels,
     monomial_basis_check,
     parabolic_checks,
     provenance_grading,
     shift_basis_check,
-    member_kernels,
     weak_lefschetz_report,
 )
 from test_linalg import mat_apply, mat_is_nilpotent, mat_pow, mat_rank, mat_trace
