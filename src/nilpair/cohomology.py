@@ -25,6 +25,7 @@ from .linalg import shifted
 from .pairs import (
     NilPair,
     ad,
+    ad_each,
     ad_image,
     bigraded_pieces,
     centralizer_bigraded,
@@ -95,12 +96,10 @@ def _h1_table(e1, e2, h):
             continue
         src = pieces.get((p - 1, q - 1), zero)
         # the sign of the second summand's images leaves their rank alone
-        images = [ad(e2, u, n) for u in mid1.basis]
-        images += [ad(e1, v, n) for v in mid2.basis]
+        images = ad_each(e2, mid1.basis, n) + ad_each(e1, mid2.basis, n)
         cocycles = mid1.dim + mid2.dim - len(row_echelon(images))
         boundaries = []
-        for s in src.basis:
-            u, v = ad(e1, s, n), ad(e2, s, n)
+        for u, v in zip(ad_each(e1, src.basis, n), ad_each(e2, src.basis, n)):
             cocycle = ad(e2, u, n) == ad(e1, v, n)
             if not (cocycle and mid1.contains(u) and mid2.contains(v)):
                 raise ArithmeticError("a coboundary is not a cocycle")
@@ -418,10 +417,10 @@ def slice_samples(pair, h, sb):
     per slice; Z(x1, x2) is the kernel of the moved member's bracket on it.
     The bracket is linear in the moved member, so the brackets of the start
     member and of each slice matrix with that basis are formed once per
-    slice, and each point's images are their sums.  The singletons and the
-    full sum come with Z itself, with the same canonical basis as the joint
-    kernel of ad x1 and ad x2; the other points only with its dimension,
-    from the rank of their images.
+    slice, one ad_each each, and each point's images are their sums.  The
+    singletons and the full sum come with Z itself, with the same canonical
+    basis as the joint kernel of ad x1 and ad x2; the other points only
+    with its dimension, from the rank of their images.
     """
     n = pair.n
     blocks = member_kernels(pair, h, 1 if sb.quadrant == "se" else 2, "gl")
@@ -431,8 +430,8 @@ def slice_samples(pair, h, sb):
     fixed, start = (pair.e1, pair.e2) if sb.quadrant == "se" else (pair.e2, pair.e1)
     start = {k: x for k, x in enumerate(start) if x}
     mats = sb.matrices()
-    start_images = [ad(start, v, n) for v in z_fixed.basis]
-    mat_images = [[ad(m, v, n) for v in z_fixed.basis] for m in mats]
+    start_images = ad_each(start, z_fixed.basis, n)
+    mat_images = [ad_each(m, z_fixed.basis, n) for m in mats]
     picks = [(i,) for i in range(len(mats))]
     picks += list(combinations(range(len(mats)), 2))
     picks += [tuple(range(len(mats)))] if len(mats) > 2 else []

@@ -267,37 +267,42 @@ class SubsetPair:
 
 
 def _closure_subsets(boxes, direction):
-    """Connected subsets closed under moving south-west (+1) or north-east (-1)."""
-    boxes = set(boxes)
-    out = []
-    for mask_set in _connected_subsets(boxes):
-        ok = True
-        for (p, q) in mask_set:
-            for (i, j) in boxes:
-                if direction * (i - p) <= 0 and direction * (j - q) <= 0:
-                    if (i, j) not in mask_set:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            out.append(frozenset(mask_set))
-    return out
+    """Connected subsets closed under moving south-west (+1) or north-east
+    (-1), in the order of their masks over the sorted boxes.
 
-
-def _connected_subsets(boxes):
-    items = sorted(boxes)
+    The closed sets are the order ideals of the boxes under the product
+    order (reversed for -1), so they are walked directly: from the empty
+    set, add one box whose cone (the other boxes south-west of it for +1,
+    north-east for -1) is already in the set."""
+    items = sorted(set(boxes))
     n = len(items)
     if n > 20:
         raise ResourceError("diagram too large for subset enumeration")
-    seen = set()
-    for mask in range(1, 1 << n):
-        subset = frozenset(items[i] for i in range(n) if mask >> i & 1)
-        if subset in seen:
-            continue
-        seen.add(subset)
-        if _connected(set(subset)):
-            yield subset
+    cones = [
+        sum(
+            1 << j
+            for j, (i, k) in enumerate(items)
+            if j != b and direction * (i - p) <= 0 and direction * (k - q) <= 0
+        )
+        for b, (p, q) in enumerate(items)
+    ]
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        new = []
+        for mask in frontier:
+            for b, cone in enumerate(cones):
+                grown = mask | 1 << b
+                if grown != mask and cone & mask == cone and grown not in seen:
+                    seen.add(grown)
+                    new.append(grown)
+        frontier = new
+    out = []
+    for mask in sorted(seen - {0}):
+        subset = {items[b] for b in range(n) if mask >> b & 1}
+        if _connected(subset):
+            out.append(frozenset(subset))
+    return out
 
 
 class ResourceError(ValueError):

@@ -32,6 +32,12 @@ def small(x):
     return x
 
 
+def exact(x):
+    """x held as an exact rational: an int as it is (the common case, with
+    no Fraction built), anything else through small(frac(x))."""
+    return x if x.__class__ is int else small(frac(x))
+
+
 def entries(vec):
     """The (key, value) pairs of a vector: a sparse row {key: value}, or a
     dense sequence read as the row keyed by position.  The one reader of

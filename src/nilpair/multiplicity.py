@@ -64,8 +64,14 @@ def root_data(h, alt=False):
 
     The rule: a root is positive when the tuple (v1+v2, v1, coordinate vector)
     is lexicographically positive; the alternate rule negates the second
-    component, giving a second valid choice.
+    component, giving a second valid choice.  The result is built once per
+    (h, alt) and shared, so callers read it and leave it unchanged.
     """
+    return _root_data(h, alt)
+
+
+@lru_cache(maxsize=64)
+def _root_data(h, alt):
     n = h.n
     if not h.is_regular():
         raise RegularityError("grading pair is not regular")

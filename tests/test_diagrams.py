@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from nilpair.diagrams import (
     Diagram,
     ParseError,
+    ResourceError,
     ShapeClass,
     ShapeError,
+    _closure_subsets,
     classify_shape,
     enumerate_diagrams,
     in_subsets,
@@ -205,3 +207,53 @@ def test_in_out_subsets_of_strict_skew():
     outs = {frozenset(s) for s in out_subsets(d)}
     assert frozenset({(2, 0)}) in outs
     assert frozenset({(1, 1)}) in outs
+
+
+def _mask_closure_subsets(boxes, direction):
+    """Reference for _closure_subsets: every nonempty box mask over the
+    sorted boxes in increasing order, kept when the subset is connected and
+    holds every box south-west (+1) or north-east (-1) of each of its
+    boxes."""
+    items = sorted(set(boxes))
+    out = []
+    for mask in range(1, 1 << len(items)):
+        subset = {b for i, b in enumerate(items) if mask >> i & 1}
+        if not _connected(subset):
+            continue
+        if all(
+            (i, j) in subset
+            for (p, q) in subset
+            for (i, j) in items
+            if direction * (i - p) <= 0 and direction * (j - q) <= 0
+        ):
+            out.append(frozenset(subset))
+    return out
+
+
+def test_order_ideals_match_the_mask_enumeration():
+    # the same subsets in the same order, both directions, on every Young
+    # shape up to 10 boxes and every skew shape up to 8
+    shapes = [d for n in range(1, 11) for d in enumerate_diagrams(n, ShapeClass.YOUNG)]
+    shapes += [d for n in range(2, 9) for d in enumerate_diagrams(n, ShapeClass.SKEW)]
+    cases = 0
+    for d in shapes:
+        for direction in (1, -1):
+            got = _closure_subsets(d.boxes, direction)
+            assert got == _mask_closure_subsets(d.boxes, direction), (d, direction)
+            cases += 1
+    assert cases == 910
+    # the single box, and the row (3), whose closed sets are its prefixes
+    assert _closure_subsets([(0, 0)], 1) == [frozenset({(0, 0)})]
+    row = parse("3").boxes
+    assert [len(s) for s in _closure_subsets(row, 1)] == [1, 2, 3]
+    assert _closure_subsets(row, -1) == [
+        frozenset({(2, 0)}),
+        frozenset({(1, 0), (2, 0)}),
+        frozenset(row),
+    ]
+
+
+def test_closure_subsets_refuse_more_than_twenty_boxes():
+    with pytest.raises(ResourceError):
+        _closure_subsets(parse("21").boxes, 1)
+    assert len(_closure_subsets(parse("20").boxes, 1)) == 20

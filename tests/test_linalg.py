@@ -12,6 +12,7 @@ from nilpair.linalg import (
     bracket,
     combine,
     complement,
+    exact,
     jordan_type,
     kernel_in,
     lift,
@@ -842,3 +843,19 @@ def test_canonical_rows_constructor_checks_its_rows():
     ):
         with pytest.raises(ValueError):
             Subspace.canonical(3, rows)
+
+
+def test_exact_keeps_ints_and_normalises_the_rest():
+    # an int is kept as it is; anything else goes through small(frac(x))
+    big = 10**30
+    assert exact(big) is big
+    for x, want in (
+        (Fraction(4, 2), 2),
+        (True, 1),
+        (False, 0),
+        (Fraction(-1, 3), Fraction(-1, 3)),
+        ("3/6", Fraction(1, 2)),
+        (0.5, Fraction(1, 2)),
+    ):
+        got = exact(x)
+        assert got == want and type(got) is type(want), x

@@ -527,6 +527,129 @@ def test_joint_kernels_match_the_stacked_reference():
     assert shapes == 67
 
 
+def _coordinate_member_kernels(x, step, h, ambient, blocks=None):
+    """Reference for the graded kernels: on each piece of h (or each of the
+    given blocks), the kernel of [x, .] with every image read in the
+    coordinates of the piece `step` further on, through ad_map_between,
+    which raises StabilityError for an image that leaves it."""
+    from nilpair.linalg import kernel_in
+    from nilpair.pairs import ad_map_between
+
+    pieces = bigraded_pieces(h, ambient)
+    zero = Subspace.zero(len(x))
+    out = {}
+    for (p, q), src in (pieces if blocks is None else blocks).items():
+        target = pieces.get((p + step[0], q + step[1]), zero)
+        kern = kernel_in(src, ad_map_between(x, src, target))
+        if kern.dim:
+            out[(p, q)] = kern
+    return out
+
+
+def _kernels_or_refusal(build):
+    from nilpair.pairs import StabilityError
+
+    try:
+        return build()
+    except StabilityError:
+        return "refused"
+
+
+def test_graded_kernels_match_the_coordinate_route():
+    # K1, K2 and K12 from ambient-keyed images equal the target-coordinate
+    # route on every Young and skew shape up to 6 boxes, in both ambients,
+    # for the pair's own grading, the swapped one and h2 doubled; the two
+    # routes refuse the same gradings
+    from nilpair.pairs import SemisimplePair
+
+    def coordinate_route(pair, g, ambient):
+        k1 = _coordinate_member_kernels(pair.e1, (1, 0), g, ambient)
+        k2 = _kernels_or_refusal(
+            lambda: _coordinate_member_kernels(pair.e2, (0, 1), g, ambient)
+        )
+        k12 = _kernels_or_refusal(
+            lambda: _coordinate_member_kernels(pair.e2, (0, 1), g, ambient, k1)
+        )
+        return k1, k2, k12
+
+    def indexed_route(pair, g, ambient):
+        return (
+            member_kernels(pair, g, 1, ambient),
+            _kernels_or_refusal(lambda: member_kernels(pair, g, 2, ambient)),
+            _kernels_or_refusal(lambda: centralizer_bigraded(pair, g, ambient)),
+        )
+
+    shapes, outcomes = 0, set()
+    for d in _shapes_up_to(6):
+        pair, h = build_pair(d)
+        gradings = [
+            h,
+            SemisimplePair(h.h2, h.h1),
+            SemisimplePair(h.h1, [2 * q for q in h.h2]),
+        ]
+        for g in gradings:
+            for ambient in ("sl", "gl"):
+                want = _kernels_or_refusal(lambda: coordinate_route(pair, g, ambient))
+                got = _kernels_or_refusal(lambda: indexed_route(pair, g, ambient))
+                assert got == want, (d.serialize(), g, ambient)
+                if want == "refused":
+                    outcomes.add(want)
+                else:
+                    outcomes.add(tuple(k == "refused" for k in want))
+        shapes += 1
+    assert shapes == 67
+    assert outcomes == {"refused", (False, False, False), (False, True, True)}
+
+
+@st.composite
+def _bracket_cases(draw):
+    """(x, vectors, n): x and each v zero, sparse or dense, with int and
+    Fraction entries; every v given as a dense tuple or a sparse row."""
+    n = draw(st.integers(1, 5))
+
+    def flat():
+        density = draw(st.sampled_from(["zero", "sparse", "dense"]))
+        if density == "zero":
+            return (0,) * (n * n)
+        values = _entries
+        if density == "sparse":
+            values = st.one_of(st.just(0), st.just(0), st.just(0), _entries)
+        return tuple(draw(st.lists(values, min_size=n * n, max_size=n * n)))
+
+    x = flat()
+    vectors = []
+    for _ in range(draw(st.integers(0, 4))):
+        v = flat()
+        if draw(st.booleans()):
+            v = {k: y for k, y in enumerate(v) if y}
+        vectors.append(v)
+    return x, vectors, n
+
+
+@given(_bracket_cases())
+@settings(max_examples=200, deadline=None)
+def test_indexed_bracket_matches_ad_matrix(case):
+    from nilpair.pairs import ad_each
+
+    x, vectors, n = case
+    op = ad_matrix(Matrix.unflatten(x, n))
+    dense = [
+        tuple(v.get(k, 0) for k in range(n * n)) if isinstance(v, dict) else v
+        for v in vectors
+    ]
+    want = [{k: y for k, y in enumerate(mat_apply(op, v)) if y} for v in dense]
+    x_sparse = {k: y for k, y in enumerate(x) if y}
+    for got in (ad_each(x, vectors, n), ad_each(x_sparse, vectors, n)):
+        assert got == want
+        assert [ad(x, v, n) for v in vectors] == want
+        # products of int entries stay ints
+        for v, row in zip(dense, got):
+            if not any(isinstance(y, Fraction) for y in x + v):
+                assert all(type(y) is int for y in row.values())
+    if not x_sparse:
+        assert ad_each(x, vectors, n) == [{}] * len(vectors)
+
+
 def test_centralizer_readers_build_no_second_member_kernel(monkeypatch):
     # biexponents, classify_pair and skew_checks read K12 only, which is
     # built from K1; no K2 block (the kernel of [e2, .]) is built for them

@@ -27,6 +27,66 @@ def test_skew_checks_single():
     assert rep["ok"]
 
 
+@pytest.mark.parametrize("spec", ["4,3,2,1", ",".join(["1"] * 10)])
+def test_structure_checks_reach_ten_boxes(spec):
+    assert surveys.structure_checks(parse(spec))["ok"]
+
+
+def test_skew_row_closes_its_centralizer_once(monkeypatch):
+    # a distinguished row reads centralizer_nilpotent from the classifier's
+    # test; a row the classifier calls principal still runs the test itself
+    from nilpair import pairs
+
+    calls = []
+    original = pairs.is_nilpotent_family
+
+    def counted(space, n):
+        calls.append(n)
+        return original(space, n)
+
+    monkeypatch.setattr(pairs, "is_nilpotent_family", counted)
+    monkeypatch.setattr(surveys, "is_nilpotent_family", counted)
+    rep = surveys.skew_checks(parse("3,2/1"))
+    assert rep["ok"] and rep["centralizer_nilpotent"] and len(calls) == 1
+    calls.clear()
+    rep = surveys.skew_checks(parse("2,1"))
+    assert not rep["classified_distinguished"] and rep["centralizer_nilpotent"]
+    assert len(calls) == 1
+
+
+def test_skew_row_nilpotency_is_the_centralizers():
+    # the field read back from the classifier is the verdict on the sl
+    # centralizer itself, whatever class the row gets
+    from nilpair.diagrams import ShapeClass, enumerate_diagrams
+    from nilpair.pairs import build_pair, centralizer, is_nilpotent_family
+
+    for n in range(2, 6):
+        for d in enumerate_diagrams(n, ShapeClass.SKEW):
+            pair, h = build_pair(d)
+            z = centralizer(pair, "sl", h=h)
+            want = is_nilpotent_family(z, pair.n)
+            assert surveys.skew_checks(d)["centralizer_nilpotent"] == want
+
+
+def test_cohomology_row_builds_its_root_data_once():
+    from nilpair import multiplicity
+
+    multiplicity._root_data.cache_clear()
+    assert surveys.cohomology_checks(parse("2,2,1"))["ok"]
+    assert multiplicity._root_data.cache_info().misses == 1
+
+
+def test_root_data_is_shared_per_grading():
+    from nilpair.multiplicity import root_data
+    from nilpair.pairs import build_pair
+
+    _, h = build_pair(parse("3,1"))
+    _, same = build_pair(parse("3,1"))
+    assert root_data(h) is root_data(same)
+    assert root_data(h, alt=True) is not root_data(h)
+    assert root_data(h, alt=True) == root_data(same, alt=True)
+
+
 def test_cohomology_checks_single():
     rep = surveys.cohomology_checks(parse("2,2,1"))
     assert rep["ok"]
