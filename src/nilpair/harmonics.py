@@ -10,7 +10,7 @@ from math import factorial
 
 from .characters import character_value, class_size
 from .diagrams import ShapeClass, classify_shape, partitions
-from .linalg import EchelonBasis, Matrix, frac
+from .linalg import EchelonBasis, determinant, exact, frac, small
 from .multiplicity import _perm_sign
 from .polys import MultivariatePoly
 
@@ -44,23 +44,27 @@ def alternant(x1, x2, d1, d2):
     formed; permuting the pairs permutes the rows and only changes the sign.
     So one determinant is taken per strictly increasing tuple of pairs, and
     its value is written, with the permutation's sign, at every reordering.
+    Integral points stay ints, so the powers and the fraction-free
+    determinants run on int arithmetic.
     """
     n = len(x1)
-    x1 = [frac(v) for v in x1]
-    x2 = [frac(v) for v in x2]
+    x1 = [exact(v) for v in x1]
+    x2 = [exact(v) for v in x2]
     pow1 = [[x ** k for x in x1] for k in range(d1 + 1)]
     pow2 = [[x ** k for x in x2] for k in range(d2 + 1)]
-    signed = [(perm, _perm_sign(perm)) for perm in permutations(range(n))]
+    signed = None  # most alternants below the top bidegree vanish
     coeffs = {}
     for pairs in _pair_sets(d1, d2, n):
         rows = [[p * q for p, q in zip(pow1[a], pow2[b])] for a, b in pairs]
-        det = Matrix(rows).determinant()
+        det = determinant(rows)
         if not det:
             continue
         fact = 1
         for a, b in pairs:
             fact *= factorial(a) * factorial(b)
-        c = frac(det) / fact
+        c = small(frac(det) / fact)
+        if signed is None:
+            signed = [(perm, _perm_sign(perm)) for perm in permutations(range(n))]
         for perm, sign in signed:
             a = tuple(pairs[k][0] for k in perm)
             b = tuple(pairs[k][1] for k in perm)

@@ -4,14 +4,16 @@ Every number is an exact rational: an int where it is integral, a Fraction
 otherwise, never a float.  `small` is the one normaliser: EchelonBasis stores
 its rows through it, so elimination on integral data runs on int arithmetic
 and a Fraction appears only where a pivot division is not exact; every true
-division has a Fraction operand.  A vector is a sparse row {key: value} of
-its nonzero entries; every routine also reads a dense sequence as the row
-keyed by position (`entries`).  Subspaces keep their canonical reduced row
-echelon rows in one EchelonBasis, so two equal subspaces have equal rows and
-compare structurally (1 == Fraction(1), with equal hashes).  Dense tuples
-appear where a Matrix is built or flattened, and as the flattened members of
-a commuting pair, which caches hash; `matmul` is the one product of
-flattened square matrices, either form in and a sparse row out.
+division has a Fraction operand; `determinant` is fraction-free, so an
+integral matrix's determinant is taken on ints.  A vector is a sparse row
+{key: value} of its nonzero entries; every routine also reads a dense
+sequence as the row keyed by position (`entries`).  Subspaces keep their
+canonical reduced row echelon rows in one EchelonBasis, so two equal
+subspaces have equal rows and compare structurally (1 == Fraction(1), with
+equal hashes).  Dense tuples appear where a Matrix is built or flattened,
+and as the flattened members of a commuting pair, which caches hash;
+`matmul` is the one product of flattened square matrices, either form in
+and a sparse row out.
 """
 
 from __future__ import annotations
@@ -432,6 +434,40 @@ def complement(sub, within, reverse=False):
     return Subspace.canonical(sub.ambient_dim, picked)
 
 
+def determinant(rows):
+    """The determinant of a square matrix given by dense rows of exact
+    rationals, by fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
+
+    Step k replaces each entry below and right of the pivot by the 2 x 2
+    minor it spans with the pivot, divided by the previous pivot; that
+    division is exact, so on all-int rows (decided once per matrix) it is
+    `//` and the determinant comes back an int.  Otherwise the division is
+    a Fraction one and entries pass through `small`.  A zero pivot swaps
+    in a lower row, which flips the sign."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError("determinant of a non-square matrix")
+    integral = all(x.__class__ is int for r in m for x in r)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            p = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if p is None:
+                return 0
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        rk = m[k]
+        pivot = rk[k]
+        for ri in m[k + 1 :]:
+            a = ri[k]
+            for j in range(k + 1, n):
+                x = pivot * ri[j] - a * rk[j]
+                ri[j] = x // prev if integral else small(frac(x) / prev)
+        prev = pivot
+    return small(sign * m[-1][-1]) if n else 1
+
+
 class Matrix:
     """Dense exact matrix."""
 
@@ -503,6 +539,8 @@ class Matrix:
         return all(not x for row in self.data for x in row)
 
     def determinant(self):
+        """Gaussian elimination over Fraction: the reference the
+        fraction-free `determinant` is tested against."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         m = [list(row) for row in self.data]

@@ -3,7 +3,7 @@ rational-coefficient polynomials in many variables."""
 
 from __future__ import annotations
 
-from .linalg import frac
+from .linalg import exact
 
 
 class BivariatePoly:
@@ -113,7 +113,9 @@ def one_minus(i, j):
 class MultivariatePoly:
     """Polynomial over Q in a fixed number of variables.
 
-    Stored as {exponent tuple: Fraction}; no zero coefficients; exponents are
+    Stored as {exponent tuple: exact rational}: each coefficient passes
+    through `linalg.exact`, so it is an int where it is integral and a
+    Fraction otherwise, never a float.  No zero coefficients; exponents are
     non-negative.
     """
 
@@ -124,7 +126,7 @@ class MultivariatePoly:
         self.coeffs = {}
         if coeffs:
             for k, v in coeffs.items():
-                v = frac(v)
+                v = exact(v)
                 if v:
                     self.coeffs[tuple(k)] = v
 
@@ -148,7 +150,7 @@ class MultivariatePoly:
         n = len(coeffs)
         out = {}
         for i, c in enumerate(coeffs):
-            c = frac(c)
+            c = exact(c)
             if c:
                 e = [0] * n
                 e[i] = 1
@@ -190,7 +192,7 @@ class MultivariatePoly:
         return self + (-other)
 
     def scale(self, c):
-        c = frac(c)
+        c = exact(c)
         return MultivariatePoly(self.nvars, {k: c * v for k, v in self.coeffs.items()})
 
     def __mul__(self, other):

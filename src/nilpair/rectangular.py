@@ -91,31 +91,44 @@ class EmbeddingSpec:
 
     def rank(self):
         n = self.dim_v
-        if self.algebra == "sl":
-            return n - 1
-        if self.algebra == "sp":
-            if n % 2:
-                raise FormError("symplectic form needs even dimension")
-            return n // 2
-        return n // 2
+        if self.algebra == "sp" and n % 2:
+            raise FormError("symplectic form needs even dimension")
+        return _rank(self.algebra, n)
 
     def to_jsonable(self):
         return {"type": self.algebra, "J": [list(x) for x in sorted(self.summands)]}
 
 
+def _rank(algebra, dim_v):
+    """Rank of the algebra on a module of dimension dim_v."""
+    return dim_v - 1 if algebra == "sl" else dim_v // 2
+
+
+def _wrong_parity(algebra, n, m):
+    """Whether the summand R(n - 1) (x) R(m - 1) carries an invariant form
+    of the other symmetry than the algebra's (both factors carry forms of
+    one sign exactly when n - m is even), so that it needs an equal summand
+    to pair with hyperbolically."""
+    if algebra == "sl":
+        return False
+    symmetric = (n - m) % 2 == 0
+    return symmetric if algebra == "sp" else not symmetric
+
+
+def _pairs_up(items):
+    """Whether a sorted sequence holds each of its values an even number of
+    times: its items, taken two by two, are equal pairs."""
+    return len(items) % 2 == 0 and all(
+        a == b for a, b in zip(items[::2], items[1::2])
+    )
+
+
 def _form_possible(spec):
     """Whether V carries an invariant form of the right symmetry: summands of
     the wrong intrinsic parity must pair up evenly (hyperbolically)."""
-    if spec.algebra == "sl":
-        return True
-    counts = Counter(spec.summands)
-    for (n, m), cnt in counts.items():
-        symmetric = (n - m) % 2 == 0  # both factors carry forms of one sign
-        if spec.algebra == "so" and not symmetric and cnt % 2:
-            return False
-        if spec.algebra == "sp" and symmetric and cnt % 2:
-            return False
-    return True
+    return _pairs_up(
+        [s for s in sorted(spec.summands) if _wrong_parity(spec.algebra, *s)]
+    )
 
 
 def _check_form(spec):
@@ -158,21 +171,38 @@ def summand_count(spec):
     return _closed_form_count(spec.algebra, spec.summands)
 
 
+# V (x) V for sl holds the trace, which sl leaves out
+_TRACE_TERM = {"sl": -1, "sp": 0, "so": 0}
+
+
 def _closed_form_count(algebra, summands):
     labels = [(n - 1, m - 1) for n, m in summands]
-    cross = sum(
-        (min(a1, a2) + 1) * (min(b1, b2) + 1)
-        for i, (a1, b1) in enumerate(labels)
-        for a2, b2 in labels[i + 1 :]
-    )
+    count = _TRACE_TERM[algebra]
+    for i, label in enumerate(labels):
+        count += _own_term(algebra, label)
+        for other in labels[i + 1 :]:
+            count += _cross_term(algebra, label, other)
+    return count
+
+
+def _own_term(algebra, label):
+    """Summands a single summand R(a) (x) R(b) of V contributes on its own:
+    those of R(a) (x) R(a) times R(b) (x) R(b) for sl, of its symmetric
+    square for sp and of its alternating square for so."""
+    a, b = label
     if algebra == "sl":
-        # V (x) V: R(a) (x) R(a) has a + 1 summands, each cross term twice
-        return sum((a + 1) * (b + 1) for a, b in labels) + 2 * cross - 1
+        return (a + 1) * (b + 1)
     if algebra == "sp":
-        own = sum(_sym(a) * _sym(b) + _alt(a) * _alt(b) for a, b in labels)
-    else:
-        own = sum(_sym(a) * _alt(b) + _alt(a) * _sym(b) for a, b in labels)
-    return own + cross
+        return _sym(a) * _sym(b) + _alt(a) * _alt(b)
+    return _sym(a) * _alt(b) + _alt(a) * _sym(b)
+
+
+def _cross_term(algebra, label, other):
+    """Summands two summands of V contribute together: their tensor product,
+    which V (x) V holds twice for sl."""
+    (a1, b1), (a2, b2) = label, other
+    term = (min(a1, a2) + 1) * (min(b1, b2) + 1)
+    return 2 * term if algebra == "sl" else term
 
 
 def _sym(a):
@@ -234,58 +264,87 @@ def classification_list_predicate(spec):
     return False
 
 
-def _multisets(singles, count, room, start=0):
-    """The sorted count-element multisets from singles[start:], in the order
-    of combinations_with_replacement, whose boxes n m sum to at most room.
-    singles is sorted, so once n exceeds the room no later single fits."""
-    for i in range(start, len(singles)):
-        n, m = singles[i]
-        if n > room:
-            return
-        if n * m > room:
-            continue
-        if count == 1:
-            yield (singles[i],)
-        else:
-            for rest in _multisets(singles, count - 1, room - n * m, i):
-                yield (singles[i],) + rest
-
-
-def survey_embeddings(algebra, dim_bound, max_summands=3):
+def survey_embeddings(algebra, dim_bound):
     """Exhaustive comparison of the count criterion against the published
-    lists, over all multisets with at most three summands."""
+    lists, over every multiset of one, two or three summands (n, m) with at
+    most dim_bound boxes in all, in the order of
+    combinations_with_replacement over the sorted singles.
+
+    Each single's own summand count, box count and form parity are taken
+    once, and the cross terms once per pair of singles that fits, so each
+    multiset's closed-form count (`summand_count`) and form test are sums
+    and lookups carried along the walk; the adjoint module is decomposed
+    only where the count equals the rank."""
     singles = [
         (n, m)
         for n in range(1, dim_bound + 1)
         for m in range(1, dim_bound + 1)
         if n * m <= dim_bound
     ]
+    labels = [(n - 1, m - 1) for n, m in singles]
+    boxes = [n * m for n, m in singles]
+    own = [_own_term(algebra, x) for x in labels]
+    trace = _TRACE_TERM[algebra]
+    wrong = [_wrong_parity(algebra, n, m) for n, m in singles]
+    # cross[i][j] for j >= i, where the two singles fit together
+    cross = [
+        {
+            j: _cross_term(algebra, labels[i], labels[j])
+            for j in range(i, len(singles))
+            if boxes[i] + boxes[j] <= dim_bound
+        }
+        for i in range(len(singles))
+    ]
     rows = []
     agree = True
-    for count in range(1, max_summands + 1):
-        for J in _multisets(singles, count, dim_bound):
-            dim = sum(n * m for n, m in J)
-            if dim < 2 or (algebra == "sp" and dim % 2):
-                continue
-            spec = EmbeddingSpec(algebra, J)
-            # the form test and the closed-form count once per multiset;
-            # decomposed only where the count equals the rank
-            form_ok = _form_possible(spec)
-            if form_ok and _closed_form_count(algebra, J) == spec.rank():
-                accepted, exps = is_regular_embedding(spec)
-            else:
-                accepted, exps = False, None
-            expected = form_ok and classification_list_predicate(spec)
-            agree = agree and accepted == expected
-            rows.append(
-                {
-                    "type": algebra,
-                    "J": [list(x) for x in spec.summands],
-                    "is_pn_pair": accepted,
-                    "expected": expected,
-                    "biexponents": None if exps is None else [list(e) for e in exps],
-                }
-            )
+
+    def visit(idx, dim, count):
+        nonlocal agree
+        if dim < 2 or (algebra == "sp" and dim % 2):
+            return
+        J = tuple([singles[i] for i in idx])
+        spec = EmbeddingSpec(algebra, J)
+        odd = [i for i in idx if wrong[i]]
+        form_ok = not odd or _pairs_up(odd)
+        if form_ok and count + trace == _rank(algebra, dim):
+            accepted, exps = is_regular_embedding(spec)
+        else:
+            accepted, exps = False, None
+        expected = form_ok and classification_list_predicate(spec)
+        agree = agree and accepted == expected
+        rows.append(
+            {
+                "type": algebra,
+                "J": [list(x) for x in J],
+                "is_pn_pair": accepted,
+                "expected": expected,
+                "biexponents": None if exps is None else [list(e) for e in exps],
+            }
+        )
+
+    def fitting(start, room):
+        """The singles from start on with at most room boxes; singles are
+        sorted, so once n exceeds the room no later single fits."""
+        for j in range(start, len(singles)):
+            if singles[j][0] > room:
+                return
+            if boxes[j] <= room:
+                yield j
+
+    for i in fitting(0, dim_bound):
+        visit((i,), boxes[i], own[i])
+    for i in fitting(0, dim_bound):
+        for j in fitting(i, dim_bound - boxes[i]):
+            visit((i, j), boxes[i] + boxes[j], own[i] + own[j] + cross[i][j])
+    for i in fitting(0, dim_bound):
+        for j in fitting(i, dim_bound - boxes[i]):
+            dim, count = boxes[i] + boxes[j], own[i] + own[j] + cross[i][j]
+            for k in fitting(j, dim_bound - dim):
+                visit(
+                    (i, j, k),
+                    dim + boxes[k],
+                    count + own[k] + cross[i][k] + cross[j][k],
+                )
     return {"algebra": algebra, "dim_bound": dim_bound, "rows": rows, "agree": agree}
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilpair import harmonics, surveys
+from nilpair import harmonics, polys, surveys
 from nilpair.diagrams import parse, partitions
 from nilpair.harmonics import (
     SpanModule,
@@ -92,13 +92,13 @@ def test_alternant_one_determinant_per_pair_set(monkeypatch):
     x2 = [q for _, q in d.boxes]
     d1, d2 = exponent_sums(d)
     calls = []
-    determinant = Matrix.determinant
+    determinant = harmonics.determinant
 
-    def counted(self):
+    def counted(rows):
         calls.append(1)
-        return determinant(self)
+        return determinant(rows)
 
-    monkeypatch.setattr(Matrix, "determinant", counted)
+    monkeypatch.setattr(harmonics, "determinant", counted)
     alternant(x1, x2, d1, d2)
     grid = [(a, b) for a in range(d1 + 1) for b in range(d2 + 1)]
     pair_sets = [
@@ -342,3 +342,41 @@ def test_side_character_rejects_non_integer_trace():
     span.add({(1, 0): Fraction(1), (0, 1): Fraction(2)})
     with pytest.raises(ArithmeticError):
         side_character(SpanModule(span), 2, "u")
+
+
+# Integral polynomials hold int coefficients; the all-Fraction run below
+# (every coefficient stored through frac, the alternants' determinants taken
+# by the Fraction elimination of Matrix.determinant) is their reference.
+
+
+def _harmonics_rows(d):
+    n = d.n
+    delta = pair_alternant(d)
+    d1, d2 = exponent_sums(d)
+    top = alternant([p for p, _ in d.boxes], [q for _, q in d.boxes], d1, d2)
+    swaps = adjacent_transpositions(2 * n, 0, n) + adjacent_transpositions(2 * n, n, n)
+    rows = {
+        "harmonic": harmonicity(delta, n),
+        "gram": [gram_value(delta, n, perm_of_partition(mu, n)) for mu in partitions(n)],
+        "permuted": [delta.permute_variables(g).coeffs for g in swaps],
+        "skew": is_diagonally_skew(delta, n),
+        "scan": vanishing_scan(d, delta),
+    }
+    return (delta, top), rows
+
+
+@pytest.mark.parametrize("spec", SHAPES_TO_5)
+def test_int_coefficients_match_the_fraction_reference(spec, monkeypatch):
+    d = parse(spec)
+    polys_got, got = _harmonics_rows(d)
+    with monkeypatch.context() as m:
+        m.setattr(polys, "exact", frac)
+        m.setattr(harmonics, "exact", frac)
+        m.setattr(harmonics, "determinant", lambda rows: Matrix(rows).determinant())
+        polys_want, want = _harmonics_rows(d)
+    for p in polys_got:
+        assert all(type(c) is int for c in p.coeffs.values())
+    for p in polys_want:
+        assert all(type(c) is Fraction for c in p.coeffs.values())
+    assert all(type(g) is int for g in got["gram"])
+    assert polys_got == polys_want and got == want

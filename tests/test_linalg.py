@@ -12,6 +12,7 @@ from nilpair.linalg import (
     bracket,
     combine,
     complement,
+    determinant,
     exact,
     jordan_type,
     kernel_in,
@@ -26,8 +27,9 @@ from nilpair.linalg import (
 )
 
 
-# Dense Matrix operations that only the tests use: the package multiplies,
-# takes kernels and determinants of dense matrices, and nothing more.
+# Dense Matrix operations that only the tests use: the package multiplies
+# dense matrices and takes their kernels, and nothing more; Matrix.determinant
+# is the reference for the fraction-free `determinant`.
 
 
 def mat_pow(m, k):
@@ -859,3 +861,66 @@ def test_exact_keeps_ints_and_normalises_the_rest():
     ):
         got = exact(x)
         assert got == want and type(got) is type(want), x
+
+
+# The fraction-free determinant against Matrix.determinant, the Fraction
+# elimination it replaced in the package.
+
+
+@st.composite
+def square_rows(draw, max_n=5):
+    """Dense square rows, all ints or with Fractions among them, free,
+    singular (the last row a combination of the others) or with a zero in
+    the leading corner, so the first step has to swap rows."""
+    n = draw(st.integers(0, max_n))
+    integral = draw(st.booleans())
+    entry = st.integers(-5, 5) if integral else st.one_of(st.integers(-5, 5), small_fracs)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    kind = draw(st.sampled_from(["free", "singular", "swap"]))
+    if n and kind == "singular":
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [
+            sum((c * r[j] for c, r in zip(coeffs, rows)), 0) for j in range(n)
+        ]
+    elif n > 1 and kind == "swap":
+        rows[0][0] = 0
+    return rows
+
+
+@given(square_rows())
+@settings(max_examples=300, deadline=None)
+def test_determinant_matches_the_fraction_reference(rows):
+    got = determinant(rows)
+    assert got == Matrix(rows).determinant()
+    assert type(got) in (int, Fraction)
+    if all(type(x) is int for r in rows for x in r):
+        assert type(got) is int
+
+
+def test_determinant_edge_cases():
+    for rows, want in (
+        ([], 1),  # the empty product
+        ([[7]], 7),
+        ([[1, 2], [2, 4]], 0),  # singular
+        ([[0, 1], [1, 0]], -1),  # one swap
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+        ([[0, 2, 1], [0, 3, 4], [0, 5, 6]], 0),  # a zero column
+        ([[Fraction(1, 2), 1], [1, Fraction(1, 3)]], Fraction(-5, 6)),
+        ([[Fraction(2), 0], [0, Fraction(3)]], 6),
+    ):
+        got = determinant(rows)
+        assert got == want == Matrix(rows).determinant(), rows
+        assert type(got) is type(want), rows
+    with pytest.raises(ValueError):
+        determinant([[1, 2]])
+
+
+def test_determinant_of_a_large_integral_vandermonde():
+    # det (x_j^i) = prod_{i<j} (x_j - x_i): exact on ints far past 2^64
+    xs = [3**k - 7 * k for k in range(8)]
+    want = 1
+    for i in range(8):
+        for j in range(i + 1, 8):
+            want *= xs[j] - xs[i]
+    got = determinant([[x**i for x in xs] for i in range(8)])
+    assert got == want and type(got) is int and abs(got) > 2**64

@@ -96,3 +96,23 @@ def test_diff_operator_additive(p, q):
 def test_permute_variables():
     p = MultivariatePoly(2, {(2, 0): Fraction(1)})
     assert p.permute_variables((1, 0)) == MultivariatePoly(2, {(0, 2): Fraction(1)})
+
+
+def _exact_coeffs(p):
+    """Every coefficient is an int where it is integral and a Fraction
+    otherwise: never a float, never an integral Fraction."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        for c in p.coeffs.values()
+    )
+
+
+@given(polys(), polys(), st.fractions(min_value=-3, max_value=3, max_denominator=2))
+@settings(max_examples=50, deadline=None)
+def test_coefficients_are_ints_where_integral(p, q, c):
+    for r in (p, q, p + q, p - q, p * q, p.scale(c), p * c, p.diff(0, 2)):
+        assert _exact_coeffs(r)
+    assert _exact_coeffs(MultivariatePoly.linear_form([Fraction(2), Fraction(1, 2), 0, True]))
+    ints = MultivariatePoly(2, {(1, 0): Fraction(4, 2), (0, 1): -3})
+    assert all(type(x) is int for x in (ints * ints).coeffs.values())
+    assert ints.to_jsonable() == [[[0, 1], -3, 1], [[1, 0], 2, 1]]

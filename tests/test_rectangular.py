@@ -14,7 +14,6 @@ from nilpair.rectangular import (
     FormError,
     _associated_grading_candidate,
     _form_possible,
-    _multisets,
     alt2,
     classification_list_predicate,
     clebsch_gordan,
@@ -148,14 +147,29 @@ def _singles(dim_bound):
     ]
 
 
-def _reference_multisets(dim_bound, max_summands=3):
+def _reference_multisets(dim_bound):
     """Every multiset survey_embeddings walks, built the old way: all
-    combinations_with_replacement, the ones over the bound dropped."""
+    combinations_with_replacement of one to three singles, the ones over
+    the bound dropped."""
     singles = _singles(dim_bound)
-    for count in range(1, max_summands + 1):
+    for count in (1, 2, 3):
         for J in combinations_with_replacement(singles, count):
             if sum(n * m for n, m in J) <= dim_bound:
                 yield J
+
+
+def _counted_form_possible(spec):
+    """The form test the old way: a Counter of the summands, each of the
+    wrong intrinsic parity needing an even multiplicity."""
+    if spec.algebra == "sl":
+        return True
+    for (n, m), cnt in Counter(spec.summands).items():
+        symmetric = (n - m) % 2 == 0
+        if spec.algebra == "so" and not symmetric and cnt % 2:
+            return False
+        if spec.algebra == "sp" and symmetric and cnt % 2:
+            return False
+    return True
 
 
 def _reference_survey(algebra, dim_bound):
@@ -177,7 +191,7 @@ def _reference_survey(algebra, dim_bound):
             if accepted:
                 halves = [(a // 2, b // 2) for (a, b), k in dec.items() for _ in range(k)]
                 exps = tuple(sorted(halves))
-        expected = classification_list_predicate(spec) and _form_possible(spec)
+        expected = classification_list_predicate(spec) and _counted_form_possible(spec)
         agree = agree and accepted == expected
         rows.append(
             {
@@ -192,34 +206,52 @@ def _reference_survey(algebra, dim_bound):
 
 
 def test_pruned_multisets_match_combinations():
-    for bound in (1, 2, 5, 12, 24):
-        singles = _singles(bound)
-        got = [J for count in (1, 2, 3) for J in _multisets(singles, count, bound)]
-        assert got == list(_reference_multisets(bound)), bound
+    # the survey's rows run through the multisets in the reference order,
+    # less those of dimension under 2 and, for sp, of odd dimension
+    for algebra in ("sl", "sp", "so"):
+        for bound in (1, 2, 5, 12, 24):
+            got = [
+                tuple(map(tuple, row["J"]))
+                for row in survey_embeddings(algebra, bound)["rows"]
+            ]
+            want = [
+                J
+                for J in _reference_multisets(bound)
+                if (dim := sum(n * m for n, m in J)) >= 2
+                and not (algebra == "sp" and dim % 2)
+            ]
+            assert got == want, (algebra, bound)
+
+
+@pytest.mark.parametrize("algebra", ["sl", "sp", "so"])
+def test_form_test_matches_counted_reference(algebra):
+    for J in _reference_multisets(24):
+        spec = EmbeddingSpec(algebra, J)
+        assert _form_possible(spec) == _counted_form_possible(spec), J
 
 
 @pytest.mark.parametrize("algebra", ["sl", "sp", "so"])
 def test_summand_count_matches_decomposition(algebra):
     # every multiset survey_embeddings enumerates up to the CLI cap of 24
     checked = errors = 0
-    for count in (1, 2, 3):
-        for J in _multisets(_singles(24), count, 24):
-            spec = EmbeddingSpec(algebra, J)
-            try:
-                dec = decompose_adjoint(spec)
-            except FormError:
-                with pytest.raises(FormError):
-                    summand_count(spec)
-                errors += 1
-                continue
-            assert summand_count(spec) == sum(dec.values()), J
-            checked += 1
+    for J in _reference_multisets(24):
+        spec = EmbeddingSpec(algebra, J)
+        try:
+            dec = decompose_adjoint(spec)
+        except FormError:
+            with pytest.raises(FormError):
+                summand_count(spec)
+            errors += 1
+            continue
+        assert summand_count(spec) == sum(dec.values()), J
+        checked += 1
     assert checked > 1000 and (errors > 0) == (algebra != "sl")
 
 
 @pytest.mark.parametrize("algebra", ["sl", "sp", "so"])
 def test_survey_matches_decompose_first_reference(algebra):
-    assert survey_embeddings(algebra, 12) == _reference_survey(algebra, 12)
+    # the bound of rect_suite, so its golden report has a row-level reference
+    assert survey_embeddings(algebra, 20) == _reference_survey(algebra, 20)
 
 
 def test_decomposition_only_behind_a_matching_count(monkeypatch):

@@ -87,8 +87,9 @@ def test_trace_key_functions_hash_a_pair():
 
 def test_pair_path_modules_do_not_name_matrix():
     # pair members, slice points, the explicit orthogonal pairs and their
-    # brackets are flattened vectors; the dense Matrix stays in linalg,
-    # harmonics (determinants), the ad_matrix reference in pairs and the tests
+    # brackets are flattened vectors, and alternants take the fraction-free
+    # linalg.determinant of dense rows; no package module outside linalg
+    # and the ad_matrix reference in pairs names the dense Matrix
     found = [
         name
         for name in (
@@ -97,6 +98,8 @@ def test_pair_path_modules_do_not_name_matrix():
             "surveys.py",
             "cli.py",
             "rectangular.py",
+            "harmonics.py",
+            "polys.py",
         )
         if "Matrix" in (Path(nilpair.__file__).parent / name).read_text()
     ]
