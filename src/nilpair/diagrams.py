@@ -320,25 +320,48 @@ def out_subsets(d):
 
 
 def subset_pairs(d, p, q):
-    """All (in-subset, out-subset) pairs related by translation by (p, q)."""
-    if classify_shape(d) not in SKEWISH:
-        raise ShapeError("diagram is not a (minus) skew shape")
+    """All (in-subset, out-subset) pairs related by translation by (p, q),
+    in the order of their in-subsets, as a new list: one entry of
+    _pairs_by_shift."""
+    by_shift = _pairs_by_shift(d)
     if p < 0 or q < 0:
         raise ValueError("shift components must be non-negative")
-    outs = set(out_subsets(d))
-    pairs = []
+    return list(by_shift.get((p, q), ()))
+
+
+@lru_cache(maxsize=256)
+def _pairs_by_shift(d):
+    """{(p, q): [SubsetPair]} for every non-negative shift with a pair, in
+    one pass: an out-subset is a translate of an in-subset exactly when the
+    two agree once moved to their south-west corners, and the shift is the
+    difference of the corners.  Raises ShapeError unless d is a (minus)
+    skew shape."""
+    if classify_shape(d) not in SKEWISH:
+        raise ShapeError("diagram is not a (minus) skew shape")
+
+    def at_corner(subset):
+        ci, cj = min(i for i, _ in subset), min(j for _, j in subset)
+        return (ci, cj), frozenset((i - ci, j - cj) for i, j in subset)
+
+    def ordered(subset):
+        return tuple(sorted(subset, key=lambda b: (b[1], b[0])))
+
+    outs = {}
+    for nu in out_subsets(d):
+        corner, form = at_corner(nu)
+        outs.setdefault(form, []).append((corner, nu))
+    by_shift = {}
     for nu in in_subsets(d):
-        moved = frozenset((i + p, j + q) for i, j in nu)
-        if moved in outs:
-            pairs.append(
-                SubsetPair(
-                    tuple(sorted(nu, key=lambda b: (b[1], b[0]))),
-                    tuple(sorted(moved, key=lambda b: (b[1], b[0]))),
-                    (p, q),
+        (ci, cj), form = at_corner(nu)
+        for (oi, oj), moved in outs.get(form, ()):
+            shift = (oi - ci, oj - cj)
+            if shift[0] >= 0 and shift[1] >= 0:
+                by_shift.setdefault(shift, []).append(
+                    SubsetPair(ordered(nu), ordered(moved), shift)
                 )
-            )
-    pairs.sort(key=lambda sp: sp.nu_in)
-    return pairs
+    for pairs in by_shift.values():
+        pairs.sort(key=lambda sp: sp.nu_in)
+    return by_shift
 
 
 @lru_cache(maxsize=None)

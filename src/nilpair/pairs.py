@@ -3,7 +3,8 @@ bigradings, bi-exponents, classification and the structural checks that go
 with them.
 
 The ambient algebra is gl_n internally (matrix units are bigraded there);
-trace-zero results are obtained by cutting with the trace hyperplane.
+the trace-zero pieces and graded kernels are the gl ones cut with the trace
+hyperplane (see _sl_cut).
 """
 
 from __future__ import annotations
@@ -273,18 +274,34 @@ def bigraded_pieces(h, ambient="gl"):
 
 @lru_cache(maxsize=64)
 def _bigraded_pieces(h, ambient):
+    if ambient == "sl":
+        return _sl_cut(_bigraded_pieces(h, "gl"), keep_zero=True)
     n = h.n
     groups = {}
     for i in range(n):
         for j in range(n):
             groups.setdefault(h.bidegree(i, j), []).append(i * n + j)
-    pieces = {}
-    for key, idxs in groups.items():
-        sp = Subspace.canonical(n * n, [{idx: 1} for idx in idxs])
-        if ambient == "sl" and key == (0, 0):
-            sp = traceless_cut(sp)
-        pieces[key] = sp
-    return pieces
+    return {
+        key: Subspace.canonical(n * n, [{idx: 1} for idx in idxs])
+        for key, idxs in groups.items()
+    }
+
+
+def _sl_cut(blocks, keep_zero=False):
+    """The trace-zero blocks of gl blocks {(p, q): Subspace}, in their key
+    order.  Only the (0, 0) block holds diagonal matrices, so every other
+    block is traceless and shared as it is, and (0, 0) is cut with the trace
+    hyperplane: the sl piece is gl(0, 0) with tr = 0, so a kernel on it is
+    the gl kernel with tr = 0, and canonical rows make the two equal.  A
+    zero cut is dropped unless keep_zero."""
+    out = {}
+    for key, block in blocks.items():
+        if key == (0, 0):
+            block = traceless_cut(block)
+            if not (block.dim or keep_zero):
+                continue
+        out[key] = block
+    return out
 
 
 def ad_map_between(x, source, target):
@@ -305,8 +322,9 @@ def ad_map_between(x, source, target):
 def member_kernels(pair, h, member, ambient="sl"):
     """The kernel of [e_member, .] on each bigraded piece g_{p,q}:
     {(p, q): Subspace}, nonzero kernels only.  It depends on that member
-    alone, so K1 is cached per (e1, h, ambient) and K2 per (e2, h,
-    ambient), shared between callers, who must not mutate them."""
+    alone, so K1 is built once per (e1, h) and K2 once per (e2, h), in gl;
+    the sl kernels are its trace cut and share every block off (0, 0) with
+    it.  Callers share them and must not mutate them."""
     if member == 1:
         return _member_kernels(pair.e1, (1, 0), h, ambient)
     return _member_kernels(pair.e2, (0, 1), h, ambient)
@@ -314,15 +332,17 @@ def member_kernels(pair, h, member, ambient="sl"):
 
 @lru_cache(maxsize=64)
 def _member_kernels(x, step, h, ambient):
+    if ambient == "sl":
+        return _sl_cut(_member_kernels(x, step, h, "gl"))
     # a member whose every entry has bidegree `step` maps each piece into
-    # the piece `step` further on (in sl too, as a bracket is traceless), so
-    # the images are taken as they are: reading them in that piece's
-    # coordinates, an injective linear map, would give the same kernel
+    # the piece `step` further on, so the images are taken as they are:
+    # reading them in that piece's coordinates, an injective linear map,
+    # would give the same kernel
     n = h.n
     if not _homogeneous(x, step, h, n):
         raise StabilityError("the member is not homogeneous for this bigrading")
     out = {}
-    for key, piece in bigraded_pieces(h, ambient).items():
+    for key, piece in bigraded_pieces(h, "gl").items():
         kern = kernel_in(piece, ad_each(x, piece.basis, n))
         if kern.dim:
             out[key] = kern
@@ -332,13 +352,17 @@ def _member_kernels(x, step, h, ambient):
 def centralizer_bigraded(pair, h, ambient="sl"):
     """Bigraded joint centralizer K12: {(p, q): Subspace}, nonzero blocks
     only.  Each block is the kernel of [e2, .] on the K1 block, which is
-    smaller than the piece, so K2 is never built for it.  Raises
-    StabilityError when h does not grade the pair."""
+    smaller than the piece, so K2 is never built for it.  It is built once
+    per pair and grading, in gl; the sl blocks are its trace cut, sharing
+    every block off (0, 0).  Raises StabilityError when h does not grade
+    the pair."""
     return _joint_kernels(pair.e1, pair.e2, h, ambient)
 
 
 @lru_cache(maxsize=64)
 def _joint_kernels(e1, e2, h, ambient):
+    if ambient == "sl":
+        return _sl_cut(_joint_kernels(e1, e2, h, "gl"))
     # each member's entries are checked for their bidegree, e1's in
     # _member_kernels and e2's here: e2 is bracketed on the K1 blocks only,
     # so a check on its images alone could miss an entry of another bidegree
@@ -346,7 +370,7 @@ def _joint_kernels(e1, e2, h, ambient):
     if not _homogeneous(e2, (0, 1), h, n):
         raise StabilityError("the pair is not homogeneous for this bigrading")
     out = {}
-    for key, block in _member_kernels(e1, (1, 0), h, ambient).items():
+    for key, block in _member_kernels(e1, (1, 0), h, "gl").items():
         kern = kernel_in(block, ad_each(e2, block.basis, n))
         if kern.dim:
             out[key] = kern
@@ -529,89 +553,6 @@ def weak_lefschetz_report(pair, h=None):
                 }
             )
     return records
-
-
-def levi_subalgebra(h, which, pieces=None):
-    """g^1 (commutant of h2) or g^2 (commutant of h1) inside trace-zero gl."""
-    pieces = pieces or bigraded_pieces(h, ambient="sl")
-    vecs = []
-    for (p, q), sp in pieces.items():
-        if (which == 1 and q == 0) or (which == 2 and p == 0):
-            vecs.extend(sp.basis)
-    return Subspace(h.n**2, vecs)
-
-
-def center_of(space, n):
-    """Center of a matrix subalgebra given as a subspace: the elements of the
-    space whose bracket with every basis element vanishes."""
-    # constraint on coefficients c, for each basis element m:
-    # sum_j c_j [m, b_j] = 0
-    nn = n * n
-    return kernel_in(
-        space,
-        [
-            {
-                i * nn + k: x
-                for i, m in enumerate(space.basis)
-                for k, x in ad(m, v, n).items()
-            }
-            for v in space.basis
-        ],
-    )
-
-
-def lie_closure(vectors, n):
-    """Span closure of a set of matrices under the bracket."""
-    ech = EchelonBasis()
-    frontier = [v for v in vectors if ech.add(v)]
-    base = list(frontier)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in base:
-                w = ad(a, b, n)
-                if ech.add(w):
-                    new.append(w)
-        base.extend(new)
-        frontier = new
-    return Subspace.canonical(n * n, ech.rows.values())
-
-
-def parabolic_checks(pair, h=None):
-    """Tangent-space density and generation checks for the two Levi pieces."""
-    if h is None:
-        h = provenance_grading(pair)
-    n = pair.n
-    pieces = bigraded_pieces(h, ambient="sl")
-    g1 = levi_subalgebra(h, 1, pieces)
-    g2 = levi_subalgebra(h, 2, pieces)
-
-    def row_span(which_p):
-        vecs = []
-        for (p, q), sp in pieces.items():
-            if (which_p == "p1" and p == 1) or (which_p == "q1" and q == 1):
-                vecs.extend(sp.basis)
-        return Subspace(n * n, vecs)
-
-    bracket_e1_g2 = ad_image(pair.e1, g2)
-    bracket_e2_g1 = ad_image(pair.e2, g1)
-    c1 = center_of(g1, n)
-    c2 = center_of(g2, n)
-    checks = {
-        "e1_in_degree_1_0": pieces.get((1, 0), Subspace.zero(n * n)).contains(
-            pair.e1
-        ),
-        "e2_in_degree_0_1": pieces.get((0, 1), Subspace.zero(n * n)).contains(
-            pair.e2
-        ),
-        "bracket_e1_levi2_fills_row": bracket_e1_g2 == row_span("p1"),
-        "bracket_e2_levi1_fills_row": bracket_e2_g1 == row_span("q1"),
-        "centers_meet_trivially": c1.intersect(c2).dim == 0,
-        "levis_generate": lie_closure(list(g1.basis) + list(g2.basis), n).dim
-        == n * n - 1,
-    }
-    checks["ok"] = all(bool(v) for v in checks.values())
-    return checks
 
 
 def abelian_check(space, n):

@@ -8,6 +8,7 @@ from nilpair.diagrams import (
     ResourceError,
     ShapeClass,
     ShapeError,
+    SubsetPair,
     _closure_subsets,
     classify_shape,
     enumerate_diagrams,
@@ -127,6 +128,70 @@ def test_subset_pairs_hook_diagonal_empty():
 def test_subset_pairs_requires_skewish():
     with pytest.raises(ShapeError):
         subset_pairs(parse("(0,0);(2,0)"), 0, 0)
+    # the shape is refused before the shift is looked at
+    with pytest.raises(ShapeError):
+        subset_pairs(parse("(0,0);(2,0)"), -1, 0)
+    with pytest.raises(ValueError):
+        subset_pairs(parse("2,1"), 0, -1)
+
+
+def _scanned_subset_pairs(d, p, q):
+    """Reference for subset_pairs: every in-subset is moved by (p, q) and
+    kept if it lands on an out-subset, then the pairs are sorted by their
+    in-subsets."""
+    outs = set(out_subsets(d))
+    pairs = []
+    for nu in in_subsets(d):
+        moved = frozenset((i + p, j + q) for i, j in nu)
+        if moved in outs:
+            pairs.append(
+                SubsetPair(
+                    tuple(sorted(nu, key=lambda b: (b[1], b[0]))),
+                    tuple(sorted(moved, key=lambda b: (b[1], b[0]))),
+                    (p, q),
+                )
+            )
+    pairs.sort(key=lambda sp: sp.nu_in)
+    return pairs
+
+
+def test_subset_pairs_match_the_per_shift_scan():
+    # the pairs grouped by shift once per diagram equal the per-shift scan
+    # as whole lists, order included, on every Young shape up to 7 boxes,
+    # every skew shape up to 6 and every minus shape up to 5, at every
+    # shift up to one past the diagram's extent and one beyond that
+    plan = [
+        (ShapeClass.YOUNG, 7),
+        (ShapeClass.SKEW, 6),
+        (ShapeClass.MINUS_YOUNG, 5),
+        (ShapeClass.MINUS_SKEW, 5),
+    ]
+    shapes = lists = nonempty = 0
+    for shape, max_boxes in plan:
+        for n in range(1, max_boxes + 1):
+            for d in enumerate_diagrams(n, shape):
+                pmax = max(p for p, _ in d.boxes)
+                qmax = max(q for _, q in d.boxes)
+                for p in range(pmax + 3):
+                    for q in range(qmax + 3):
+                        want = _scanned_subset_pairs(d, p, q)
+                        assert subset_pairs(d, p, q) == want, (d, p, q)
+                        lists += 1
+                        nonempty += bool(want)
+                shapes += 1
+    # 44 Young, 38 skew and 18 minus-Young shapes; a skew shape turned
+    # half way round is skew again, so there are no minus-skew ones
+    assert shapes == 100
+    assert lists > nonempty > 400
+
+
+def test_subset_pairs_returns_a_new_list():
+    d = parse("3,2")
+    first = subset_pairs(d, 1, 0)
+    want = list(first)
+    first.clear()
+    assert subset_pairs(d, 1, 0) == want
+    assert want and subset_pairs(d, 1, 0) is not subset_pairs(d, 1, 0)
 
 
 def _brute_force_pairs(d, p, q):

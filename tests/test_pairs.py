@@ -12,6 +12,7 @@ from nilpair.linalg import (
     Subspace,
     bracket,
     entries,
+    kernel_in,
     matmul,
     relations,
 )
@@ -22,6 +23,7 @@ from nilpair.pairs import (
     ShapeError,
     abelian_check,
     ad,
+    ad_image,
     ad_matrix,
     bigraded_pieces,
     biexponents,
@@ -33,7 +35,6 @@ from nilpair.pairs import (
     is_nilpotent_family,
     member_kernels,
     monomial_basis_check,
-    parabolic_checks,
     provenance_grading,
     shift_basis_check,
     weak_lefschetz_report,
@@ -278,6 +279,93 @@ def test_weak_lefschetz_young_passes():
 def test_weak_lefschetz_fails_for_strict_skew():
     pair, h = build_pair(parse("3,2/1"))
     assert any(not rec["ok"] for rec in weak_lefschetz_report(pair, h))
+
+
+# parabolic tangent-space checks: no suite reports them, so they live with
+# their tests
+
+
+def levi_subalgebra(h, which, pieces=None):
+    """g^1 (commutant of h2) or g^2 (commutant of h1) inside trace-zero gl."""
+    pieces = pieces or bigraded_pieces(h, ambient="sl")
+    vecs = []
+    for (p, q), sp in pieces.items():
+        if (which == 1 and q == 0) or (which == 2 and p == 0):
+            vecs.extend(sp.basis)
+    return Subspace(h.n**2, vecs)
+
+
+def center_of(space, n):
+    """Center of a matrix subalgebra given as a subspace: the elements of the
+    space whose bracket with every basis element vanishes."""
+    # constraint on coefficients c, for each basis element m:
+    # sum_j c_j [m, b_j] = 0
+    nn = n * n
+    return kernel_in(
+        space,
+        [
+            {
+                i * nn + k: x
+                for i, m in enumerate(space.basis)
+                for k, x in ad(m, v, n).items()
+            }
+            for v in space.basis
+        ],
+    )
+
+
+def lie_closure(vectors, n):
+    """Span closure of a set of matrices under the bracket."""
+    ech = EchelonBasis()
+    frontier = [v for v in vectors if ech.add(v)]
+    base = list(frontier)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in base:
+                w = ad(a, b, n)
+                if ech.add(w):
+                    new.append(w)
+        base.extend(new)
+        frontier = new
+    return Subspace.canonical(n * n, ech.rows.values())
+
+
+def parabolic_checks(pair, h=None):
+    """Tangent-space density and generation checks for the two Levi pieces."""
+    if h is None:
+        h = provenance_grading(pair)
+    n = pair.n
+    pieces = bigraded_pieces(h, ambient="sl")
+    g1 = levi_subalgebra(h, 1, pieces)
+    g2 = levi_subalgebra(h, 2, pieces)
+
+    def row_span(which_p):
+        vecs = []
+        for (p, q), sp in pieces.items():
+            if (which_p == "p1" and p == 1) or (which_p == "q1" and q == 1):
+                vecs.extend(sp.basis)
+        return Subspace(n * n, vecs)
+
+    bracket_e1_g2 = ad_image(pair.e1, g2)
+    bracket_e2_g1 = ad_image(pair.e2, g1)
+    c1 = center_of(g1, n)
+    c2 = center_of(g2, n)
+    checks = {
+        "e1_in_degree_1_0": pieces.get((1, 0), Subspace.zero(n * n)).contains(
+            pair.e1
+        ),
+        "e2_in_degree_0_1": pieces.get((0, 1), Subspace.zero(n * n)).contains(
+            pair.e2
+        ),
+        "bracket_e1_levi2_fills_row": bracket_e1_g2 == row_span("p1"),
+        "bracket_e2_levi1_fills_row": bracket_e2_g1 == row_span("q1"),
+        "centers_meet_trivially": c1.intersect(c2).dim == 0,
+        "levis_generate": lie_closure(list(g1.basis) + list(g2.basis), n).dim
+        == n * n - 1,
+    }
+    checks["ok"] = all(bool(v) for v in checks.values())
+    return checks
 
 
 def test_parabolic_checks():
@@ -599,6 +687,118 @@ def test_graded_kernels_match_the_coordinate_route():
         shapes += 1
     assert shapes == 67
     assert outcomes == {"refused", (False, False, False), (False, True, True)}
+
+
+def _direct_sl_pieces(h):
+    """Reference for the trace-zero pieces, built straight in sl: the
+    matrix units of each bidegree, with the (0, 0) piece cut by the trace
+    hyperplane."""
+    from nilpair.pairs import traceless_cut
+
+    n = h.n
+    groups = {}
+    for i in range(n):
+        for j in range(n):
+            groups.setdefault(h.bidegree(i, j), []).append(i * n + j)
+    pieces = {}
+    for key, idxs in groups.items():
+        sp = Subspace.canonical(n * n, [{idx: 1} for idx in idxs])
+        pieces[key] = traceless_cut(sp) if key == (0, 0) else sp
+    return pieces
+
+
+def _direct_sl_kernels(x, step, h, blocks=None):
+    """Reference for the sl graded kernels, built straight in sl: the
+    kernel of [x, .] on each trace-zero piece of h (or on each of the given
+    blocks), nonzero kernels only; StabilityError unless every entry of x
+    has bidegree `step`."""
+    from nilpair.pairs import StabilityError, ad_each
+
+    n = h.n
+    if any(x[k] and h.bidegree(*divmod(k, n)) != step for k in range(n * n)):
+        raise StabilityError("the member is not homogeneous for this bigrading")
+    out = {}
+    for key, piece in (_direct_sl_pieces(h) if blocks is None else blocks).items():
+        kern = kernel_in(piece, ad_each(x, piece.basis, n))
+        if kern.dim:
+            out[key] = kern
+    return out
+
+
+def test_sl_kernels_are_the_trace_cut_of_the_gl_ones():
+    # the sl pieces, K1, K2 and K12, cut from the gl ones, equal the direct
+    # sl build row for row and in key order, on every Young and skew shape
+    # up to 6 boxes under its own grading, the swapped one and h2 doubled,
+    # on the single box and under half-integral gradings; the two builds
+    # refuse the same gradings, and every sl block off (0, 0) is the gl one
+    from nilpair.pairs import SemisimplePair
+
+    def direct(pair, g):
+        k1 = _direct_sl_kernels(pair.e1, (1, 0), g)
+        k2 = _kernels_or_refusal(lambda: _direct_sl_kernels(pair.e2, (0, 1), g))
+        k12 = _kernels_or_refusal(
+            lambda: _direct_sl_kernels(pair.e2, (0, 1), g, k1)
+        )
+        return k1, k2, k12
+
+    def cut(pair, g, ambient):
+        return (
+            member_kernels(pair, g, 1, ambient),
+            _kernels_or_refusal(lambda: member_kernels(pair, g, 2, ambient)),
+            _kernels_or_refusal(lambda: centralizer_bigraded(pair, g, ambient)),
+        )
+
+    def ordered(result):
+        if result == "refused":
+            return result
+        return [r if r == "refused" else list(r.items()) for r in result]
+
+    cases = []
+    for d in _shapes_up_to(6):
+        pair, h = build_pair(d)
+        cases.extend(
+            (pair, g)
+            for g in (
+                h,
+                SemisimplePair(h.h2, h.h1),
+                SemisimplePair(h.h1, [2 * q for q in h.h2]),
+            )
+        )
+    assert len(cases) == 3 * 67
+    box, box_h = build_pair(parse("1"))
+    cases.append((box, box_h))
+    half = Fraction(1, 2)
+    row, h = build_pair(parse("3"))
+    cases.append((row, SemisimplePair([x + half for x in h.h1], h.h2)))
+    # on the hook, h1 = (0, 1, 1/2) keeps e1 of bidegree (1, 0) and gives
+    # pieces of bidegree (+-1/2, +-1); e2 is refused
+    hook, h = build_pair(parse("2,1"))
+    cases.append((hook, SemisimplePair([0, 1, half], h.h2)))
+    outcomes, shared = set(), 0
+    for pair, g in cases:
+        sl_pieces, gl_pieces = bigraded_pieces(g, "sl"), bigraded_pieces(g, "gl")
+        assert list(sl_pieces.items()) == list(_direct_sl_pieces(g).items())
+        want = _kernels_or_refusal(lambda: direct(pair, g))
+        got = _kernels_or_refusal(lambda: cut(pair, g, "sl"))
+        assert ordered(got) == ordered(want), (pair.provenance, g)
+        outcomes.add(
+            want if want == "refused" else tuple(k == "refused" for k in want)
+        )
+        sides = [(sl_pieces, gl_pieces)]
+        if got != "refused":
+            sides.extend(zip(got, cut(pair, g, "gl")))
+        for sl, gl in sides:
+            if sl == "refused":
+                continue
+            for key, block in sl.items():
+                if key != (0, 0):
+                    assert block is gl[key]
+                    shared += 1
+    assert outcomes == {"refused", (False, False, False), (False, True, True)}
+    assert shared > 1000
+    # the single box keeps its zero sl piece and has no nonzero sl kernel
+    assert bigraded_pieces(box_h, "sl")[(0, 0)].dim == 0
+    assert member_kernels(box, box_h, 1, "sl") == {}
 
 
 @st.composite

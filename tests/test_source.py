@@ -176,3 +176,32 @@ def test_rank_only_paths_do_not_eliminate_fully():
     called = _called_names(_function("linalg.py", "_null_space"))
     assert "Subspace.canonical" in called
     assert "Subspace" not in called
+
+
+def _sl_branch(func):
+    """The body of the function's `if ambient == "sl":` branch."""
+    return next(
+        node
+        for node in ast.walk(func)
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and isinstance(node.test.left, ast.Name)
+        and node.test.left.id == "ambient"
+        and isinstance(node.test.comparators[0], ast.Constant)
+        and node.test.comparators[0].value == "sl"
+    )
+
+
+def test_sl_blocks_are_cut_from_the_gl_ones():
+    # the trace-zero pieces and graded kernels are the cached gl ones cut
+    # by one helper, never built again by a second elimination; the helper
+    # cuts with the trace hyperplane and brackets nothing
+    for name in ("_bigraded_pieces", "_member_kernels", "_joint_kernels"):
+        func = _function("pairs.py", name)
+        called = _called_names(_sl_branch(func))
+        assert "_sl_cut" in called, name
+        assert not called & {"kernel_in", "ad_each", "traceless_cut"}, name
+        assert "traceless_cut" not in _called_names(func), name
+    called = _called_names(_function("pairs.py", "_sl_cut"))
+    assert "traceless_cut" in called
+    assert not called & {"kernel_in", "ad_each"}

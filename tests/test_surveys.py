@@ -101,7 +101,8 @@ def test_multiplicity_single_case_alt_system_agrees():
 
 
 def test_parabolic_checks_small_survey():
-    from nilpair.pairs import build_pair, parabolic_checks
+    from nilpair.pairs import build_pair
+    from test_pairs import parabolic_checks
     from nilpair.diagrams import ShapeClass, enumerate_diagrams
 
     for n in range(2, 6):
