@@ -189,22 +189,3 @@ def common_constituent_report(d):
         and kostka_common == [common[0][0]],
     }
 
-
-def character_table_checks(n):
-    """Orthonormality of the table and the standard sanity identities."""
-    parts = partitions(n)
-    ok = True
-    for lam in parts:
-        chi = irreducible_character(n, lam)
-        ok = ok and inner_product(n, chi, chi) == 1
-    for a in parts:
-        for b in parts:
-            if a < b:
-                ip = inner_product(
-                    n, irreducible_character(n, a), irreducible_character(n, b)
-                )
-                ok = ok and ip == 0
-    dims = [character_value(lam, tuple([1] * n)) for lam in parts]
-    ok = ok and sum(x * x for x in dims) == factorial(n)
-    ok = ok and all(kostka(lam, lam) == 1 for lam in parts)
-    return ok

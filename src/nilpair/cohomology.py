@@ -16,21 +16,18 @@ generating identity below forces axis classes.)
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations
 
 from .diagrams import Diagram, ShapeClass, classify_shape
 from .linalg import Subspace, add_multiple, complement, kernel_in, row_echelon
 from .linalg import shifted
 from .pairs import (
-    NilPair,
     ad,
     ad_each,
     ad_image,
     bigraded_pieces,
     centralizer_bigraded,
     member_kernels,
-    provenance_grading,
 )
 from .polys import BivariatePoly, one_minus, prod_poly
 
@@ -42,48 +39,51 @@ def tower_steps(pair, h, member, ambient="sl"):
     For member 2 (the {p<=0, q>=1} family) tgt = K_{p,q-1} and img is
     [e1, K_{p-1,q-1}], which lies in tgt since [e1, e2] = 0; member 1 (the
     {p>=1, q<=0} family) is the mirror, with tgt = K_{p-1,q} and e2 in place
-    of e1.  The result is cached per (e1, e2, h, member, ambient) and shared
-    between callers, who must not mutate it.
+    of e1.  The steps live in the pair's record for h (NilPair.graded) and
+    are freed with the pair; callers share them and must not mutate them.
     """
-    return _tower_steps(pair.e1, pair.e2, h, member, ambient)
+    g = pair.graded(h)
+    return g.derived(("tower", member, ambient), _tower_steps, g, member, ambient)
 
 
-@lru_cache(maxsize=64)
-def _tower_steps(e1, e2, h, member, ambient):
-    pair = NilPair(e1, e2, check=False)
-    blocks = member_kernels(pair, h, member, ambient)
-    x, (a, b) = (e2, (1, 0)) if member == 1 else (e1, (0, 1))
-    zero = Subspace.zero(len(e1))
+def _tower_steps(g, member, ambient):
+    blocks = g.kernels("K1" if member == 1 else "K2", ambient)
+    x, (a, b) = (g.e2, (1, 0)) if member == 1 else (g.e1, (0, 1))
+    # the sl blocks off (0, 0) are the gl ones, so the image of a source
+    # block off (0, 0) is eliminated once for both ambients
+    images = g.derived(("tower images", member), dict)
+    zero = Subspace.zero(g.n**2)
     steps = {}
     for (p, q) in blocks:
         for key in ((p + a, q + b), (p + 1, q + 1)):
             if key not in steps:
-                tgt = blocks.get((key[0] - a, key[1] - b), zero)
-                src = blocks.get((key[0] - 1, key[1] - 1), zero)
-                steps[key] = (tgt, ad_image(x, src))
+                src = (key[0] - 1, key[1] - 1)
+                tag = (src, ambient) if src == (0, 0) else src
+                if tag not in images:
+                    images[tag] = ad_image(x, blocks.get(src, zero))
+                steps[key] = (blocks.get((key[0] - a, key[1] - b), zero), images[tag])
     return steps
 
 
 def h1_table(pair, h=None):
     """Cohomology dimensions per bidegree: {(p, q): dim} for the bidegrees
     with nonzero H^1.  Cocycles and coboundaries live in the doubled matrix
-    space (first summand then second).  The result is cached per (e1, e2, h)
-    and shared between callers, who must not mutate it.
+    space (first summand then second).  The table lives in the pair's record
+    for h (NilPair.graded) and is freed with the pair; callers share it and
+    must not mutate it.
     """
-    if h is None:
-        h = provenance_grading(pair)
-    return _h1_table(pair.e1, pair.e2, h)
+    g = pair.graded(h)
+    return g.derived("h1", _h1_table, g)
 
 
-@lru_cache(maxsize=64)
-def _h1_table(e1, e2, h):
+def _h1_table(g):
     # dim H^1 = dim cocycles - dim coboundaries, each from one rank: the
     # cocycles are the kernel of (u, v) |-> [e2,u] - [e1,v] on mid1 (+) mid2,
     # and the coboundaries the image of s |-> ([e1,s], [e2,s]) on src, in
     # the doubled space keyed k and nn + k
-    n = h.n
+    e1, e2, n = g.e1, g.e2, g.n
     nn = n * n
-    pieces = bigraded_pieces(h, "sl")
+    pieces = bigraded_pieces(g.h, "sl")
     zero = Subspace.zero(nn)
     keys = set()
     for (p, q) in pieces:
@@ -131,8 +131,7 @@ def coker_formula_check(pair, h=None):
     """Cohomology dimensions against the cokernel description on both sides:
     the {p<=0,q>=1} classes via [e1,.] on the kernel tower of e2 and the
     mirror for {p>=1,q<=0}."""
-    if h is None:
-        h = provenance_grading(pair)
+    h = pair.graded(h).h
     dims = h1_dims(pair, h)
     nw = tower_steps(pair, h, 2)
     se = tower_steps(pair, h, 1)
@@ -163,8 +162,7 @@ def duality_check(pair, h=None):
 
 def generating_polys(pair, h=None):
     """The three Laurent series g, z, H of graded dimensions."""
-    if h is None:
-        h = provenance_grading(pair)
+    h = pair.graded(h).h
     g = BivariatePoly(
         {k: sp.dim for k, sp in bigraded_pieces(h, "sl").items() if sp.dim}
     )
@@ -191,8 +189,7 @@ def exponent_sums_check(pair, h=None):
     sums of centralizer dimensions."""
     from .multiplicity import root_data
 
-    if h is None:
-        h = provenance_grading(pair)
+    h = pair.graded(h).h
     rd = root_data(h)
     z = centralizer_bigraded(pair, h, "sl")
     s1 = sum(p * sp.dim for (p, q), sp in z.items())
@@ -216,8 +213,7 @@ def product_identity_check(pair, h=None):
     """
     from .multiplicity import root_data
 
-    if h is None:
-        h = provenance_grading(pair)
+    h = pair.graded(h).h
     rd = root_data(h)
     z = centralizer_bigraded(pair, h, "sl")
     lhs_num = []
@@ -259,8 +255,7 @@ def product_identity_nw_check(pair, h=None):
     """
     from .multiplicity import root_data
 
-    if h is None:
-        h = provenance_grading(pair)
+    h = pair.graded(h).h
     rd = root_data(h)
     n = pair.n
     exps = higher_biexponents(pair, h)
@@ -304,8 +299,6 @@ def factor_products_equal(left, right):
 
 def higher_biexponents(pair, h=None):
     """Bidegrees of the {p<=0, q>=1} cohomology classes, with multiplicity."""
-    if h is None:
-        h = provenance_grading(pair)
     dims = h1_dims(pair, h)
     out = []
     for (p, q), d in sorted(dims.items()):
@@ -315,8 +308,6 @@ def higher_biexponents(pair, h=None):
 
 
 def se_biexponents(pair, h=None):
-    if h is None:
-        h = provenance_grading(pair)
     dims = h1_dims(pair, h)
     out = []
     for (p, q), d in sorted(dims.items()):
@@ -364,8 +355,7 @@ def slice_basis(pair, h=None, quadrant="se", reverse=False):
     "nw"; any other quadrant raises ValueError."""
     if quadrant not in ("se", "nw"):
         raise ValueError(f"unknown quadrant {quadrant!r}: use 'se' or 'nw'")
-    if h is None:
-        h = provenance_grading(pair)
+    h = pair.graded(h).h
     steps = tower_steps(pair, h, 1 if quadrant == "se" else 2)
     entries = []
     for (p, q), (tgt, img) in sorted(steps.items()):
@@ -454,8 +444,7 @@ def slice_report(pair, h=None, quadrant="se", reverse=False):
     """Build the slice, check the commuting property and regularity of the
     deterministic sample points, and compare the graded centralizer of each
     sample with the centralizer of the pair."""
-    if h is None:
-        h = provenance_grading(pair)
+    h = pair.graded(h).h
     n = pair.n
     sb = slice_basis(pair, h, quadrant, reverse=reverse)
     report = {
@@ -531,7 +520,8 @@ def _recipe_is_complement(pair, h, recipe):
 
 def _corner_frames(pair, h):
     """The pair's data for _corner_containment_ok, one frame per row q of
-    bidegrees of gl_n, cached per (e1, e2, h) and shared between callers.
+    bidegrees of gl_n, kept in the pair's record for h (NilPair.graded) and
+    shared between callers, who must not mutate it.
 
     A frame orders the flat indices so that the rectangles L_{<=p,q} of the
     row are nested tails: first the indices outside every one of them (row
@@ -539,14 +529,14 @@ def _corner_frames(pair, h):
     index's position in it, the bidegree at each position, and {p: the
     (p, q) block of the pair's gl centralizer}).
     """
-    return _corner_frames_of(pair.e1, pair.e2, h)
+    g = pair.graded(h)
+    return g.derived("corner frames", _corner_frames_of, pair, g.h)
 
 
-@lru_cache(maxsize=64)
-def _corner_frames_of(e1, e2, h):
+def _corner_frames_of(pair, h):
     n = h.n
     bid = [h.bidegree(i, j) for i in range(n) for j in range(n)]
-    z_pair = centralizer_bigraded(NilPair(e1, e2, check=False), h, "gl")
+    z_pair = centralizer_bigraded(pair, h, "gl")
     zero = Subspace.zero(n * n)
     frames = []
     for q in sorted({d[1] for d in bid}):

@@ -282,15 +282,12 @@ def perm_of_partition(mu, n):
     return tuple(perm)
 
 
-def side_character(span, n, side):
-    """Character of one factor action on a two-sided span, per cycle type."""
+def side_character(span, n):
+    """Character of the first factor's action (on the u variables) on a
+    two-sided span, per cycle type."""
     values = {}
     for mu in partitions(n):
-        base = perm_of_partition(mu, n)
-        if side == "u":
-            perm = tuple(list(base) + list(range(n, 2 * n)))
-        else:
-            perm = tuple(list(range(n)) + [n + i for i in base])
+        perm = perm_of_partition(mu, n) + tuple(range(n, 2 * n))
         trace = span.trace_of(perm)
         if trace != int(trace):
             raise ArithmeticError(f"trace {trace} at cycle type {mu} is not an integer")
@@ -320,8 +317,8 @@ def coroot_product_polys(h):
     return pi1, pi2
 
 
-def c_regular_samples(d, count=3):
-    """Deterministic integer vectors in the regular locus: constant on
+def c_regular_samples(d):
+    """Three deterministic integer vectors in the regular locus: constant on
     columns with distinct row values for the first member, mirrored for the
     second."""
     cols = sorted({p for p, _ in d.boxes})
@@ -337,7 +334,7 @@ def c_regular_samples(d, count=3):
         [2 * i for i in range(len(rows))],
         [i * i + i + 1 for i in range(len(rows))],
     ]
-    for s1, s2 in zip(seeds[:count], seeds2[:count]):
+    for s1, s2 in zip(seeds, seeds2):
         x1 = [s1[cols.index(p)] for p, _ in d.boxes]
         x2 = [s2[rows.index(q)] for _, q in d.boxes]
         samples.append((tuple(x1), tuple(x2)))
@@ -379,16 +376,14 @@ def divide_constant(p, q):
     return c if q.scale(c) == p else None
 
 
-def vanishing_scan(d, delta, samples=None):
-    """For sample points in the regular locus: the alternant vanishes below
-    the shape's exponent-sum bidegree and is proportional to the shape's
-    alternant `delta` (its `pair_alternant`) at it."""
+def vanishing_scan(d, delta):
+    """For the sample points of c_regular_samples: the alternant vanishes
+    below the shape's exponent-sum bidegree and is proportional to the
+    shape's alternant `delta` (its `pair_alternant`) at it."""
     d1, d2 = exponent_sums(d)
-    if samples is None:
-        samples = c_regular_samples(d)
     rows = []
     all_ok = True
-    for x1, x2 in samples:
+    for x1, x2 in c_regular_samples(d):
         if not in_regular_locus(d, x1, x2):
             raise ValueError("sample point outside the regular locus")
         entry = {"x1": list(x1), "x2": list(x2)}

@@ -167,9 +167,6 @@ class WeightModule:
         mu = tuple(mu)
         return tuple(i for i, (w, _, _) in enumerate(self.basis) if w == mu)
 
-    def weight_multiplicity(self, mu):
-        return len(self.weight_space_indices(mu))
-
     def character(self):
         out = {}
         for w, _, _ in self.basis:

@@ -76,15 +76,19 @@ class NilPair:
     """A pair of commuting nilpotent n x n matrices with provenance, each
     member held as its flattened tuple of n^2 exact rationals (row-major):
     an int where the entry is integral, a Fraction otherwise, never a
-    float."""
+    float.
 
-    __slots__ = ("n", "e1", "e2", "provenance")
+    The data derived from the pair under a grading lives in the pair's
+    GradedPair records (graded), so it is freed with the pair."""
+
+    __slots__ = ("n", "e1", "e2", "provenance", "_graded")
 
     def __init__(self, e1, e2, provenance="custom", check=True):
         self.e1 = tuple(map(exact, e1))
         self.e2 = tuple(map(exact, e2))
         self.n = isqrt(len(self.e1))
         self.provenance = provenance
+        self._graded = {}
         if self.n**2 != len(self.e1) or len(self.e2) != len(self.e1):
             raise ValueError("pair members must be square of equal size")
         if check:
@@ -92,6 +96,20 @@ class NilPair:
                 raise ValueError("pair members do not commute")
             if not all(is_nilpotent(m, self.n) for m in (self.e1, self.e2)):
                 raise ValueError("pair members must be nilpotent")
+
+    def graded(self, h=None):
+        """The pair's record under the grading h, made on first use; h None
+        stands for the diagram grading (provenance_grading).  Raises
+        ClassificationError when there is no grading."""
+        records = self._graded
+        record = records.get(h)
+        if record is None:
+            grading = provenance_grading(self) if h is None else h
+            if grading is None:
+                raise ClassificationError("no grading pair available")
+            record = records.get(grading) or GradedPair(self.e1, self.e2, grading)
+            records[h] = records[grading] = record
+        return record
 
     def swap(self):
         prov = (
@@ -111,6 +129,36 @@ class NilPair:
             else str(self.provenance)
         )
         return {"n": self.n, "e1": entries(self.e1), "e2": entries(self.e2), "provenance": prov}
+
+
+class GradedPair:
+    """One pair (e1, e2) under one grading h, and the data derived from
+    them: the graded kernels here, the kernel towers, H^1 table and corner
+    frames in cohomology.  Each is built on first use and kept in `memo`;
+    callers share them and must not mutate them.  NilPair.graded makes the
+    record and holds it; the record holds no reference back to the pair."""
+
+    __slots__ = ("e1", "e2", "n", "h", "memo", "__weakref__")
+
+    def __init__(self, e1, e2, h):
+        self.e1, self.e2, self.n, self.h = e1, e2, h.n, h
+        self.memo = {}
+
+    def derived(self, key, build, *args):
+        """memo[key], made as build(*args) on first use."""
+        memo = self.memo
+        if key not in memo:
+            memo[key] = build(*args)
+        return memo[key]
+
+    def kernels(self, name, ambient):
+        """The nonzero blocks {(p, q): Subspace} of the graded kernel `name`:
+        "K1" = ker [e1, .], "K2" = ker [e2, .] or the joint "K12".  Each is
+        built once, in gl; the sl blocks are its trace cut (_sl_cut), which
+        shares every block off (0, 0) with it."""
+        if ambient == "sl":
+            return self.derived((name, "sl"), _sl_cut, self.kernels(name, "gl"))
+        return self.derived((name, "gl"), _kernel_blocks, self, name)
 
 
 def build_pair(d):
@@ -322,56 +370,38 @@ def ad_map_between(x, source, target):
 def member_kernels(pair, h, member, ambient="sl"):
     """The kernel of [e_member, .] on each bigraded piece g_{p,q}:
     {(p, q): Subspace}, nonzero kernels only.  It depends on that member
-    alone, so K1 is built once per (e1, h) and K2 once per (e2, h), in gl;
-    the sl kernels are its trace cut and share every block off (0, 0) with
-    it.  Callers share them and must not mutate them."""
-    if member == 1:
-        return _member_kernels(pair.e1, (1, 0), h, ambient)
-    return _member_kernels(pair.e2, (0, 1), h, ambient)
-
-
-@lru_cache(maxsize=64)
-def _member_kernels(x, step, h, ambient):
-    if ambient == "sl":
-        return _sl_cut(_member_kernels(x, step, h, "gl"))
-    # a member whose every entry has bidegree `step` maps each piece into
-    # the piece `step` further on, so the images are taken as they are:
-    # reading them in that piece's coordinates, an injective linear map,
-    # would give the same kernel
-    n = h.n
-    if not _homogeneous(x, step, h, n):
-        raise StabilityError("the member is not homogeneous for this bigrading")
-    out = {}
-    for key, piece in bigraded_pieces(h, "gl").items():
-        kern = kernel_in(piece, ad_each(x, piece.basis, n))
-        if kern.dim:
-            out[key] = kern
-    return out
+    alone; the pair's record for h (NilPair.graded) builds it once, in gl,
+    and the sl kernels are its trace cut and share every block off (0, 0)
+    with it.  Callers share them and must not mutate them."""
+    return pair.graded(h).kernels("K1" if member == 1 else "K2", ambient)
 
 
 def centralizer_bigraded(pair, h, ambient="sl"):
     """Bigraded joint centralizer K12: {(p, q): Subspace}, nonzero blocks
     only.  Each block is the kernel of [e2, .] on the K1 block, which is
-    smaller than the piece, so K2 is never built for it.  It is built once
-    per pair and grading, in gl; the sl blocks are its trace cut, sharing
-    every block off (0, 0).  Raises StabilityError when h does not grade
-    the pair."""
-    return _joint_kernels(pair.e1, pair.e2, h, ambient)
+    smaller than the piece, so K2 is never built for it.  The pair's
+    record for h builds it once, in gl; the sl blocks are its trace cut,
+    sharing every block off (0, 0).  Raises StabilityError when h does not
+    grade the pair."""
+    return pair.graded(h).kernels("K12", ambient)
 
 
-@lru_cache(maxsize=64)
-def _joint_kernels(e1, e2, h, ambient):
-    if ambient == "sl":
-        return _sl_cut(_joint_kernels(e1, e2, h, "gl"))
-    # each member's entries are checked for their bidegree, e1's in
-    # _member_kernels and e2's here: e2 is bracketed on the K1 blocks only,
-    # so a check on its images alone could miss an entry of another bidegree
-    n = h.n
-    if not _homogeneous(e2, (0, 1), h, n):
+def _kernel_blocks(g, name):
+    """The gl blocks of GradedPair.kernels: K1 and K2 on every piece, K12
+    as the kernel of [e2, .] on every K1 block."""
+    # a member whose every entry has bidegree `step` maps each block into
+    # the piece `step` further on, so the images are taken as they are:
+    # reading them in that piece's coordinates, an injective linear map,
+    # would give the same kernel.  Each member's entries are checked for
+    # their bidegree, e1's for K1 and e2's for K2 and K12: e2 is bracketed
+    # on the K1 blocks only, so a check on its images could miss an entry
+    x, step = (g.e1, (1, 0)) if name == "K1" else (g.e2, (0, 1))
+    if not _homogeneous(x, step, g.h, g.n):
         raise StabilityError("the pair is not homogeneous for this bigrading")
+    blocks = g.kernels("K1", "gl") if name == "K12" else bigraded_pieces(g.h, "gl")
     out = {}
-    for key, block in _member_kernels(e1, (1, 0), h, "gl").items():
-        kern = kernel_in(block, ad_each(e2, block.basis, n))
+    for key, block in blocks.items():
+        kern = kernel_in(block, ad_each(x, block.basis, g.n))
         if kern.dim:
             out[key] = kern
     return out
@@ -397,21 +427,17 @@ def centralizer(pair, ambient="sl", h=None):
     return relations(cols)
 
 
-def biexponents(pair, h=None, convention="sl"):
-    """Bidegrees (with multiplicity) of a bihomogeneous centralizer basis."""
-    if h is None:
-        h = provenance_grading(pair)
-    if h is None:
-        raise ClassificationError("no grading pair available")
+def biexponents(pair, h=None):
+    """Bidegrees (with multiplicity) of a bihomogeneous basis of the
+    trace-zero centralizer."""
+    h = pair.graded(h).h
     if classify_pair(pair, h) != "principal":
         raise ClassificationError("bi-exponents are defined for principal pairs only")
     blocks = centralizer_bigraded(pair, h, ambient="sl")
     out = []
     for (p, q), sp in sorted(blocks.items()):
         out.extend([(p, q)] * sp.dim)
-    if convention == "gl":
-        out = sorted(out + [(0, 0)])
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def is_nilpotent(vec, n):
@@ -519,8 +545,7 @@ def shift_basis_check(pair, p, q):
             {index[(i + p, j + q)] * n + index[(i, j)]: 1 for (i, j) in sp.nu_in}
         )
     span = Subspace(n * n, vecs)
-    h = provenance_grading(pair)
-    blocks = centralizer_bigraded(pair, h, ambient="gl")
+    blocks = centralizer_bigraded(pair, pair.graded().h, ambient="gl")
     comp = blocks.get((p, q), Subspace.zero(n * n))
     return span == comp, span.dim
 
@@ -528,10 +553,9 @@ def shift_basis_check(pair, p, q):
 def weak_lefschetz_report(pair, h=None):
     """Injectivity/surjectivity pattern of both bracket actions across the
     bigrading; returns one record per checked map."""
-    if h is None:
-        h = provenance_grading(pair)
-    pieces = bigraded_pieces(h, ambient="sl")
-    k1, k2 = (member_kernels(pair, h, member, "sl") for member in (1, 2))
+    g = pair.graded(h)
+    pieces = bigraded_pieces(g.h, ambient="sl")
+    k1, k2 = (g.kernels(name, "sl") for name in ("K1", "K2"))
     zero = Subspace.zero(pair.n**2)
     records = []
     for key in sorted(pieces, key=lambda k: (k[1], k[0])):

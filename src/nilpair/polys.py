@@ -73,9 +73,6 @@ class BivariatePoly:
                     del out[k]
         return BivariatePoly(out)
 
-    def swap_vars(self):
-        return BivariatePoly({(j, i): v for (i, j), v in self.coeffs.items()})
-
     def invert_vars(self):
         """Substitute s -> 1/s, t -> 1/t."""
         return BivariatePoly({(-i, -j): v for (i, j), v in self.coeffs.items()})

@@ -428,8 +428,8 @@ def harmonics_checks(d):
     pi1, pi2 = ha.coroot_product_polys(h)
     e1span = ha.u_side_span(pi1, n)
     e2span = ha.u_side_span(pi2, n)
-    chi1 = ha.side_character(e1span, n, "u")
-    chi2 = ha.side_character(e2span, n, "u")
+    chi1 = ha.side_character(e1span, n)
+    chi2 = ha.side_character(e2span, n)
     parts = partitions(n)
     skew = ha.is_diagonally_skew(delta, n)
     # the Gram route to the two-sided span holds for a diagonally
@@ -482,7 +482,7 @@ def harmonics_suite(max_boxes=5, common_bound=8, jobs=1):
 RECT_CROSS_CHECK_BOUND = 12  # box bound of the rectangles checked against diagram pairs
 
 
-def rect_suite(dim_bound=20, so_sizes=(1, 2, 3), algebras=("sl", "sp", "so")):
+def rect_suite(dim_bound=20, algebras=("sl", "sp", "so")):
     rows = []
     ok = True
     for alg in algebras:
@@ -523,7 +523,7 @@ def rect_suite(dim_bound=20, so_sizes=(1, 2, 3), algebras=("sl", "sp", "so")):
                     "ok": row_ok,
                 }
             )
-    for n in so_sizes if "so" in algebras else ():
+    for n in (1, 2, 3) if "so" in algebras else ():  # so_6, so_10, so_14
         rep = re_.even_orthogonal_pair_report(n)
         ok = ok and rep["ok"]
         rows.append(

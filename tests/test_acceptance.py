@@ -135,7 +135,7 @@ def test_criterion_5_harmonics():
 
 
 def test_criterion_6_rectangular():
-    rep = surveys.rect_suite(dim_bound=20, so_sizes=(1, 2, 3))
+    rep = surveys.rect_suite(dim_bound=20)
     ok = rep["ok"]
     cls = [r for r in rep["rows"] if r["check"].startswith("classification_")]
     rect = [r for r in rep["rows"] if r["check"].startswith("rectangle_")]

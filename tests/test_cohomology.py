@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from nilpair.cohomology import (
     _corner_containment_ok,
     _corner_frames,
-    _h1_table,
     coker_formula_check,
     duality_check,
     euler_identity_check,
     exponent_sums_check,
     factor_products_equal,
+    generating_polys,
     h1_dims,
     h1_table,
     higher_biexponents,
@@ -32,7 +32,8 @@ from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
 from nilpair.linalg import EchelonBasis, Matrix, Subspace, bracket, combine
 from nilpair.linalg import relations, shifted
 from nilpair.pairs import NilPair, SemisimplePair, ad, bigraded_pieces, build_pair
-from nilpair.pairs import centralizer, centralizer_bigraded
+from nilpair.pairs import ClassificationError, ad_image, centralizer
+from nilpair.pairs import centralizer_bigraded, member_kernels, weak_lefschetz_report
 from nilpair.polys import one_minus, prod_poly
 from test_linalg import mat_pow
 from test_pairs import joint_centralizer
@@ -365,9 +366,10 @@ def test_rank_routes_match_the_eliminating_references(spec):
     # both routes refuse it
     swapped = SemisimplePair(h.h2, h.h1)
     if n > 1:
-        for table in (_h1_table, _lifted_h1_table):
-            with pytest.raises(ArithmeticError):
-                table(pair.e1, pair.e2, swapped)
+        with pytest.raises(ArithmeticError):
+            h1_table(pair, swapped)
+        with pytest.raises(ArithmeticError):
+            _lifted_h1_table(pair.e1, pair.e2, swapped)
     # the staircase check on the slice samples' centralizers and on the
     # pair's gl centralizer with one or two basis vectors moved
     frames = _corner_frames(pair, h)
@@ -399,3 +401,83 @@ def test_corner_frames_key_each_index_by_its_exact_bidegree():
     # every matrix commutes with the zero pair, so every corner is in its
     # block; the off-diagonal units sit in the blocks of degree +-1/2
     assert _corner_containment_ok(2, Subspace(4, [{1: 1}, {2: 1}]), frames)
+
+
+def _per_ambient_tower_steps(pair, h, member, ambient):
+    """Reference tower steps, built from one ambient's kernel blocks alone."""
+    blocks = member_kernels(pair, h, member, ambient)
+    x, (a, b) = (pair.e2, (1, 0)) if member == 1 else (pair.e1, (0, 1))
+    zero = Subspace.zero(pair.n**2)
+    steps = {}
+    for (p, q) in blocks:
+        for key in ((p + a, q + b), (p + 1, q + 1)):
+            tgt = blocks.get((key[0] - a, key[1] - b), zero)
+            src = blocks.get((key[0] - 1, key[1] - 1), zero)
+            steps[key] = (tgt, ad_image(x, src))
+    return steps
+
+
+def test_tower_steps_shared_between_ambients_match_per_ambient_builds():
+    for spec in _young_and_skew_up_to(6)[:-1]:
+        pair, h = build_pair(parse(spec))
+        for member in (1, 2):
+            got = {a: tower_steps(pair, h, member, a) for a in ("gl", "sl")}
+            for ambient, steps in got.items():
+                ref = _per_ambient_tower_steps(pair, h, member, ambient)
+                assert steps.keys() == ref.keys(), (spec, member, ambient)
+                for key, (tgt, img) in steps.items():
+                    assert (tgt, img) == ref[key], (spec, member, ambient, key)
+            # off the (0, 0) block both ambients hold the same subspaces
+            a, b = (1, 0) if member == 1 else (0, 1)
+            for key, (tgt, img) in got["sl"].items():
+                if key != (1, 1):
+                    assert got["gl"][key][1] is img, (spec, member, key)
+                if key not in ((a, b), (1, 1)) and tgt.dim:
+                    assert got["gl"][key][0] is tgt, (spec, member, key)
+
+
+@pytest.mark.parametrize("spec", ["1", "2", "2,1", "3,1", "2,2", "3,2,1", "3,1,1"])
+def test_cohomology_row_eliminates_each_tower_step_once(monkeypatch, spec):
+    # the Young recipe reads member 1's gl tower and the other checks its
+    # sl one; off (0, 0) a source block is the same in both, and its image
+    # [x, src] is eliminated once for the two
+    from nilpair import cohomology, surveys
+
+    sources, ambients = [], set()
+    original_image, original_steps = cohomology.ad_image, cohomology.tower_steps
+
+    def image(x, src):
+        if src.dim:
+            sources.append((x, src))  # kept alive, so ids are not reused
+        return original_image(x, src)
+
+    def steps(pair, h, member, ambient="sl"):
+        ambients.add((member, ambient))
+        return original_steps(pair, h, member, ambient)
+
+    monkeypatch.setattr(cohomology, "ad_image", image)
+    monkeypatch.setattr(cohomology, "tower_steps", steps)
+    assert surveys.cohomology_checks(parse(spec))["ok"]
+    assert {(1, "gl"), (1, "sl"), (2, "sl")} <= ambients
+    assert len({(id(x), id(src)) for x, src in sources}) == len(sources)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        h1_dims,
+        coker_formula_check,
+        generating_polys,
+        slice_report,
+        weak_lefschetz_report,
+        exponent_sums_check,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_graded_checks_without_a_grading_raise(check):
+    # a pair with no diagram has no grading to default to
+    pair, h = build_pair(parse("2,1"))
+    bare = NilPair(pair.e1, pair.e2)
+    with pytest.raises(ClassificationError, match="no grading pair available"):
+        check(bare)
+    check(bare, h)

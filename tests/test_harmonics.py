@@ -341,7 +341,7 @@ def test_side_character_rejects_non_integer_trace():
     span = EchelonBasis()
     span.add({(1, 0): Fraction(1), (0, 1): Fraction(2)})
     with pytest.raises(ArithmeticError):
-        side_character(SpanModule(span), 2, "u")
+        side_character(SpanModule(span), 2)
 
 
 # Integral polynomials hold int coefficients; the all-Fraction run below

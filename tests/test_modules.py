@@ -37,7 +37,7 @@ def test_weight_multiplicities_are_kostka():
     m = WeightModule(3, (2, 1))
     for mu in partitions(3):
         padded = tuple(list(mu) + [0] * (3 - len(mu)))
-        assert m.weight_multiplicity(padded) == kostka((2, 1), mu)
+        assert len(m.weight_space_indices(padded)) == kostka((2, 1), mu)
 
 
 def _dense(columns):
@@ -60,7 +60,7 @@ def test_direct_multiplicity_counts_weight_spaces_degenerate():
     act = PairAction.build(m, pair)
     for mu in sorted({w for w, _, _ in m.basis}):
         p = direct_multiplicity(act, m.weight_space_indices(mu))
-        assert p.eval_ones() == m.weight_multiplicity(mu)
+        assert p.eval_ones() == len(m.weight_space_indices(mu))
         assert all(j == 0 for (_, j) in p.coeffs)  # one-variable regime
 
 

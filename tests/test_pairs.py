@@ -852,30 +852,37 @@ def test_indexed_bracket_matches_ad_matrix(case):
 
 def test_centralizer_readers_build_no_second_member_kernel(monkeypatch):
     # biexponents, classify_pair and skew_checks read K12 only, which is
-    # built from K1; no K2 block (the kernel of [e2, .]) is built for them
+    # built from K1; no K2 block (the kernel of [e2, .]) is built for them.
+    # Each pair below is new, so its record builds every kernel it reads.
     from nilpair import pairs
     from nilpair.surveys import skew_checks
 
     built = []
-    original = pairs._member_kernels
+    original = pairs._kernel_blocks
 
-    def counted(x, step, h, ambient):
-        built.append(step)
-        return original(x, step, h, ambient)
+    def counted(g, name):
+        built.append(name)
+        return original(g, name)
 
-    monkeypatch.setattr(pairs, "_member_kernels", counted)
+    monkeypatch.setattr(pairs, "_kernel_blocks", counted)
+    records = []
     for spec, run in (
-        ("3,2,1", lambda d: biexponents(*build_pair(d))),
-        ("4,2,1", lambda d: classify_pair(*build_pair(d))),
-        ("3,2/1", skew_checks),
+        ("3,2,1", biexponents),
+        ("4,2,1", classify_pair),
     ):
-        original.cache_clear()
-        pairs._joint_kernels.cache_clear()
-        run(parse(spec))
-    assert built and set(built) == {(1, 0)}
-    # the readers of both members still get K2
-    weak_lefschetz_report(*build_pair(parse("3,2,1")))
-    assert (0, 1) in built
+        pair, h = build_pair(parse(spec))
+        run(pair, h)
+        records.append(pair.graded(h))
+    skew_checks(parse("3,2/1"))
+    assert sorted(built) == ["K1"] * 3 + ["K12"] * 3
+    for g in records:
+        assert ("K12", "sl") in g.memo and not {("K2", "gl"), ("K2", "sl")} & set(g.memo)
+    # the readers of both members still get K2, once per record
+    pair, h = build_pair(parse("3,2,1"))
+    weak_lefschetz_report(pair, h)
+    weak_lefschetz_report(pair, h)
+    assert built[6:] == ["K1", "K2"]
+    assert {("K2", "gl"), ("K2", "sl")} <= set(pair.graded(h).memo)
 
 
 def _dense_check_grading(pair, h):
@@ -925,11 +932,6 @@ def test_classify_rejects_zero_grading():
             assert _grades(_check_grading, pair, g) == want, (d, g)
             verdicts.add((g == h, want))
     assert verdicts == {(True, True), (False, True), (False, False)}
-
-
-def test_biexponents_gl_convention_adds_origin():
-    pair, h = build_pair(parse("2,1"))
-    assert biexponents(pair, h, convention="gl") == ((0, 0), (0, 1), (1, 0))
 
 
 def test_biexponents_reject_non_principal():
@@ -1155,3 +1157,32 @@ def test_gradings_hold_ints_and_key_pieces_by_exact_bidegree(h1, h2):
         n = h.n
         total = sum(sp.dim for sp in pieces.values())
         assert total == n * n - (ambient == "sl")
+
+
+def test_pair_and_its_record_are_freed_together():
+    # the record holds no reference back to the pair, so dropping the pair
+    # frees both by reference counting alone, with the collector off
+    import gc
+    import weakref
+
+    from nilpair.cohomology import coker_formula_check, slice_report
+
+    class Probe(NilPair):
+        __slots__ = ("__weakref__",)
+
+    pair, _ = build_pair(parse("3,2,1"))
+    probe = Probe(pair.e1, pair.e2, pair.provenance)
+    assert coker_formula_check(probe)[0] and slice_report(probe)["ok"]
+    weak_lefschetz_report(probe)
+    record = probe.graded()
+    assert record is probe.graded(record.h) and len(record.memo) > 5
+    refs = (weakref.ref(probe), weakref.ref(record))
+    del record
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del probe
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()

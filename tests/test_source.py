@@ -65,8 +65,8 @@ def test_only_pairs_names_ad_matrix():
 
 
 def test_trace_key_functions_hash_a_pair():
-    # the per-layer trace keys its reuse counters on pair members, as the
-    # package's own lru_caches do, so members must stay hashable
+    # the per-layer trace keys its reuse counters on pair members, so
+    # members must stay hashable
     from nilpair.diagrams import parse
     from nilpair.pairs import build_pair
 
@@ -142,11 +142,14 @@ def test_every_division_has_a_fraction_operand():
     assert found == []
 
 
+def _tree(module):
+    return ast.parse((Path(nilpair.__file__).parent / module).read_text())
+
+
 def _function(module, name):
-    tree = ast.parse((Path(nilpair.__file__).parent / module).read_text())
     return next(
         node
-        for node in ast.walk(tree)
+        for node in ast.walk(_tree(module))
         if isinstance(node, ast.FunctionDef) and node.name == name
     )
 
@@ -193,15 +196,56 @@ def _sl_branch(func):
 
 
 def test_sl_blocks_are_cut_from_the_gl_ones():
-    # the trace-zero pieces and graded kernels are the cached gl ones cut
-    # by one helper, never built again by a second elimination; the helper
+    # the trace-zero pieces and graded kernels are the gl ones cut by one
+    # helper, never built again by a second elimination: the sl branch of
+    # the pieces' builder and of the record's kernel accessor hands the gl
+    # blocks to the helper, the gl kernel builder brackets, and the helper
     # cuts with the trace hyperplane and brackets nothing
-    for name in ("_bigraded_pieces", "_member_kernels", "_joint_kernels"):
+    for name in ("_bigraded_pieces", "kernels"):
         func = _function("pairs.py", name)
-        called = _called_names(_sl_branch(func))
-        assert "_sl_cut" in called, name
-        assert not called & {"kernel_in", "ad_each", "traceless_cut"}, name
+        named = {
+            node.id for node in ast.walk(_sl_branch(func)) if isinstance(node, ast.Name)
+        }
+        assert "_sl_cut" in named, name
+        assert not named & {"kernel_in", "ad_each", "traceless_cut"}, name
         assert "traceless_cut" not in _called_names(func), name
+    called = _called_names(_function("pairs.py", "_kernel_blocks"))
+    assert "kernel_in" in called
+    assert not called & {"_sl_cut", "traceless_cut"}
     called = _called_names(_function("pairs.py", "_sl_cut"))
     assert "traceless_cut" in called
     assert not called & {"kernel_in", "ad_each"}
+
+
+def test_pair_data_lives_in_the_pair_record():
+    # a pair's graded kernels, kernel towers, H^1 table and corner frames
+    # live in its GradedPair record (NilPair.graded) and are freed with the
+    # pair: no module cache holds them, only the pieces, which depend on h
+    # alone, keep one
+    for module, allowed in (("pairs.py", {"_bigraded_pieces"}), ("cohomology.py", set())):
+        tree = _tree(module)
+        cached = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and any("cache" in ast.unparse(dec) for dec in node.decorator_list)
+        }
+        uses = [
+            node
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and "cache" in node.id)
+            or (isinstance(node, ast.Attribute) and "cache" in node.attr)
+        ]
+        assert cached == allowed, module
+        assert len(uses) == len(allowed), module
+    # the record is the one place that turns h = None into the diagram
+    # grading; centralizer and the classifier also take the ungraded route
+    callers = {
+        func.name
+        for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef)
+        and "provenance_grading" in _called_names(func)
+    }
+    assert callers == {"graded", "centralizer", "_classify"}
+    assert "NilPair" not in _called_names(_tree("cohomology.py"))
