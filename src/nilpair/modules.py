@@ -229,12 +229,21 @@ class PairAction:
             self._towers[key] = block
         return block
 
-    def apply(self, i, j, vectors):
-        """A^i B^j applied to each sparse vector, combined from the towers of
-        the basis columns the vectors touch."""
+    def images(self, vectors):
+        """The function (i, j) -> [A^i B^j v for v in vectors], each image
+        combined from the towers of the basis columns the vectors touch;
+        the support is read once and each power's images are built once."""
         support = tuple(sorted({c for v in vectors for c in v}))
-        tower = dict(zip(support, self.product_power(i, j, support)))
-        return [combine(tower, v) for v in vectors]
+        memo = {}
+
+        def images(i, j):
+            block = memo.get((i, j))
+            if block is None:
+                tower = dict(zip(support, self.product_power(i, j, support)))
+                block = memo[(i, j)] = [combine(tower, v) for v in vectors]
+            return block
+
+        return images
 
 
 def _nilpotency_index(columns):
@@ -250,19 +259,25 @@ def _nilpotency_index(columns):
     return k
 
 
-def _stacked(blocks, count):
-    """Each of `count` vectors' images under several maps (one block of
-    images per map) as one sparse vector keyed by (map, row)."""
+def _stacked(blocks, count, dim):
+    """Each of `count` vectors' images in Q^dim under several maps (one
+    block of images per map) as one sparse vector, row r of map b keyed
+    b * dim + r."""
     return [
-        {(b, r): y for b, block in enumerate(blocks) for r, y in block[k].items()}
+        {
+            b * dim + r: y
+            for b, block in enumerate(blocks)
+            for r, y in block[k].items()
+        }
         for k in range(count)
     ]
 
 
-def filtration_piece(action, i, j, vectors):
+def filtration_piece(action, i, j, vectors, images):
     """F_{i,j} intersected with E = span(vectors), in coordinates over the
     given basis of E (sparse vectors): the relations among the images
-    A^{i+1} B^j v and A^i B^{j+1} v of the basis vectors v.
+    A^{i+1} B^j v and A^i B^{j+1} v of the basis vectors v, read from
+    images = action.images(vectors), which the pieces of E share.
 
     F_{i,j} = ker A^{i+1} B^j cap ker A^i B^{j+1}, with the boundary
     conventions F_{-1,j} = ker B^j and F_{i,-1} = ker A^i."""
@@ -274,8 +289,8 @@ def filtration_piece(action, i, j, vectors):
         powers = [(i, 0)]
     else:
         powers = [(i + 1, j), (i, j + 1)]
-    blocks = [action.apply(p, q, vectors) for p, q in powers]
-    return relations(_stacked(blocks, len(vectors)))
+    blocks = [images(p, q) for p, q in powers]
+    return relations(_stacked(blocks, len(vectors), action.dim))
 
 
 def _graded_pieces(action, vectors):
@@ -287,6 +302,7 @@ def _graded_pieces(action, vectors):
     either is all of E, so is F_{i,j}, with no elimination and no graded
     piece."""
     full = len(vectors)
+    images = action.images(vectors)
     cache = {}
 
     def piece(i, j):
@@ -294,7 +310,9 @@ def _graded_pieces(action, vectors):
             lower = [cache.get(k) for k in ((i - 1, j), (i, j - 1))]
             whole = [sp for sp in lower if sp is not None and sp.dim == full]
             cache[(i, j)] = (
-                whole[0] if whole else filtration_piece(action, i, j, vectors)
+                whole[0]
+                if whole
+                else filtration_piece(action, i, j, vectors, images)
             )
         return cache[(i, j)]
 
@@ -333,7 +351,7 @@ def limit_space(action, E):
     vecs = []
     for i, j, fij, _ in _graded_pieces(action, E.basis):
         piece = [combine(E.basis, c) for c in fij.basis]
-        img = Subspace(N, action.apply(i, j, piece))
+        img = Subspace(N, action.images(piece)(i, j))
         total += img.dim
         vecs.extend(img.basis)
     out = Subspace(N, vecs)
@@ -353,10 +371,11 @@ def grassmannian_limit(action, E):
     N = E.ambient_dim
     vectors = E.basis
     curves = [{} for _ in vectors]  # per vector: degree -> sparse coefficient
+    images = action.images(vectors)
     for i in range(action.index1 + 1):
         for j in range(action.index2 + 1):
             c = Fraction(1, factorial(i) * factorial(j))
-            for curve, w in zip(curves, action.apply(i, j, vectors)):
+            for curve, w in zip(curves, images(i, j)):
                 if w:
                     add_multiple(curve.setdefault(i + j, {}), c, w)
     curves = [{d: w for d, w in curve.items() if w} for curve in curves]
@@ -454,7 +473,7 @@ def invariant_subspace(module, matrices):
     """Joint kernel in the module of a family of flattened ambient matrices:
     the relations among the images of the module basis under all of them."""
     blocks = [module.act_matrix(x) for x in matrices]
-    return relations(_stacked(blocks, module.dim))
+    return relations(_stacked(blocks, module.dim, module.dim))
 
 
 def module_limit_check(pair, h, module, mu):

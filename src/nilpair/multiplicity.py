@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 
-from .linalg import frac, solve_affine
+from .linalg import frac
 from .polys import BivariatePoly
 
 
@@ -38,6 +38,7 @@ class RootData:
     values: dict = field(hash=False, compare=False, default_factory=dict)
     simple: tuple = ()
     rho2: tuple = ()  # 2 * half-sum of positive roots, integral
+    chain: tuple = ()  # c_0 ... c_{n-1}: (c_a, c_b) is positive iff a < b
     alt: bool = False
 
     def root_vector(self, ij):
@@ -102,7 +103,7 @@ def _root_data(h, alt):
     pos_set = set(positive)
     if not all(r in pos_set for r in ne):
         raise RegularityError("a root with non-negative values is not positive")
-    simple = _simple_roots(positive, n)
+    chain = _chain(positive, n)
     rho2 = [0] * n
     for (i, j) in positive:
         rho2[i] += 1
@@ -115,40 +116,45 @@ def _root_data(h, alt):
         axis2=tuple(sorted(ax2)),
         interior=tuple(sorted(interior)),
         values={k: (frac(a), frac(b)) for k, (a, b) in values.items()},
-        simple=tuple(simple),
+        simple=tuple(sorted(zip(chain, chain[1:]))),
         rho2=tuple(rho2),
+        chain=chain,
         alt=alt,
     )
 
 
-def _simple_roots(positive, n):
-    """The simple roots of a positive system of type A_{n-1}, in sorted
-    order.  A positive root eps_i - eps_j is the sum of two positive roots
-    only as (eps_i - eps_k) + (eps_k - eps_j), so it is simple exactly when
-    no k has both (i, k) and (k, j) positive."""
-    pos = set(positive)
-    return sorted(
-        (i, j)
-        for (i, j) in positive
-        if not any((i, k) in pos and (k, j) in pos for k in range(n))
-    )
+def _chain(positive, n):
+    """The coordinates c_0 ... c_{n-1} ordered so that the positive roots
+    are exactly the eps_{c_a} - eps_{c_b} with a < b: c_k is the start of
+    n - 1 - k positive roots.  Raises RegularityError when the positive set
+    is not of that form (not a total order of the coordinates)."""
+    starts = [0] * n
+    for (i, _) in positive:
+        starts[i] += 1
+    chain = tuple(sorted(range(n), key=lambda i: -starts[i]))
+    if set(positive) != {(c, d) for k, c in enumerate(chain) for d in chain[k + 1 :]}:
+        raise RegularityError("the positive roots do not order the coordinates")
+    return chain
 
 
 def cone_coordinates(rd, vec):
-    """Coordinates of a root-lattice vector in the simple basis, or None when
-    the vector is outside the non-negative integer cone."""
-    return _cone_coordinates(rd, tuple(vec))
+    """Coordinates of an integer root-lattice vector in the simple basis, in
+    the order of rd.simple, or None when the vector is outside the
+    non-negative integer cone.
 
-
-@lru_cache(maxsize=None)
-def _cone_coordinates(rd, vec):
-    cols = [rd.root_vector(r) for r in rd.simple]
-    sol = solve_affine(list(zip(*cols)), vec)
-    if sol is None:
+    The simple roots are eps_{c_k} - eps_{c_{k+1}} along the chain, so the
+    coordinate on the k-th of them is the partial sum of vec over c_0 ... c_k
+    (Humphreys, Lie Algebras and Representation Theory, 10.1)."""
+    if len(vec) != rd.n or sum(vec):
         return None
-    if any(c.denominator != 1 or c < 0 for c in sol):
-        return None
-    return tuple(int(c) for c in sol)
+    through = {}
+    total = 0
+    for c in rd.chain[:-1]:
+        total += vec[c]
+        if total < 0:
+            return None
+        through[c] = total
+    return tuple(through[i] for i, _ in rd.simple)
 
 
 def height(rd, vec):
@@ -175,15 +181,18 @@ class PartitionTable:
         """Coefficient polynomial at a lattice vector; zero off the support.
 
         Raises BoundError when the vector lies in the support cone but beyond
-        the tabulated height, so truncation can never silently return zero.
+        the tabulated height, so truncation can never silently return zero,
+        and ValueError when an entry is not an integer.
         """
-        vec = tuple(int(x) for x in vec)
-        h = height(self.rd, vec)
+        key = tuple(int(x) for x in vec)
+        if key != tuple(vec):
+            raise ValueError(f"lattice vector {tuple(vec)} has a non-integral entry")
+        h = height(self.rd, key)
         if h is None:
             return BivariatePoly.zero()
         if h > self.height_bound:
             raise BoundError(f"vector at height {h} beyond bound {self.height_bound}")
-        return self.table.get(vec, BivariatePoly.zero())
+        return self.table.get(key, BivariatePoly.zero())
 
 
 def _factor_terms(rd, root, bound):
@@ -309,22 +318,11 @@ def dominant_rearrangement(rd, weight):
     """The Weyl-group image of a weight that is dominant for the chosen
     positive system."""
     n = rd.n
-    order = _positivity_order(rd)
     vals = sorted(weight, reverse=True)
     out = [0] * n
-    for slot, v in zip(order, vals):
+    for slot, v in zip(rd.chain, vals):
         out[slot] = v
     return tuple(out)
-
-
-def _positivity_order(rd):
-    """Coordinate order making the chosen positive roots the 'decreasing'
-    pairs: position k is the k-th largest coordinate."""
-    n = rd.n
-    greater = {i: set() for i in range(n)}
-    for (i, j) in rd.positive:
-        greater[i].add(j)
-    return sorted(range(n), key=lambda i: -len(greater[i]))
 
 
 def is_dominant(rd, weight):

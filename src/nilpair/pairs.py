@@ -427,11 +427,12 @@ def centralizer(pair, ambient="sl", h=None):
     return relations(cols)
 
 
-def biexponents(pair, h=None):
+def biexponents(pair, h=None, verdict=None):
     """Bidegrees (with multiplicity) of a bihomogeneous basis of the
-    trace-zero centralizer."""
+    trace-zero centralizer.  `verdict` is classify_pair(pair, h), passed in
+    by a caller that already has it."""
     h = pair.graded(h).h
-    if classify_pair(pair, h) != "principal":
+    if (verdict or classify_pair(pair, h)) != "principal":
         raise ClassificationError("bi-exponents are defined for principal pairs only")
     blocks = centralizer_bigraded(pair, h, ambient="sl")
     out = []

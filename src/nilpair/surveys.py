@@ -91,7 +91,8 @@ def structure_checks(d):
     z_sl = centralizer(pair, "sl", h=h)
     blocks = centralizer_bigraded(pair, h, "sl")
     quad_ok = all(p >= 0 and q >= 0 and (p, q) != (0, 0) for (p, q) in blocks)
-    exps = biexponents(pair, h) if n > 1 else ()
+    verdict = classify_pair(pair, h)
+    exps = biexponents(pair, h, verdict) if n > 1 else ()
     expected_exps = tuple(sorted(b for b in d.boxes if b != (0, 0)))
     lef = weak_lefschetz_report(pair, h)
     pmax = max(p for p, _ in d.boxes)
@@ -134,7 +135,7 @@ def structure_checks(d):
         "trace_pairing": pairing_ok,
         "ddbar_identity": ddbar_ok,
         "tower_surjectivity": surj_ok,
-        "classified_principal": classify_pair(pair, h) == "principal",
+        "classified_principal": verdict == "principal",
     }
     checks["ok"] = all(bool(v) for k, v in checks.items() if k != "diagram")
     return checks

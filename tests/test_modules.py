@@ -1,14 +1,18 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilpair.characters import kostka
 from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse, partitions
-from nilpair.linalg import Matrix, Subspace
+from nilpair import modules
+from nilpair.linalg import Matrix, Subspace, combine, relations
 from nilpair.modules import (
     PairAction,
     WeightModule,
     direct_multiplicity,
+    filtration_piece,
     invariant_subspace,
     module_limit_check,
     multiplicity_crosscheck,
@@ -219,3 +223,102 @@ def test_direct_multiplicity_matches_dense_kernels(case):
                 if d:
                     expected = expected + BivariatePoly.term(i, j, d)
         assert direct_multiplicity(act, cols) == expected, mu
+
+
+# -- int-keyed stacking and one image block per power ------------------------
+
+
+def _map_row_stacked(blocks, count):
+    """Reference: each vector's images under several maps as one sparse
+    vector keyed by the tuple (map, row)."""
+    return [
+        {(b, r): y for b, block in enumerate(blocks) for r, y in block[k].items()}
+        for k in range(count)
+    ]
+
+
+def _map_row_piece(action, i, j, vectors):
+    """Reference F_{i,j} cap span(vectors): the images of each power taken
+    afresh from the towers of the support and stacked by (map, row)."""
+    if (i == -1 and j <= 0) or (j == -1 and i <= 0):
+        return Subspace.zero(len(vectors))
+    if i == -1:
+        powers = [(0, j)]
+    elif j == -1:
+        powers = [(i, 0)]
+    else:
+        powers = [(i + 1, j), (i, j + 1)]
+    support = tuple(sorted({c for v in vectors for c in v}))
+    blocks = []
+    for p, q in powers:
+        tower = dict(zip(support, action.product_power(p, q, support)))
+        blocks.append([combine(tower, v) for v in vectors])
+    return relations(_map_row_stacked(blocks, len(vectors)))
+
+
+# the frozen finding and the proven one-row case of the multiplicity suite
+STACKED_CASES = [("2,2", (2, 2)), ("3", (4, 2))]
+
+
+@pytest.mark.parametrize("alt", [False, True])
+@pytest.mark.parametrize("spec,lam", STACKED_CASES)
+def test_int_keyed_pieces_match_the_map_row_reference(spec, lam, alt):
+    pair, h = build_pair(parse(spec))
+    module = WeightModule(pair.n, lam)
+    action = PairAction.build(module, pair)
+    report = multiplicity_crosscheck(pair, h, lam, alt=alt)
+    for row in report["weights"]:
+        cols = module.weight_space_indices(row["mu"])
+        vectors = [{c: 1} for c in cols]
+        ref = {
+            (i, j): _map_row_piece(action, i, j, vectors)
+            for i in range(-1, action.index1 + 1)
+            for j in range(-1, action.index2 + 1)
+        }
+        expected = BivariatePoly.zero()
+        for (i, j), sp in ref.items():
+            got = filtration_piece(action, i, j, vectors, action.images(vectors))
+            assert got == sp, (row["mu"], i, j)
+            if i >= 0 and j >= 0:
+                d = sp.dim - (ref[(i - 1, j)] + ref[(i, j - 1)]).dim
+                if d:
+                    expected = expected + BivariatePoly.term(i, j, d)
+        assert row["P_direct"] == expected.to_jsonable(), row["mu"]
+    mats = centralizer(pair, "sl", h=h).basis
+    blocks = [module.act_matrix(x) for x in mats]
+    want = relations(_map_row_stacked(blocks, module.dim))
+    assert invariant_subspace(module, mats) == want
+
+
+@pytest.mark.parametrize("spec,lam", STACKED_CASES)
+def test_graded_pieces_take_each_power_once(spec, lam, monkeypatch):
+    pair, _ = build_pair(parse(spec))
+    module = WeightModule(pair.n, lam)
+    action = PairAction.build(module, pair)
+    tower = action.product_power
+    reads, depth = Counter(), [0]
+
+    def counted(i, j, cols):
+        # only the outermost call reads images; the inner ones build the tower
+        if not depth[0]:
+            reads[(i, j, cols)] += 1
+        depth[0] += 1
+        try:
+            return tower(i, j, cols)
+        finally:
+            depth[0] -= 1
+
+    pieces = [0]
+    piece = modules.filtration_piece
+
+    def counted_piece(*args):
+        pieces[0] += 1
+        return piece(*args)
+
+    action.product_power = counted
+    monkeypatch.setattr(modules, "filtration_piece", counted_piece)
+    for mu in module.weights:
+        direct_multiplicity(action, module.weight_space_indices(mu))
+    assert reads and max(reads.values()) == 1
+    # two powers per interior piece: without sharing there would be more reads
+    assert len(reads) < 2 * pieces[0]

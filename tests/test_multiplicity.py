@@ -1,10 +1,15 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
+from nilpair.linalg import solve_affine
 from nilpair.multiplicity import (
     BoundError,
     PartitionTable,
     RegularityError,
+    _chain,
     classical_partition_count,
     cone_coordinates,
     dominant_rearrangement,
@@ -215,3 +220,75 @@ def test_simple_roots_match_the_pairwise_sum_reference():
                 assert len(rd.simple) == n - 1
                 checked += 1
     assert checked == 2 * (29 + 38)
+
+
+def _solved_cone_coordinates(rd, vec):
+    """Reference: the simple-basis coordinates by one affine solve, None
+    off the non-negative integer cone."""
+    cols = [rd.root_vector(r) for r in rd.simple]
+    sol = solve_affine(list(zip(*cols)), vec)
+    if sol is None:
+        return None
+    if any(c.denominator != 1 or c < 0 for c in sol):
+        return None
+    return tuple(int(c) for c in sol)
+
+
+def test_partial_sums_match_the_affine_solve():
+    checked = 0
+    for n in range(2, 6):
+        diagrams = enumerate_diagrams(n, ShapeClass.YOUNG) + enumerate_diagrams(
+            n, ShapeClass.SKEW
+        )
+        for d in diagrams:
+            _, h = build_pair(d)
+            for alt in (False, True):
+                rd = root_data(h, alt=alt)
+                for vec in product(range(-2, 3), repeat=n):
+                    want = _solved_cone_coordinates(rd, vec)
+                    assert cone_coordinates(rd, vec) == want, (d.serialize(), alt, vec)
+                    checked += 1
+    assert checked == 103350
+
+
+def test_cone_coordinates_reject_wrong_length_and_level():
+    rd = hook_data()
+    assert cone_coordinates(rd, (0, 0, 0)) == (0, 0)
+    assert cone_coordinates(rd, (-1, 0, 1)) is not None
+    assert cone_coordinates(rd, (-1, 1)) is None
+    assert cone_coordinates(rd, (-1, 0, 0)) is None
+
+
+@pytest.mark.parametrize(
+    "positive",
+    [
+        [(0, 1), (1, 2), (2, 0)],  # a cycle: every coordinate starts one root
+        [(0, 1), (0, 2), (1, 0)],  # start counts 2, 1, 0 but not an order
+        [(0, 1)],  # too few roots for n = 3
+    ],
+)
+def test_chain_rejects_a_positive_set_that_is_not_a_total_order(positive):
+    with pytest.raises(RegularityError):
+        _chain(positive, 3)
+
+
+def test_chain_orders_the_positive_roots():
+    for spec in ("2,1", "2,2", "3,1", "2,2/1"):
+        _, h = build_pair(parse(spec))
+        for alt in (False, True):
+            rd = root_data(h, alt=alt)
+            rank = {c: k for k, c in enumerate(rd.chain)}
+            assert sorted(rd.chain) == list(range(rd.n))
+            assert all(rank[i] < rank[j] for i, j in rd.positive)
+            assert rd.simple == tuple(sorted(zip(rd.chain, rd.chain[1:])))
+
+
+def test_partition_value_rejects_non_integral_entries():
+    rd = hook_data()
+    table = PartitionTable(rd, 5)
+    with pytest.raises(ValueError):
+        table.value((Fraction(-1, 2), Fraction(1, 2), 0))
+    with pytest.raises(ValueError):
+        table.value((Fraction(-3, 2), Fraction(1, 2), 1))
+    # integral Fractions are read as the integers they are
+    assert table.value((Fraction(-1), 1, 0)) == table.value((-1, 1, 0))

@@ -249,3 +249,14 @@ def test_pair_data_lives_in_the_pair_record():
     }
     assert callers == {"graded", "centralizer", "_classify"}
     assert "NilPair" not in _called_names(_tree("cohomology.py"))
+
+
+def test_cone_coordinates_are_partial_sums():
+    # the simple-basis coordinates are partial sums along the positive
+    # system's chain: no elimination and no module cache on that path
+    text = (Path(nilpair.__file__).parent / "multiplicity.py").read_text()
+    assert "solve_affine" not in text
+    for name in ("cone_coordinates", "height"):
+        func = _function("multiplicity.py", name)
+        assert not func.decorator_list, name
+        assert _called_names(func) <= {"len", "sum", "tuple", "cone_coordinates"}, name

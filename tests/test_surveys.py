@@ -32,6 +32,29 @@ def test_structure_checks_reach_ten_boxes(spec):
     assert surveys.structure_checks(parse(spec))["ok"]
 
 
+def test_structure_row_classifies_its_pair_once(monkeypatch):
+    # classified_principal and the bi-exponents share one verdict
+    from nilpair import pairs
+    from nilpair.diagrams import ShapeClass, enumerate_diagrams
+
+    calls = []
+    original = pairs._classify
+
+    def counted(pair, h=None):
+        calls.append(pair)
+        return original(pair, h)
+
+    monkeypatch.setattr(pairs, "_classify", counted)
+    rows = 0
+    for n in range(2, 6):
+        for d in enumerate_diagrams(n, ShapeClass.YOUNG):
+            calls.clear()
+            assert surveys.structure_checks(d)["ok"]
+            assert len(calls) == 1, d.serialize()
+            rows += 1
+    assert rows == 17
+
+
 def test_skew_row_closes_its_centralizer_once(monkeypatch):
     # a distinguished row reads centralizer_nilpotent from the classifier's
     # test; a row the classifier calls principal still runs the test itself
