@@ -19,7 +19,7 @@ from .multiplicity import (
     PartitionTable,
     _perm_sign,
     multiplicity_formula,
-    required_height,
+    height,
     dominant_rearrangement,
     in_ne_cone,
     is_dominant,
@@ -418,12 +418,14 @@ def multiplicity_crosscheck(pair, h, lam, alt=False):
     rows = []
     equal_dominant = True
     equal_everywhere = True
-    weights = sorted({w for w, _, _ in module.basis})
-    bound = max(required_height(rd, lam_dom, mu) for mu in weights)
-    table = PartitionTable(rd, bound)
-    shifted = [x - Fraction(sum(lam_content), pair.n) for x in lam_dom]
-    hypothesis = in_ne_cone(rd, _ne_test_vector(rd, lam_dom))
-    for mu in weights:
+    table = PartitionTable(rd, _table_height(rd, lam_dom, module.weights))
+    total = sum(lam_content)
+    shifted = [x - Fraction(total, pair.n) for x in lam_dom]
+    # lam as a root-lattice vector: less its average, when that is integral
+    hypothesis = total % pair.n == 0 and in_ne_cone(
+        rd, tuple(x - total // pair.n for x in lam_dom)
+    )
+    for mu in module.weights:
         cols = module.weight_space_indices(mu)
         direct = direct_multiplicity(action, cols)
         formula = multiplicity_formula(rd, table, lam_dom, mu)
@@ -458,15 +460,11 @@ def multiplicity_crosscheck(pair, h, lam, alt=False):
     }
 
 
-def _ne_test_vector(rd, lam_dom):
-    """lam as a root-lattice vector: subtract the average so the cone test
-    applies (the average is integral only when n divides the size)."""
-    n = rd.n
-    total = sum(lam_dom)
-    if total % n:
-        return tuple([-1] + [0] * (n - 1))  # never in the cone
-    avg = total // n
-    return tuple(x - avg for x in lam_dom)
+def _table_height(rd, lam_dom, weights):
+    """The cone height the partition table must reach for the formula at
+    every weight: each argument w(lam + rho) - mu - rho lies below lam - mu,
+    its w = 1 term, and height is linear on the cone."""
+    return max(height(rd, tuple(a - m for a, m in zip(lam_dom, mu))) for mu in weights)
 
 
 def invariant_subspace(module, matrices):

@@ -252,32 +252,33 @@ def _expand(rd, bound):
 
 def classical_partition_count(rd, vec):
     """Independent oracle: the number of ways to write vec as a multiset of
-    positive roots, by direct dynamic programming."""
-    return _classical_partition_count(rd, tuple(vec))
+    positive roots, by direct search."""
+    return _root_partitions(rd, rd.positive, vec)
 
 
-@lru_cache(maxsize=None)
-def _classical_partition_count(rd, vec):
-    roots = [rd.root_vector(r) for r in rd.positive]
+def _root_partitions(rd, roots, vec):
+    """The number of multisets of the given positive roots that sum to vec:
+    each root in turn is taken k times, k bounded by the cone height of
+    what is left, with the counts memoized per (rest, root) for this call."""
+    vecs = [rd.root_vector(r) for r in roots]
+    heights = [height(rd, v) for v in vecs]
+    memo = {}
 
-    def count(idx, target):
-        if all(x == 0 for x in target):
+    def count(target, idx):
+        if not any(target):
             return 1
-        if idx == len(roots):
+        top = height(rd, target)
+        if idx == len(vecs) or top is None:
             return 0
-        c = cone_coordinates(rd, target)
-        if c is None:
-            return 0
-        total = 0
-        r = roots[idx]
-        h = height(rd, r)
-        hmax = sum(c)
-        for k in range(hmax // h + 1):
-            rest = tuple(t - k * x for t, x in zip(target, r))
-            total += count(idx + 1, rest)
-        return total
+        if (target, idx) not in memo:
+            r = vecs[idx]
+            memo[target, idx] = sum(
+                count(tuple(t - k * x for t, x in zip(target, r)), idx + 1)
+                for k in range(top // heights[idx] + 1)
+            )
+        return memo[target, idx]
 
-    return count(0, vec)
+    return count(tuple(vec), 0)
 
 
 def _perm_sign(perm):
@@ -295,23 +296,6 @@ def _perm_sign(perm):
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def required_height(rd, lam, mu):
-    """Largest cone height among w(lam + rho) - mu - rho over the Weyl group."""
-    n = rd.n
-    lam2 = [2 * x + r for x, r in zip(lam, rd.rho2)]
-    best = 0
-    for perm in permutations(range(n)):
-        w2 = [lam2[perm[i]] for i in range(n)]
-        arg2 = [a - 2 * m - r for a, m, r in zip(w2, mu, rd.rho2)]
-        if any(x % 2 for x in arg2):
-            continue
-        arg = [x // 2 for x in arg2]
-        h = height(rd, arg)
-        if h is not None:
-            best = max(best, h)
-    return best
 
 
 def dominant_rearrangement(rd, weight):
@@ -332,49 +316,44 @@ def is_dominant(rd, weight):
 def in_ne_cone(rd, weight):
     """Membership of a root-lattice vector in the semigroup generated by the
     non-negative-quadrant roots (bounded exact search)."""
-    gens = [rd.root_vector(r) for r in sorted(set(rd.ne))]
-
-    @lru_cache(maxsize=None)
-    def go(target, idx):
-        if all(x == 0 for x in target):
-            return True
-        if idx == len(gens):
-            return False
-        if height(rd, target) is None:
-            return False
-        g = gens[idx]
-        hg = height(rd, g)
-        hmax = height(rd, target)
-        for k in range(hmax // hg + 1):
-            rest = tuple(t - k * x for t, x in zip(target, g))
-            if go(rest, idx + 1):
-                return True
-        return False
-
-    return go(tuple(int(x) for x in weight), 0)
+    return _root_partitions(rd, rd.ne, weight) > 0
 
 
-def multiplicity_formula(rd, table, lam, mu):
-    """Alternating Weyl-group sum of table values at w(lam + rho) - mu - rho.
+def weyl_arguments(rd, lam, mu):
+    """The terms (sign w, w(lam + rho) - mu - rho) of the alternating sum over
+    the Weyl group, w running over the permutations of the coordinates.
 
     lam and mu are integer weight vectors in the diagonal coordinates (equal
     total size); lam must be dominant for the chosen positive system.
+    Raises ArithmeticError on an argument that is not integral.
     """
-    n = rd.n
     if sum(lam) != sum(mu):
         raise ValueError("weights live in different determinant levels")
     if not is_dominant(rd, lam):
         raise ValueError("highest weight is not dominant for the positive system")
     lam2 = [2 * x + r for x, r in zip(lam, rd.rho2)]
-    out = BivariatePoly.zero()
-    for perm in permutations(range(n)):
-        w2 = [lam2[perm[i]] for i in range(n)]
-        arg2 = [a - 2 * m - r for a, m, r in zip(w2, mu, rd.rho2)]
+    for perm in permutations(range(rd.n)):
+        arg2 = [lam2[p] - 2 * m - r for p, m, r in zip(perm, mu, rd.rho2)]
         if any(x % 2 for x in arg2):
             raise ArithmeticError("shifted Weyl argument is not integral")
-        arg = tuple(x // 2 for x in arg2)
+        yield _perm_sign(perm), tuple(x // 2 for x in arg2)
+
+
+def multiplicity_formula(rd, table, lam, mu):
+    """Alternating Weyl-group sum of table values at w(lam + rho) - mu - rho."""
+    out = BivariatePoly.zero()
+    for sign, arg in weyl_arguments(rd, lam, mu):
         val = table.value(arg)
         if val:
-            sign = _perm_sign(perm)
             out = out + (val if sign > 0 else -val)
     return out
+
+
+def classical_multiplicity(rd, lam, mu):
+    """Independent oracle for the dimension of the mu weight space: the same
+    alternating sum of classical partition counts, fully independent of the
+    series machinery (Kostant, Trans. AMS 93, 1959)."""
+    return sum(
+        sign * classical_partition_count(rd, arg)
+        for sign, arg in weyl_arguments(rd, lam, mu)
+    )

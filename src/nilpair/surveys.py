@@ -22,7 +22,7 @@ from .modules import (
     module_limit_check,
     multiplicity_crosscheck,
 )
-from .multiplicity import classical_partition_count, root_data
+from .multiplicity import classical_multiplicity, root_data
 from .pairs import (
     _classify,
     abelian_check,
@@ -306,7 +306,7 @@ def multiplicity_checks_for(spec, lam, alt=False):
             ]
     # independent classical oracle on the most multiplicity-rich weight
     rich = max(rep["weights"], key=lambda r: r["dim"])
-    kostant_ok = _classical_kostant_value(
+    kostant_ok = classical_multiplicity(
         rd, rep["lambda_dominant"], rich["mu"]
     ) == rich["dim"]
     return {
@@ -322,26 +322,6 @@ def multiplicity_checks_for(spec, lam, alt=False):
         "dim": rep["dim"],
         "positive_system": rep["positive_system"],
     }
-
-
-def _classical_kostant_value(rd, lam_dom, mu):
-    """Alternating sum of classical partition counts, fully independent of
-    the series machinery."""
-    from itertools import permutations
-
-    from .multiplicity import _perm_sign, height
-
-    n = rd.n
-    lam2 = [2 * x + r for x, r in zip(lam_dom, rd.rho2)]
-    total = 0
-    for perm in permutations(range(n)):
-        w2 = [lam2[perm[i]] for i in range(n)]
-        arg2 = [a - 2 * m - r for a, m, r in zip(w2, mu, rd.rho2)]
-        arg = tuple(x // 2 for x in arg2)
-        if height(rd, arg) is None:
-            continue
-        total += _perm_sign(perm) * classical_partition_count(rd, arg)
-    return total
 
 
 def judge_multiplicity(rep):

@@ -1,15 +1,17 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
+from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse, partitions
 from nilpair.linalg import solve_affine
+from nilpair.modules import WeightModule, _table_height
 from nilpair.multiplicity import (
     BoundError,
     PartitionTable,
     RegularityError,
     _chain,
+    classical_multiplicity,
     classical_partition_count,
     cone_coordinates,
     dominant_rearrangement,
@@ -21,6 +23,7 @@ from nilpair.multiplicity import (
 )
 from nilpair.pairs import SemisimplePair, build_pair
 from nilpair.polys import BivariatePoly
+from nilpair.surveys import admissible_highest_weights
 
 
 def hook_data():
@@ -189,6 +192,8 @@ def test_multiplicity_formula_rejects_non_integral_argument():
     table = PartitionTable(rd, 4)
     with pytest.raises(ArithmeticError):
         multiplicity_formula(rd, table, (0, 1, 0), (0, 1, 0))
+    with pytest.raises(ArithmeticError):
+        classical_multiplicity(rd, (0, 1, 0), (0, 1, 0))
 
 
 def _pairwise_simple_roots(positive, n):
@@ -292,3 +297,120 @@ def test_partition_value_rejects_non_integral_entries():
         table.value((Fraction(-3, 2), Fraction(1, 2), 1))
     # integral Fractions are read as the integers they are
     assert table.value((Fraction(-1), 1, 0)) == table.value((-1, 1, 0))
+
+
+def _root_data_both(specs):
+    """Root data of each diagram under both positive systems."""
+    out = []
+    for spec in specs:
+        _, h = build_pair(parse(spec))
+        out += [(spec, root_data(h, alt=alt)) for alt in (False, True)]
+    return out
+
+
+def _dominant(rd, lam):
+    return dominant_rearrangement(rd, tuple(lam) + (0,) * (rd.n - len(lam)))
+
+
+def _orbit_required_height(rd, lam, mu):
+    """Reference: the largest cone height among w(lam + rho) - mu - rho over
+    the Weyl group, skipping the non-integral ones."""
+    n = rd.n
+    lam2 = [2 * x + r for x, r in zip(lam, rd.rho2)]
+    best = 0
+    for perm in permutations(range(n)):
+        w2 = [lam2[perm[i]] for i in range(n)]
+        arg2 = [a - 2 * m - r for a, m, r in zip(w2, mu, rd.rho2)]
+        if any(x % 2 for x in arg2):
+            continue
+        arg = [x // 2 for x in arg2]
+        h = height(rd, arg)
+        if h is not None:
+            best = max(best, h)
+    return best
+
+
+def test_table_height_is_the_largest_orbit_height():
+    # the crosscheck sizes its table by the w = 1 terms lam - mu alone
+    cases = [("2", lam) for lam in admissible_highest_weights(2, 6)]
+    cases += [(s, lam) for s in ("3", "2,1") for lam in admissible_highest_weights(3, 6)]
+    cases += [("2,2", lam) for lam in admissible_highest_weights(4, 6)]
+    for spec, n in (("2,2", 4), ("3,1", 4), ("2,1,1", 4), ("2,2/1", 3)):
+        cases += [(spec, lam) for k in (7, 8) for lam in partitions(k) if len(lam) <= n]
+    modules = {}
+    checked = 0
+    for spec, lam in cases:
+        for _, rd in _root_data_both([spec]):
+            module = modules.get((rd.n, lam)) or WeightModule(rd.n, lam)
+            modules[rd.n, lam] = module
+            lam_dom = _dominant(rd, lam)
+            want = max(_orbit_required_height(rd, lam_dom, mu) for mu in module.weights)
+            assert _table_height(rd, lam_dom, module.weights) == want, (spec, lam, rd.alt)
+            checked += 1
+    assert checked == 260
+
+
+def _searched_in_ne_cone(rd, weight):
+    """Reference: the bounded search over the quadrant roots, stopping at
+    the first decomposition."""
+    gens = [rd.root_vector(r) for r in sorted(set(rd.ne))]
+
+    def go(target, idx):
+        if all(x == 0 for x in target):
+            return True
+        if idx == len(gens) or height(rd, target) is None:
+            return False
+        g = gens[idx]
+        for k in range(height(rd, target) // height(rd, g) + 1):
+            if go(tuple(t - k * x for t, x in zip(target, g)), idx + 1):
+                return True
+        return False
+
+    return go(tuple(weight), 0)
+
+
+def _recursive_partition_count(rd, vec):
+    """Reference: the number of multisets of positive roots summing to vec,
+    by plain recursion over the roots in turn."""
+    roots = [rd.root_vector(r) for r in rd.positive]
+
+    def count(idx, target):
+        if all(x == 0 for x in target):
+            return 1
+        if idx == len(roots) or height(rd, target) is None:
+            return 0
+        r = roots[idx]
+        return sum(
+            count(idx + 1, tuple(t - k * x for t, x in zip(target, r)))
+            for k in range(height(rd, target) // height(rd, r) + 1)
+        )
+
+    return count(0, tuple(vec))
+
+
+def test_root_partition_search_matches_the_references():
+    specs = ("2", "3", "4", "2,1", "2,2", "3,1", "2,1,1", "2,2/1", "1,1,1")
+    checked = 0
+    for spec, rd in _root_data_both(specs):
+        for vec in product(range(-3, 4), repeat=rd.n):
+            if sum(vec):
+                continue
+            assert in_ne_cone(rd, vec) == _searched_in_ne_cone(rd, vec), (spec, vec)
+            want = _recursive_partition_count(rd, vec)
+            assert classical_partition_count(rd, vec) == want, (spec, rd.alt, vec)
+            checked += 1
+    assert checked == 2158
+
+
+def test_classical_multiplicity_counts_every_weight_space():
+    specs = ("2", "3", "2,1", "2,2", "1,1,1", "3,1", "2,1,1")
+    checked = 0
+    for spec, rd in _root_data_both(specs):
+        for lam in admissible_highest_weights(rd.n, 6):
+            module = WeightModule(rd.n, lam)
+            lam_dom = _dominant(rd, lam)
+            for mu in module.weights:
+                want = len(module.weight_space_indices(mu))
+                assert classical_multiplicity(rd, lam_dom, mu) == want, (spec, lam, mu)
+                checked += 1
+    assert checked == 1360

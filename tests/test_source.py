@@ -260,3 +260,38 @@ def test_cone_coordinates_are_partial_sums():
         func = _function("multiplicity.py", name)
         assert not func.decorator_list, name
         assert _called_names(func) <= {"len", "sum", "tuple", "cone_coordinates"}, name
+
+
+def test_one_weyl_sum_and_one_root_search():
+    # the alternating sum walks the Weyl group in weyl_arguments alone, the
+    # table and the classical oracle both read it, and the partition search
+    # keeps its memo per call: the root data is the module's one cache
+    tree = _tree("multiplicity.py")
+
+    def orbit_walks(top):
+        return [
+            node
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "permutations"
+        ]
+
+    walker = _function("multiplicity.py", "weyl_arguments")
+    assert len(orbit_walks(tree)) == len(orbit_walks(walker)) == 1
+    cached = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any("cache" in ast.unparse(dec) for dec in node.decorator_list)
+    ]
+    assert cached == ["_root_data"]
+    for name in ("multiplicity_formula", "classical_multiplicity"):
+        assert "weyl_arguments" in _called_names(_function("multiplicity.py", name))
+    for name in ("in_ne_cone", "classical_partition_count"):
+        assert "_root_partitions" in _called_names(_function("multiplicity.py", name))
+    imported = {
+        alias.name
+        for node in ast.walk(_tree("surveys.py"))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not imported & {"_perm_sign", "height"}
