@@ -10,7 +10,6 @@ order used when turning a diagram into a matrix pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -250,13 +249,33 @@ def column_lengths(d):
     return tuple(len(qs) for _, qs in sorted(d.columns().items()))
 
 
-@dataclass(frozen=True)
 class SubsetPair:
-    """An in-subset and the out-subset obtained from it by one translation."""
+    """An in-subset and the out-subset obtained from it by one translation;
+    equality and hashing are by the three fields."""
 
-    nu_in: tuple
-    nu_out: tuple
-    shift: tuple
+    __slots__ = ("nu_in", "nu_out", "shift")
+
+    def __init__(self, nu_in, nu_out, shift):
+        self.nu_in = nu_in
+        self.nu_out = nu_out
+        self.shift = shift
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SubsetPair)
+            and self.nu_in == other.nu_in
+            and self.nu_out == other.nu_out
+            and self.shift == other.shift
+        )
+
+    def __hash__(self):
+        return hash((self.nu_in, self.nu_out, self.shift))
+
+    def __repr__(self):
+        return (
+            f"SubsetPair(nu_in={self.nu_in!r}, nu_out={self.nu_out!r}, "
+            f"shift={self.shift!r})"
+        )
 
     def to_jsonable(self):
         return {

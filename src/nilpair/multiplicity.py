@@ -9,7 +9,6 @@ which land in the root lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 
@@ -25,21 +24,44 @@ class BoundError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class RootData:
-    """Type A root system split by the signs of the grading pair values."""
+    """Type A root system split by the signs of the grading pair values.
 
-    n: int
-    positive: tuple  # ordered pairs (i, j) meaning eps_i - eps_j
-    ne: tuple
-    axis1: tuple  # value (>0, 0)
-    axis2: tuple  # value (0, >0)
-    interior: tuple  # value (>0, >0)
-    values: dict = field(hash=False, compare=False, default_factory=dict)
-    simple: tuple = ()
-    rho2: tuple = ()  # 2 * half-sum of positive roots, integral
-    chain: tuple = ()  # c_0 ... c_{n-1}: (c_a, c_b) is positive iff a < b
-    alt: bool = False
+    Equality and hashing are by every field but ``values``, the dict of
+    each root's grading values."""
+
+    __slots__ = (
+        "n", "positive", "ne", "axis1", "axis2", "interior", "values",
+        "simple", "rho2", "chain", "alt",
+    )
+
+    def __init__(
+        self, n, positive, ne, axis1, axis2, interior, values, simple, rho2,
+        chain, alt,
+    ):
+        self.n = n
+        self.positive = positive  # ordered pairs (i, j) meaning eps_i - eps_j
+        self.ne = ne
+        self.axis1 = axis1  # value (>0, 0)
+        self.axis2 = axis2  # value (0, >0)
+        self.interior = interior  # value (>0, >0)
+        self.values = values  # {(i, j): (v1, v2)}
+        self.simple = simple
+        self.rho2 = rho2  # 2 * half-sum of positive roots, integral
+        self.chain = chain  # c_0 ... c_{n-1}: (c_a, c_b) is positive iff a < b
+        self.alt = alt
+
+    def _key(self):
+        return (
+            self.n, self.positive, self.ne, self.axis1, self.axis2,
+            self.interior, self.simple, self.rho2, self.chain, self.alt,
+        )
+
+    def __eq__(self, other):
+        return isinstance(other, RootData) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def root_vector(self, ij):
         i, j = ij

@@ -9,7 +9,6 @@ hyperplane (see _sl_cut).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -37,20 +36,31 @@ class GradingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class SemisimplePair:
     """A commuting pair of rational diagonal matrices grading the pair.
 
     The diagonals are held through `exact`, so an integral grading has int
     entries and int bidegrees; 1 == Fraction(1) with equal hashes, so
-    equality and hashing do not see the difference."""
+    equality and hashing, by (h1, h2), do not see the difference."""
 
-    h1: tuple
-    h2: tuple
+    __slots__ = ("h1", "h2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "h1", tuple(map(exact, self.h1)))
-        object.__setattr__(self, "h2", tuple(map(exact, self.h2)))
+    def __init__(self, h1, h2):
+        self.h1 = tuple(map(exact, h1))
+        self.h2 = tuple(map(exact, h2))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SemisimplePair)
+            and self.h1 == other.h1
+            and self.h2 == other.h2
+        )
+
+    def __hash__(self):
+        return hash((self.h1, self.h2))
+
+    def __repr__(self):
+        return f"SemisimplePair(h1={self.h1!r}, h2={self.h2!r})"
 
     @property
     def n(self):

@@ -5,7 +5,6 @@ orthogonal pair that falls outside that family."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .diagrams import SKEWISH, classify_shape
 from .linalg import Subspace, add_multiple, entries, frac, jordan_type, matmul
@@ -77,13 +76,29 @@ def _pair_alt2(piece):
     return out
 
 
-@dataclass(frozen=True)
 class EmbeddingSpec:
     """A classical algebra on a module V decomposed under two commuting sl2's
-    as the direct sum of R(n_i - 1) (x) R(m_i - 1)."""
+    as the direct sum of R(n_i - 1) (x) R(m_i - 1); equality and hashing are
+    by the two fields."""
 
-    algebra: str  # sl / sp / so
-    summands: tuple  # multiset of (n_i, m_i), n_i, m_i >= 1
+    __slots__ = ("algebra", "summands")
+
+    def __init__(self, algebra, summands):
+        self.algebra = algebra  # sl / sp / so
+        self.summands = summands  # multiset of (n_i, m_i), n_i, m_i >= 1
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, EmbeddingSpec)
+            and self.algebra == other.algebra
+            and self.summands == other.summands
+        )
+
+    def __hash__(self):
+        return hash((self.algebra, self.summands))
+
+    def __repr__(self):
+        return f"EmbeddingSpec(algebra={self.algebra!r}, summands={self.summands!r})"
 
     @property
     def dim_v(self):

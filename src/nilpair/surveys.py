@@ -8,7 +8,6 @@ with their full counterexample payloads.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 from . import cohomology as co
 from . import harmonics as ha
@@ -44,34 +43,46 @@ from .pairs import (
 MAX_N_ENV = "NILPAIR_MAX_N"
 
 
-def size_cap(default=10):
-    cap = os.environ.get(MAX_N_ENV)
-    return int(cap) if cap else default
-
-
-@dataclass
-class RunConfig:
-    """Knobs shared by the survey commands."""
-
-    max_boxes: int = 6
-    output_format: str = "table"
-    jobs: int = 1
-    out_path: str | None = None
-    size_limit: int = field(default_factory=size_cap)
-
-    def check_bounds(self):
-        if self.max_boxes < 1 or self.max_boxes > self.size_limit:
-            raise ResourceLimit(
-                f"box bound {self.max_boxes} outside 1..{self.size_limit}"
-            )
-
-
 class ResourceLimit(ValueError):
     pass
 
 
 class UsageError(ValueError):
     pass
+
+
+def size_cap(default=10):
+    """The cap on the box bound: NILPAIR_MAX_N when set, else default.
+    Raises UsageError when the variable is not a positive integer."""
+    text = os.environ.get(MAX_N_ENV)
+    if not text:
+        return default
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise UsageError(f"{MAX_N_ENV}={text!r} is not a positive integer")
+    return cap
+
+
+class RunConfig:
+    """Knobs shared by the survey commands."""
+
+    __slots__ = ("max_boxes", "output_format", "jobs", "out_path")
+
+    def __init__(self, max_boxes=6, output_format="table", jobs=1, out_path=None):
+        self.max_boxes = max_boxes
+        self.output_format = output_format
+        self.jobs = jobs
+        self.out_path = out_path
+
+    def check_bounds(self):
+        """Raise ResourceLimit unless max_boxes lies in 1..size_cap(); the
+        cap is read here, so only a bounded run sees NILPAIR_MAX_N."""
+        limit = size_cap()
+        if self.max_boxes < 1 or self.max_boxes > limit:
+            raise ResourceLimit(f"box bound {self.max_boxes} outside 1..{limit}")
 
 
 def _young_diagrams(max_boxes):

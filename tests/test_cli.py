@@ -248,3 +248,22 @@ def test_shape_outside_domain_exits_two(args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("cap", ["abc", "7.5", "0"])
+def test_max_n_not_a_positive_integer_is_a_usage_error(cap, monkeypatch, capsys):
+    from nilpair.cli import main
+
+    monkeypatch.setenv("NILPAIR_MAX_N", cap)
+    assert main(["verify", "structure", "--all", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: NILPAIR_MAX_N={cap!r} is not a positive integer\n"
+
+
+def test_max_n_is_read_only_by_bounded_runs(monkeypatch, capsys):
+    from nilpair.cli import main
+
+    monkeypatch.setenv("NILPAIR_MAX_N", "abc")
+    assert main(["pair", "classify", "--diagram", "2,1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"class": "principal"}

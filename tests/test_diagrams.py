@@ -114,6 +114,14 @@ def test_subset_pairs_hook_single_shift():
     assert pairs[0].nu_out == ((1, 0),)
 
 
+def test_subset_pair_is_a_structural_record():
+    (sp,) = subset_pairs(parse("2,1"), 1, 0)
+    twin = SubsetPair(((0, 0),), ((1, 0),), (1, 0))
+    assert sp == twin and hash(sp) == hash(twin) and len({sp, twin}) == 1
+    assert sp != SubsetPair(((0, 0),), ((1, 0),), (0, 0))
+    assert repr(sp) == "SubsetPair(nu_in=((0, 0),), nu_out=((1, 0),), shift=(1, 0))"
+
+
 def test_subset_pairs_zero_shift_contains_identity():
     for spec in ("2,1", "3,2/1", "2,2"):
         d = parse(spec)

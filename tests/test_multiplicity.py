@@ -10,6 +10,7 @@ from nilpair.multiplicity import (
     BoundError,
     PartitionTable,
     RegularityError,
+    RootData,
     _chain,
     classical_multiplicity,
     classical_partition_count,
@@ -185,10 +186,20 @@ def test_root_data_rejects_nonpositive_quadrant_root():
         root_data(_ZeroGradingClaimedRegular())
 
 
-def test_multiplicity_formula_rejects_non_integral_argument():
-    import dataclasses
+def _rebuilt(rd, **changes):
+    """A new record with rd's fields, the given ones changed."""
+    return RootData(**{k: changes.get(k, getattr(rd, k)) for k in RootData.__slots__})
 
-    rd = dataclasses.replace(hook_data(), rho2=(1, 0, 0))
+
+def test_root_data_equality_ignores_values():
+    rd = hook_data()
+    blank = _rebuilt(rd, values={})
+    assert blank == rd and hash(blank) == hash(rd)
+    assert _rebuilt(rd, rho2=(1, 0, 0)) != rd
+
+
+def test_multiplicity_formula_rejects_non_integral_argument():
+    rd = _rebuilt(hook_data(), rho2=(1, 0, 0))
     table = PartitionTable(rd, 4)
     with pytest.raises(ArithmeticError):
         multiplicity_formula(rd, table, (0, 1, 0), (0, 1, 0))

@@ -1159,6 +1159,16 @@ def test_gradings_hold_ints_and_key_pieces_by_exact_bidegree(h1, h2):
         assert total == n * n - (ambient == "sl")
 
 
+def test_int_and_fraction_gradings_share_one_record():
+    from nilpair.pairs import SemisimplePair
+
+    as_ints = SemisimplePair([0, 1], [0, 0])
+    as_fractions = SemisimplePair([Fraction(0), Fraction(1)], [0, 0])
+    assert as_ints == as_fractions and hash(as_ints) == hash(as_fractions)
+    pair, _ = build_pair(parse("2"))
+    assert pair.graded(as_ints) is pair.graded(as_fractions)
+
+
 def test_pair_and_its_record_are_freed_together():
     # the record holds no reference back to the pair, so dropping the pair
     # frees both by reference counting alone, with the collector off

@@ -84,6 +84,14 @@ def test_dimension_bookkeeping():
         assert total == expected
 
 
+def test_embedding_spec_is_a_structural_record():
+    spec = EmbeddingSpec("so", ((3, 1), (1, 3)))
+    twin = EmbeddingSpec("so", ((3, 1), (1, 3)))
+    assert spec == twin and hash(spec) == hash(twin) and len({spec, twin}) == 1
+    assert spec != EmbeddingSpec("sl", ((3, 1), (1, 3)))
+    assert repr(spec) == "EmbeddingSpec(algebra='so', summands=((3, 1), (1, 3)))"
+
+
 def test_sl_square_decomposition():
     dec = decompose_adjoint(EmbeddingSpec("sl", ((2, 2),)))
     assert dec == Counter({(2, 2): 1, (2, 0): 1, (0, 2): 1})

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import nilpair
@@ -295,3 +298,21 @@ def test_one_weyl_sum_and_one_root_search():
         for alias in node.names
     }
     assert not imported & {"_perm_sign", "height"}
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every command is a fresh process, so the import is part of its wall
+    # time; dataclasses pulls in inspect, ast, dis and tokenize with it
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import nilpair, nilpair.surveys, nilpair.characters, nilpair.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(nilpair.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    added = set(proc.stdout.split())
+    assert "nilpair.cli" in added
+    assert not added & {"dataclasses", "inspect"}
