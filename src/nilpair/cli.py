@@ -25,20 +25,20 @@ from .pairs import (
     classify_pair,
     weak_lefschetz_report,
 )
-from .surveys import ResourceLimit, RunConfig, UsageError
+from .surveys import ResourceLimit, UsageError
 
 
 def canonical_json(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(payload, config):
-    if config.output_format == "json":
+def _emit(payload, args):
+    if args.format == "json":
         text = canonical_json(payload)
     else:
         text = _as_table(payload)
-    if config.out_path:
-        with open(config.out_path, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -120,7 +120,7 @@ def build_parser():
     return top
 
 
-def cmd_pair(args, config):
+def cmd_pair(args):
     pair, h = build_pair(parse(args.diagram))
     if args.action == "build":
         payload = pair.to_jsonable()
@@ -154,9 +154,16 @@ def cmd_pair(args, config):
     raise AssertionError
 
 
-def cmd_verify(args, config):
+def cmd_verify(args):
     if (args.diagram is None) == (args.all is None):
         raise UsageError("give exactly one of --diagram or --all N")
+    single_multiplicity = args.suite == "multiplicity" and args.diagram is not None
+    for flag, given in (
+        ("--lambda", args.highest_weight is not None),
+        ("--alt-positive-system", args.alt_positive_system),
+    ):
+        if given and not single_multiplicity:
+            raise UsageError(f"{flag} applies only to verify multiplicity --diagram")
     if args.diagram is not None:
         if args.suite == "multiplicity":
             if args.highest_weight is None:
@@ -184,19 +191,18 @@ def cmd_verify(args, config):
         rep = check(d)
         return rep, rep["ok"]
     bound = args.all
-    config.max_boxes = bound
-    config.check_bounds()
+    surveys.check_box_bound(bound)
     if args.suite == "multiplicity":
-        rep = surveys.multiplicity_suite(bound, jobs=config.jobs)
+        rep = surveys.multiplicity_suite(bound, jobs=args.jobs)
     elif args.suite == "structure":
-        rep = surveys.structure_suite(bound, jobs=config.jobs)
+        rep = surveys.structure_suite(bound, jobs=args.jobs)
     elif args.suite == "skew":
-        rep = surveys.skew_suite(bound, jobs=config.jobs)
+        rep = surveys.skew_suite(bound, jobs=args.jobs)
     elif args.suite == "cohomology":
-        rep = surveys.cohomology_suite(bound, jobs=config.jobs)
+        rep = surveys.cohomology_suite(bound, jobs=args.jobs)
     else:
         rep = surveys.harmonics_suite(
-            bound, common_bound=8 if bound >= 5 else bound, jobs=config.jobs
+            bound, common_bound=8 if bound >= 5 else bound, jobs=args.jobs
         )
     return rep, rep["ok"]
 
@@ -214,7 +220,7 @@ def _highest_weight(text, n):
     return lam
 
 
-def cmd_rect(args, config):
+def cmd_rect(args):
     if args.bound < 1:
         raise ResourceLimit(f"dimension bound {args.bound} below 1")
     if args.bound > 24:
@@ -229,27 +235,22 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    config = RunConfig(
-        output_format=args.format,
-        jobs=args.jobs,
-        out_path=args.out,
-    )
     try:
         if args.jobs < 1:
             raise UsageError(f"--jobs {args.jobs} is below 1")
         if args.command == "pair":
-            payload, ok = cmd_pair(args, config)
+            payload, ok = cmd_pair(args)
         elif args.command == "verify":
-            payload, ok = cmd_verify(args, config)
+            payload, ok = cmd_verify(args)
         else:
-            payload, ok = cmd_rect(args, config)
+            payload, ok = cmd_rect(args)
     except (ParseError, ShapeError, ClassificationError, UsageError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (ResourceError, ResourceLimit) as exc:
         sys.stderr.write(f"resource bound: {exc}\n")
         return 3
-    _emit(payload, config)
+    _emit(payload, args)
     return 0 if ok else 1
 
 

@@ -25,7 +25,6 @@ from .pairs import (
     ad,
     ad_each,
     ad_image,
-    bigraded_pieces,
     centralizer_bigraded,
     member_kernels,
 )
@@ -83,7 +82,7 @@ def _h1_table(g):
     # the doubled space keyed k and nn + k
     e1, e2, n = g.e1, g.e2, g.n
     nn = n * n
-    pieces = bigraded_pieces(g.h, "sl")
+    pieces = g.pieces("sl")
     zero = Subspace.zero(nn)
     keys = set()
     for (p, q) in pieces:
@@ -162,10 +161,9 @@ def duality_check(pair, h=None):
 
 def generating_polys(pair, h=None):
     """The three Laurent series g, z, H of graded dimensions."""
-    h = pair.graded(h).h
-    g = BivariatePoly(
-        {k: sp.dim for k, sp in bigraded_pieces(h, "sl").items() if sp.dim}
-    )
+    graded = pair.graded(h)
+    h = graded.h
+    g = BivariatePoly({k: sp.dim for k, sp in graded.pieces("sl").items() if sp.dim})
     z = BivariatePoly(
         {k: sp.dim for k, sp in centralizer_bigraded(pair, h, "sl").items()}
     )
@@ -187,10 +185,8 @@ def euler_identity_check(pair, h=None):
 def exponent_sums_check(pair, h=None):
     """The two half-dimension counts from the root data match the weighted
     sums of centralizer dimensions."""
-    from .multiplicity import root_data
-
-    h = pair.graded(h).h
-    rd = root_data(h)
+    g = pair.graded(h)
+    h, rd = g.h, g.roots()
     z = centralizer_bigraded(pair, h, "sl")
     s1 = sum(p * sp.dim for (p, q), sp in z.items())
     s2 = sum(q * sp.dim for (p, q), sp in z.items())
@@ -211,10 +207,8 @@ def product_identity_check(pair, h=None):
     Verified by cross-multiplication of exact polynomials; each factor
     1 - s^a t^b is listed by its exponents (a, b).
     """
-    from .multiplicity import root_data
-
-    h = pair.graded(h).h
-    rd = root_data(h)
+    g = pair.graded(h)
+    h, rd = g.h, g.roots()
     z = centralizer_bigraded(pair, h, "sl")
     lhs_num = []
     lhs_den = []
@@ -253,10 +247,8 @@ def product_identity_nw_check(pair, h=None):
     the main identity; the printed one-line variant divides by vanishing
     axis factors and cannot be evaluated literally.
     """
-    from .multiplicity import root_data
-
-    h = pair.graded(h).h
-    rd = root_data(h)
+    g = pair.graded(h)
+    h, rd = g.h, g.roots()
     n = pair.n
     exps = higher_biexponents(pair, h)
     lhs = [(p + 1, q + 1) for (p, q) in exps]

@@ -328,12 +328,10 @@ class ResourceError(ValueError):
     pass
 
 
-@lru_cache(maxsize=256)
 def in_subsets(d):
     return _closure_subsets(d.boxes, +1)
 
 
-@lru_cache(maxsize=256)
 def out_subsets(d):
     return _closure_subsets(d.boxes, -1)
 
@@ -341,15 +339,14 @@ def out_subsets(d):
 def subset_pairs(d, p, q):
     """All (in-subset, out-subset) pairs related by translation by (p, q),
     in the order of their in-subsets, as a new list: one entry of
-    _pairs_by_shift."""
-    by_shift = _pairs_by_shift(d)
+    pairs_by_shift."""
+    by_shift = pairs_by_shift(d)
     if p < 0 or q < 0:
         raise ValueError("shift components must be non-negative")
-    return list(by_shift.get((p, q), ()))
+    return by_shift.get((p, q), [])
 
 
-@lru_cache(maxsize=256)
-def _pairs_by_shift(d):
+def pairs_by_shift(d):
     """{(p, q): [SubsetPair]} for every non-negative shift with a pair, in
     one pass: an out-subset is a translate of an in-subset exactly when the
     two agree once moved to their south-west corners, and the shift is the

@@ -23,7 +23,6 @@ from .multiplicity import (
     dominant_rearrangement,
     in_ne_cone,
     is_dominant,
-    root_data,
 )
 from .pairs import HypothesisError, ad_columns, centralizer
 from .polys import BivariatePoly
@@ -410,7 +409,7 @@ def multiplicity_crosscheck(pair, h, lam, alt=False):
     classical fact, the alternating formula acquires negative coefficients at
     non-dominant weights, so those rows are reported but not asserted.
     """
-    rd = root_data(h, alt=alt)
+    rd = pair.graded(h).roots(alt)
     module = WeightModule(pair.n, lam)
     action = PairAction.build(module, pair)
     lam_content = tuple(list(lam) + [0] * (pair.n - len(lam)))

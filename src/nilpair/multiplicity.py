@@ -9,7 +9,6 @@ which land in the root lattice.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations
 
 from .linalg import frac
@@ -87,14 +86,9 @@ def root_data(h, alt=False):
 
     The rule: a root is positive when the tuple (v1+v2, v1, coordinate vector)
     is lexicographically positive; the alternate rule negates the second
-    component, giving a second valid choice.  The result is built once per
-    (h, alt) and shared, so callers read it and leave it unchanged.
+    component, giving a second valid choice.  Each call builds it anew; the
+    pair's record for h (GradedPair.roots) keeps it per alt.
     """
-    return _root_data(h, alt)
-
-
-@lru_cache(maxsize=64)
-def _root_data(h, alt):
     n = h.n
     if not h.is_regular():
         raise RegularityError("grading pair is not regular")

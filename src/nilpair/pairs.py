@@ -10,14 +10,14 @@ hyperplane (see _sl_cut).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 
 from .diagrams import Diagram, ShapeClass, ShapeError, SKEWISH, classify_shape
-from .diagrams import subset_pairs
+from .diagrams import pairs_by_shift
 from .linalg import EchelonBasis, Matrix, Subspace, entries, exact, small
 from .linalg import kernel_in, matmul, relations, shifted
+from .multiplicity import root_data
 
 
 class StabilityError(ValueError):
@@ -143,10 +143,11 @@ class NilPair:
 
 class GradedPair:
     """One pair (e1, e2) under one grading h, and the data derived from
-    them: the graded kernels here, the kernel towers, H^1 table and corner
-    frames in cohomology.  Each is built on first use and kept in `memo`;
-    callers share them and must not mutate them.  NilPair.graded makes the
-    record and holds it; the record holds no reference back to the pair."""
+    them: the bigraded pieces, root data and graded kernels here, the
+    kernel towers, H^1 table and corner frames in cohomology.  Each is
+    built on first use and kept in `memo`; callers share them and must not
+    mutate them.  NilPair.graded makes the record and holds it; the record
+    holds no reference back to the pair."""
 
     __slots__ = ("e1", "e2", "n", "h", "memo", "__weakref__")
 
@@ -160,6 +161,18 @@ class GradedPair:
         if key not in memo:
             memo[key] = build(*args)
         return memo[key]
+
+    def pieces(self, ambient):
+        """bigraded_pieces(h, ambient), built once in gl; the sl pieces are
+        its trace cut (_sl_cut), which keeps a zero (0, 0) piece and shares
+        every piece off (0, 0) with it."""
+        if ambient == "sl":
+            return self.derived(("pieces", "sl"), _sl_cut, self.pieces("gl"), True)
+        return self.derived(("pieces", "gl"), bigraded_pieces, self.h)
+
+    def roots(self, alt=False):
+        """root_data(h, alt), built once per alt."""
+        return self.derived(("roots", alt), root_data, self.h, alt)
 
     def kernels(self, name, ambient):
         """The nonzero blocks {(p, q): Subspace} of the graded kernel `name`:
@@ -326,14 +339,10 @@ def traceless_cut(space):
 
 def bigraded_pieces(h, ambient="gl"):
     """Decomposition of gl_n (or its trace-zero part) by (ad h1, ad h2)
-    bidegree.  Returns {(p, q): Subspace of flattened matrices}."""
-    return _bigraded_pieces(h, ambient)
-
-
-@lru_cache(maxsize=64)
-def _bigraded_pieces(h, ambient):
+    bidegree.  Returns {(p, q): Subspace of flattened matrices}, built anew
+    on each call; the pair's record for h (GradedPair.pieces) keeps them."""
     if ambient == "sl":
-        return _sl_cut(_bigraded_pieces(h, "gl"), keep_zero=True)
+        return _sl_cut(bigraded_pieces(h), keep_zero=True)
     n = h.n
     groups = {}
     for i in range(n):
@@ -408,7 +417,7 @@ def _kernel_blocks(g, name):
     x, step = (g.e1, (1, 0)) if name == "K1" else (g.e2, (0, 1))
     if not _homogeneous(x, step, g.h, g.n):
         raise StabilityError("the pair is not homogeneous for this bigrading")
-    blocks = g.kernels("K1", "gl") if name == "K12" else bigraded_pieces(g.h, "gl")
+    blocks = g.kernels("K1", "gl") if name == "K12" else g.pieces("gl")
     out = {}
     for key, block in blocks.items():
         kern = kernel_in(block, ad_each(x, block.basis, g.n))
@@ -542,30 +551,38 @@ def power_tower(m, n, top):
     return tower
 
 
-def shift_basis_check(pair, p, q):
-    """Check that the translation maps built from in/out subset pairs span
-    exactly the (p, q) component of the gl centralizer."""
+def shift_basis_check(pair):
+    """{(p, q): (ok, dim)} for every shift 0 <= p <= pmax + 1, 0 <= q <=
+    qmax + 1 over the diagram's boxes: the translation maps built from the
+    in/out subset pairs related by (p, q) span a space of dimension dim,
+    and ok says it is exactly the (p, q) component of the gl centralizer."""
     d = pair.provenance
     if not isinstance(d, Diagram):
         raise ShapeError("check needs a diagram pair")
     n = pair.n
     index = {box: i for i, box in enumerate(d.boxes)}
-    vecs = []
-    for sp in subset_pairs(d, p, q):
-        vecs.append(
-            {index[(i + p, j + q)] * n + index[(i, j)]: 1 for (i, j) in sp.nu_in}
-        )
-    span = Subspace(n * n, vecs)
+    by_shift = pairs_by_shift(d)
     blocks = centralizer_bigraded(pair, pair.graded().h, ambient="gl")
-    comp = blocks.get((p, q), Subspace.zero(n * n))
-    return span == comp, span.dim
+    zero = Subspace.zero(n * n)
+    pmax = max(i for i, _ in d.boxes)
+    qmax = max(j for _, j in d.boxes)
+    out = {}
+    for p in range(pmax + 2):
+        for q in range(qmax + 2):
+            vecs = [
+                {index[(i + p, j + q)] * n + index[(i, j)]: 1 for (i, j) in sp.nu_in}
+                for sp in by_shift.get((p, q), ())
+            ]
+            span = Subspace(n * n, vecs)
+            out[(p, q)] = (span == blocks.get((p, q), zero), span.dim)
+    return out
 
 
 def weak_lefschetz_report(pair, h=None):
     """Injectivity/surjectivity pattern of both bracket actions across the
     bigrading; returns one record per checked map."""
     g = pair.graded(h)
-    pieces = bigraded_pieces(g.h, ambient="sl")
+    pieces = g.pieces("sl")
     k1, k2 = (g.kernels(name, "sl") for name in ("K1", "K2"))
     zero = Subspace.zero(pair.n**2)
     records = []

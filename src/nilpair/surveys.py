@@ -13,7 +13,7 @@ from . import cohomology as co
 from . import harmonics as ha
 from . import characters as ch
 from . import rectangular as re_
-from .diagrams import Diagram, ShapeClass, enumerate_diagrams, partitions
+from .diagrams import Diagram, ShapeClass, enumerate_diagrams, parse, partitions
 from .linalg import Subspace, kernel_in, relations
 from .modules import (
     MAX_TENSOR_DEGREE,
@@ -26,7 +26,6 @@ from .pairs import (
     _classify,
     abelian_check,
     ad_each,
-    bigraded_pieces,
     biexponents,
     build_pair,
     centralizer,
@@ -66,23 +65,12 @@ def size_cap(default=10):
     return cap
 
 
-class RunConfig:
-    """Knobs shared by the survey commands."""
-
-    __slots__ = ("max_boxes", "output_format", "jobs", "out_path")
-
-    def __init__(self, max_boxes=6, output_format="table", jobs=1, out_path=None):
-        self.max_boxes = max_boxes
-        self.output_format = output_format
-        self.jobs = jobs
-        self.out_path = out_path
-
-    def check_bounds(self):
-        """Raise ResourceLimit unless max_boxes lies in 1..size_cap(); the
-        cap is read here, so only a bounded run sees NILPAIR_MAX_N."""
-        limit = size_cap()
-        if self.max_boxes < 1 or self.max_boxes > limit:
-            raise ResourceLimit(f"box bound {self.max_boxes} outside 1..{limit}")
+def check_box_bound(bound):
+    """Raise ResourceLimit unless the box bound lies in 1..size_cap(); the
+    cap is read here, so only a bounded run sees NILPAIR_MAX_N."""
+    limit = size_cap()
+    if bound < 1 or bound > limit:
+        raise ResourceLimit(f"box bound {bound} outside 1..{limit}")
 
 
 def _young_diagrams(max_boxes):
@@ -106,14 +94,8 @@ def structure_checks(d):
     exps = biexponents(pair, h, verdict) if n > 1 else ()
     expected_exps = tuple(sorted(b for b in d.boxes if b != (0, 0)))
     lef = weak_lefschetz_report(pair, h)
-    pmax = max(p for p, _ in d.boxes)
-    qmax = max(q for _, q in d.boxes)
-    shift_ok = True
-    for p in range(pmax + 2):
-        for q in range(qmax + 2):
-            ok, _ = shift_basis_check(pair, p, q)
-            shift_ok = shift_ok and ok
-    pieces = bigraded_pieces(h, "sl")
+    shift_ok = all(ok for ok, _ in shift_basis_check(pair).values())
+    pieces = pair.graded(h).pieces("sl")
     pairing_ok = True
     for (p, q), sp in pieces.items():
         other = pieces.get((-p, -q))
@@ -155,7 +137,7 @@ def structure_checks(d):
 def _ddbar_identity(pair, h):
     """ker(ad e1 ad e2) = ker(ad e1) + ker(ad e2) per non-negative bidegree."""
     n = pair.n
-    pieces = bigraded_pieces(h, "sl")
+    pieces = pair.graded(h).pieces("sl")
     k1, k2 = (member_kernels(pair, h, member, "sl") for member in (1, 2))
     zero = Subspace.zero(n * n)
     for (p, q), piece in pieces.items():
@@ -295,8 +277,6 @@ def admissible_highest_weights(n, max_size):
 
 
 def multiplicity_checks_for(spec, lam, alt=False):
-    from .diagrams import parse
-
     if sum(lam) > MAX_TENSOR_DEGREE:
         raise ResourceLimit(
             f"tensor degree {sum(lam)} over the bound {MAX_TENSOR_DEGREE}"
@@ -304,7 +284,7 @@ def multiplicity_checks_for(spec, lam, alt=False):
     d = parse(spec)
     pair, h = build_pair(d)
     rep = multiplicity_crosscheck(pair, h, lam, alt=alt)
-    rd = root_data(h, alt=alt)
+    rd = pair.graded(h).roots(alt)
     findings = []
     classical_ok = all(row["formula_counts_weight_space"] for row in rep["weights"])
     direct_dominant_ok = True
@@ -346,8 +326,6 @@ def judge_multiplicity(rep):
     the highest weight lies in the quadrant cone (``in_scope``).  Both
     regimes need the classical specialisation and the classical oracle.
     """
-    from .diagrams import parse
-
     boxes = parse(rep["diagram"]).boxes
     degenerate = len({p for p, _ in boxes}) == 1 or len({q for _, q in boxes}) == 1
     classical = rep["classical_specialization"] and rep["classical_oracle"]
@@ -398,8 +376,6 @@ def strictness_witness():
     """The symmetric-cube module of the three-box hook: the limit of the zero
     weight space is strictly smaller than the invariants of the pair
     centralizer."""
-    from .diagrams import parse
-
     pair, h = build_pair(parse("2,1"))
     module = WeightModule(3, (3,))
     rep = module_limit_check(pair, h, module, (1, 1, 1))

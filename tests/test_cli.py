@@ -267,3 +267,41 @@ def test_max_n_is_read_only_by_bounded_runs(monkeypatch, capsys):
     monkeypatch.setenv("NILPAIR_MAX_N", "abc")
     assert main(["pair", "classify", "--diagram", "2,1", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"class": "principal"}
+
+
+ALT = "--alt-positive-system"
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("multiplicity", "--all", "4", ALT), ALT),
+        (("multiplicity", "--all", "4", "--lambda", "2,2"), "--lambda"),
+        (("structure", "--diagram", "2,1", "--lambda", "2,1"), "--lambda"),
+        (("structure", "--diagram", "2,1", ALT), ALT),
+        (("cohomology", "--all", "3", "--lambda", "1"), "--lambda"),
+    ],
+    ids=["alt-all", "lambda-all", "lambda-structure", "alt-structure", "lambda-cohomology"],
+)
+def test_multiplicity_flags_elsewhere_are_a_usage_error(args, flag, capsys):
+    # --lambda and --alt-positive-system steer verify multiplicity --diagram
+    # only; anywhere else they are refused, not silently dropped
+    from nilpair.cli import main
+
+    assert main(["verify", *args, "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and flag in err
+
+
+def test_alt_positive_system_steers_the_single_diagram_run(capsys):
+    from nilpair.cli import main
+
+    base = ["verify", "multiplicity", "--diagram", "2,1", "--lambda", "2,1"]
+    systems = []
+    for extra in ([], [ALT]):
+        assert main([*base, *extra, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["equal_at_dominant"]
+        systems.append(payload["positive_system"])
+    assert systems[0] != systems[1]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilpair.cohomology import slice_basis, slice_samples
-from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
+from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse, subset_pairs
 from nilpair.linalg import (
     EchelonBasis,
     Matrix,
@@ -248,26 +248,61 @@ def test_monomial_basis_check():
 
 
 def test_shift_basis_hook():
-    pair, _ = build_pair(parse("2,1"))
-    ok, count = shift_basis_check(pair, 1, 0)
+    checks = shift_basis_check(build_pair(parse("2,1"))[0])
+    ok, count = checks[(1, 0)]
     assert ok and count == 1
-    ok, count = shift_basis_check(pair, 0, 1)
+    ok, count = checks[(0, 1)]
     assert ok and count == 1
 
 
 def test_shift_basis_single_row_vertical_empty():
-    pair, _ = build_pair(parse("3"))
-    ok, count = shift_basis_check(pair, 0, 1)
+    ok, count = shift_basis_check(build_pair(parse("3"))[0])[(0, 1)]
     assert ok and count == 0
 
 
 def test_shift_basis_strict_skew_every_bidegree():
     pair, h = build_pair(parse("3,2/1"))
+    checks = shift_basis_check(pair)
     blocks = centralizer_bigraded(pair, h, "gl")
     for (p, q), sp in blocks.items():
         if p >= 0 and q >= 0:
-            ok, count = shift_basis_check(pair, p, q)
+            ok, count = checks[(p, q)]
             assert ok and count == sp.dim
+
+
+def _shift_basis_reference(pair, h, p, q):
+    """(ok, dim) for one shift, from subset_pairs and the gl centralizer."""
+    d, n = pair.provenance, pair.n
+    index = {box: i for i, box in enumerate(d.boxes)}
+    vecs = [
+        {index[(i + p, j + q)] * n + index[(i, j)]: 1 for (i, j) in sp.nu_in}
+        for sp in subset_pairs(d, p, q)
+    ]
+    span = Subspace(n * n, vecs)
+    comp = centralizer_bigraded(pair, h, "gl").get((p, q), Subspace.zero(n * n))
+    return span == comp, span.dim
+
+
+def test_shift_basis_check_matches_the_per_shift_reference():
+    # one pass over the diagram's subset pairs gives, shift by shift, what
+    # the per-shift view subset_pairs and the gl centralizer give, on every
+    # Young and skew shape up to 6 boxes; each of them passes every shift
+    shapes = shifts = 0
+    for d in _shapes_up_to(6):
+        pair, h = build_pair(d)
+        pmax = max(p for p, _ in d.boxes)
+        qmax = max(q for _, q in d.boxes)
+        want = {
+            (p, q): _shift_basis_reference(pair, h, p, q)
+            for p in range(pmax + 2)
+            for q in range(qmax + 2)
+        }
+        got = shift_basis_check(pair)
+        assert list(got.items()) == list(want.items()), d
+        assert all(ok for ok, _ in got.values()), d
+        shapes += 1
+        shifts += len(got)
+    assert (shapes, shifts) == (67, 362 + 670)
 
 
 def test_weak_lefschetz_young_passes():
@@ -776,8 +811,11 @@ def test_sl_kernels_are_the_trace_cut_of_the_gl_ones():
     cases.append((hook, SemisimplePair([0, 1, half], h.h2)))
     outcomes, shared = set(), 0
     for pair, g in cases:
-        sl_pieces, gl_pieces = bigraded_pieces(g, "sl"), bigraded_pieces(g, "gl")
+        record = pair.graded(g)
+        sl_pieces, gl_pieces = record.pieces("sl"), record.pieces("gl")
         assert list(sl_pieces.items()) == list(_direct_sl_pieces(g).items())
+        for ambient, pieces in (("sl", sl_pieces), ("gl", gl_pieces)):
+            assert list(pieces.items()) == list(bigraded_pieces(g, ambient).items())
         want = _kernels_or_refusal(lambda: direct(pair, g))
         got = _kernels_or_refusal(lambda: cut(pair, g, "sl"))
         assert ordered(got) == ordered(want), (pair.provenance, g)
@@ -798,6 +836,7 @@ def test_sl_kernels_are_the_trace_cut_of_the_gl_ones():
     assert shared > 1000
     # the single box keeps its zero sl piece and has no nonzero sl kernel
     assert bigraded_pieces(box_h, "sl")[(0, 0)].dim == 0
+    assert box.graded(box_h).pieces("sl")[(0, 0)].dim == 0
     assert member_kernels(box, box_h, 1, "sl") == {}
 
 

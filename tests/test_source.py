@@ -201,10 +201,10 @@ def _sl_branch(func):
 def test_sl_blocks_are_cut_from_the_gl_ones():
     # the trace-zero pieces and graded kernels are the gl ones cut by one
     # helper, never built again by a second elimination: the sl branch of
-    # the pieces' builder and of the record's kernel accessor hands the gl
-    # blocks to the helper, the gl kernel builder brackets, and the helper
-    # cuts with the trace hyperplane and brackets nothing
-    for name in ("_bigraded_pieces", "kernels"):
+    # the pieces' builder and of the record's pieces and kernel accessors
+    # hands the gl blocks to the helper, the gl kernel builder brackets, and
+    # the helper cuts with the trace hyperplane and brackets nothing
+    for name in ("bigraded_pieces", "pieces", "kernels"):
         func = _function("pairs.py", name)
         named = {
             node.id for node in ast.walk(_sl_branch(func)) if isinstance(node, ast.Name)
@@ -221,11 +221,17 @@ def test_sl_blocks_are_cut_from_the_gl_ones():
 
 
 def test_pair_data_lives_in_the_pair_record():
-    # a pair's graded kernels, kernel towers, H^1 table and corner frames
-    # live in its GradedPair record (NilPair.graded) and are freed with the
-    # pair: no module cache holds them, only the pieces, which depend on h
-    # alone, keep one
-    for module, allowed in (("pairs.py", {"_bigraded_pieces"}), ("cohomology.py", set())):
+    # a pair's bigraded pieces, root data, graded kernels, kernel towers,
+    # H^1 table and corner frames, and its diagram's subset pairs, live in
+    # its GradedPair record (NilPair.graded) or are built anew per call, and
+    # are freed with the pair: no module cache holds them.  The partitions
+    # of an integer, which no pair owns, keep the one cache
+    for module, allowed in (
+        ("pairs.py", set()),
+        ("cohomology.py", set()),
+        ("diagrams.py", {"partitions"}),
+        ("multiplicity.py", set()),
+    ):
         tree = _tree(module)
         cached = {
             node.name
@@ -254,6 +260,25 @@ def test_pair_data_lives_in_the_pair_record():
     assert "NilPair" not in _called_names(_tree("cohomology.py"))
 
 
+def test_no_bounded_lru_cache_in_package():
+    # a bounded cache evicts by call order, so what a check rebuilds depends
+    # on what ran before it; derived data lives in the pair's record
+    # instead.  A bare @lru_cache is bounded too (maxsize 128)
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else ast.Call(dec, [], [])
+                if ast.unparse(call.func).split(".")[-1] != "lru_cache":
+                    continue
+                sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+                if not any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
+                    found.append(f"{path.name}:{node.name}")
+    assert found == []
+
+
 def test_cone_coordinates_are_partial_sums():
     # the simple-basis coordinates are partial sums along the positive
     # system's chain: no elimination and no module cache on that path
@@ -268,7 +293,8 @@ def test_cone_coordinates_are_partial_sums():
 def test_one_weyl_sum_and_one_root_search():
     # the alternating sum walks the Weyl group in weyl_arguments alone, the
     # table and the classical oracle both read it, and the partition search
-    # keeps its memo per call: the root data is the module's one cache
+    # keeps its memo per call; the root data lives in the pair's record, so
+    # the module keeps no cache
     tree = _tree("multiplicity.py")
 
     def orbit_walks(top):
@@ -286,7 +312,7 @@ def test_one_weyl_sum_and_one_root_search():
         if isinstance(node, ast.FunctionDef)
         and any("cache" in ast.unparse(dec) for dec in node.decorator_list)
     ]
-    assert cached == ["_root_data"]
+    assert cached == []
     for name in ("multiplicity_formula", "classical_multiplicity"):
         assert "weyl_arguments" in _called_names(_function("multiplicity.py", name))
     for name in ("in_ne_cone", "classical_partition_count"):

@@ -6,6 +6,7 @@ import pytest
 from nilpair import surveys
 from nilpair.cli import canonical_json
 from nilpair.diagrams import parse
+from nilpair.multiplicity import root_data
 
 GOLDEN = Path(__file__).parent / "data" / "multiplicity_suite_6.json"
 
@@ -91,23 +92,39 @@ def test_skew_row_nilpotency_is_the_centralizers():
             assert surveys.skew_checks(d)["centralizer_nilpotent"] == want
 
 
-def test_cohomology_row_builds_its_root_data_once():
-    from nilpair import multiplicity
+def test_cohomology_row_builds_its_root_data_once(monkeypatch):
+    # the row's three root-data checks read one build from the pair's record
+    from nilpair import pairs
 
-    multiplicity._root_data.cache_clear()
+    builds = []
+
+    def counted(h, alt=False):
+        builds.append((h, alt))
+        return root_data(h, alt)
+
+    monkeypatch.setattr(pairs, "root_data", counted)
     assert surveys.cohomology_checks(parse("2,2,1"))["ok"]
-    assert multiplicity._root_data.cache_info().misses == 1
+    assert len(builds) == 1
+    builds.clear()
+    assert surveys.cohomology_checks(parse("3,1"))["ok"]
+    assert len(builds) == 1
 
 
 def test_root_data_is_shared_per_grading():
-    from nilpair.multiplicity import root_data
+    # one record shares its root data per alt; two equal gradings of two
+    # pairs build equal root data in their own records
     from nilpair.pairs import build_pair
 
-    _, h = build_pair(parse("3,1"))
-    _, same = build_pair(parse("3,1"))
-    assert root_data(h) is root_data(same)
-    assert root_data(h, alt=True) is not root_data(h)
-    assert root_data(h, alt=True) == root_data(same, alt=True)
+    pair, h = build_pair(parse("3,1"))
+    other, same = build_pair(parse("3,1"))
+    g = pair.graded(h)
+    assert g.roots() is g.roots() is pair.graded(same).roots()
+    assert g.roots(alt=True) is g.roots(alt=True)
+    assert g.roots(alt=True) is not g.roots()
+    assert g.roots(alt=True) != g.roots()
+    assert other.graded(same).roots() == g.roots() == root_data(h)
+    assert other.graded(same).roots() is not g.roots()
+    assert other.graded(same).roots(alt=True) == g.roots(alt=True)
 
 
 def test_cohomology_checks_single():
@@ -136,11 +153,9 @@ def test_parabolic_checks_small_survey():
 
 def test_run_config_env_cap(monkeypatch):
     monkeypatch.setenv(surveys.MAX_N_ENV, "3")
-    cfg = surveys.RunConfig(max_boxes=4)
     with pytest.raises(surveys.ResourceLimit):
-        cfg.check_bounds()
-    cfg2 = surveys.RunConfig(max_boxes=3)
-    cfg2.check_bounds()
+        surveys.check_box_bound(4)
+    surveys.check_box_bound(3)
 
 
 def test_multiplicity_suite_matches_golden():
