@@ -1,23 +1,24 @@
-"""Explicit simple gl_n-modules inside tensor powers, realised by closing a
-highest-weight vector under the lowering generators, plus the bifiltration
-of a commuting nilpotent pair acting on them (or on gl_n by ad) and the
-multiplicity and limits built on it.
+"""Explicit simple gl_n-modules in their Gelfand-Tsetlin bases, plus the
+bifiltration of a commuting nilpotent pair acting on them (or on gl_n by ad)
+and the multiplicity and limits built on it.
 
-Module vectors are sparse dicts over elementary-tensor indices; each basis
-vector is homogeneous for the diagonal torus, so weight spaces are
-coordinate-aligned and every operator matrix splits along weights.
+A basis vector is a Gelfand-Tsetlin pattern.  Each one is homogeneous for
+the diagonal torus, so weight spaces are coordinate-aligned and every
+operator matrix splits along weights.  The matrix units act by closed-form
+rational entries (Gelfand-Tsetlin, Dokl. Akad. Nauk SSSR 71 (1950), as
+stated in Molev, arXiv math/0211289, Thm 2.3), so no elimination builds a
+module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from itertools import product
+from math import factorial, prod
 
-from .linalg import EchelonBasis, Subspace, add_multiple, combine, entries, relations
+from .linalg import Subspace, add_multiple, combine, entries, relations, small
 from .multiplicity import (
     PartitionTable,
-    _perm_sign,
     multiplicity_formula,
     height,
     dominant_rearrangement,
@@ -28,7 +29,8 @@ from .pairs import HypothesisError, ad_columns, centralizer
 from .polys import BivariatePoly
 
 
-# resource bound on the tensor degree a module is built in
+# resource bound on |lam|, the degree of the tensor power a module of
+# highest weight lam lies in
 MAX_TENSOR_DEGREE = 8
 
 
@@ -46,35 +48,39 @@ def weyl_dimension(n, lam):
     return num // den
 
 
-def _highest_weight_tensor(n, lam):
-    """Product over columns of antisymmetrised elementary tensors."""
-    cols = []
-    for j in range(max(lam) if lam else 0):
-        height = sum(1 for part in lam if part > j)
-        cols.append(height)
-    vec = {(): 1}
-    for height in cols:
-        new = {}
-        for perm in permutations(range(height)):
-            sign = _perm_sign(perm)
-            for key, c in vec.items():
-                nk = key + tuple(perm)
-                new[nk] = new.get(nk, 0) + c * sign
-        vec = {k: v for k, v in new.items() if v}
-    return vec
+def _patterns(top):
+    """The Gelfand-Tsetlin patterns with the given top row: tuples of rows
+    from the one-entry row up to ``top``, each row interlacing the next,
+    top[i] >= row[i] >= top[i + 1]."""
+    if len(top) == 1:
+        return [(top,)]
+    rows = product(*(range(top[i + 1], top[i] + 1) for i in range(len(top) - 1)))
+    return [below + (top,) for row in rows for below in _patterns(row)]
 
 
-def _content(key, n):
-    out = [0] * n
-    for i in key:
-        out[i] += 1
-    return tuple(out)
+def _weight(pattern):
+    """The differences of consecutive row sums: the E_kk eigenvalues."""
+    sums = [0] + [sum(row) for row in pattern]
+    return tuple(b - a for a, b in zip(sums, sums[1:]))
+
+
+def _commutator(x, y):
+    """Sparse columns of [X, Y] from those of X and of Y."""
+    out = []
+    for u, v in zip(x, y):
+        col = dict(combine(x, v))
+        add_multiple(col, -1, combine(y, u))
+        out.append(col)
+    return out
 
 
 class WeightModule:
-    """A simple module realised in a tensor power with exact matrices."""
+    """A simple gl_n-module on the Gelfand-Tsetlin patterns of its highest
+    weight, with exact matrices."""
 
     def __init__(self, n, lam):
+        if any(int(x) != x for x in lam):
+            raise ValueError("highest weight must be integral")
         lam = tuple(int(x) for x in lam)
         if any(l < 0 for l in lam) or list(lam) != sorted(lam, reverse=True):
             raise ValueError("highest weight must be a partition")
@@ -84,93 +90,77 @@ class WeightModule:
             raise ValueError("tensor degree over the configured bound")
         self.n = n
         self.lam = lam
-        self.k = sum(lam)
-        self._build()
+        top = lam[:n] + (0,) * (n - len(lam))
+        self.basis = sorted((_weight(p), p) for p in _patterns(top))  # (weight, pattern)
+        self.dim = len(self.basis)
+        self.weights = sorted({w for w, _ in self.basis})
+        self._index = {p: i for i, (_, p) in enumerate(self.basis)}
+        self._units = {}
         expected = weyl_dimension(n, lam)
         if self.dim != expected:
             raise AssertionError(
-                f"module closure gave dim {self.dim}, dimension formula {expected}"
+                f"pattern count gave dim {self.dim}, dimension formula {expected}"
             )
 
-    # -- construction ------------------------------------------------------
+    def _unit(self, a, b):
+        """Sparse columns of the matrix unit E_ab, memoized.  E_aa is the
+        weight coordinate, E_{a,a+1} and E_{a+1,a} have Molev's closed
+        forms, and every other unit is the commutator [E_ac, E_cb] with c
+        next to b."""
+        cols = self._units.get((a, b))
+        if cols is None:
+            if a == b:
+                cols = [{j: w[a]} if w[a] else {} for j, (w, _) in enumerate(self.basis)]
+            elif abs(a - b) == 1:
+                cols = [self._ladder(p, a, b) for _, p in self.basis]
+            else:
+                c = b - 1 if a < b else b + 1
+                cols = _commutator(self._unit(a, c), self._unit(c, b))
+            self._units[(a, b)] = cols
+        return cols
 
-    def _build(self):
-        n = self.n
-        hw = _highest_weight_tensor(n, self.lam)
-        self.echelon = {}  # weight -> EchelonBasis of sparse tensors
-        queue = [hw] if hw else []
-        while queue:
-            vec = queue.pop()
-            weight = _content(next(iter(vec)), n)
-            rem = self.echelon.setdefault(weight, EchelonBasis()).add(vec)
-            if not rem:
-                continue
-            for i in range(n - 1):
-                img = self._apply_unit(rem, i + 1, i)
-                if img:
-                    queue.append(img)
-        self.basis = []  # (weight, pivot, vector)
-        for weight in sorted(self.echelon):
-            for pivot, vec in sorted(self.echelon[weight].rows.items()):
-                self.basis.append((weight, pivot, vec))
-        self.dim = len(self.basis)
-        self.index_of = {
-            (w, p): i for i, (w, p, _) in enumerate(self.basis)
-        }
-        self.weights = sorted({w for w, _, _ in self.basis})
+    def _ladder(self, pattern, a, b):
+        """E_ab on one pattern for |a - b| = 1, on row k = min(a, b) + 1:
 
-    def _apply_unit(self, vec, a, b):
-        """Derivation action of the matrix unit E_ab on a sparse tensor."""
-        out = {}
-        for key, c in vec.items():
-            for slot, idx in enumerate(key):
-                if idx == b:
-                    nk = key[:slot] + (a,) + key[slot + 1 :]
-                    nv = out.get(nk, 0) + c
-                    if nv:
-                        out[nk] = nv
-                    else:
-                        del out[nk]
-        return out
+            E_{k,k+1} xi = -sum_i prod_j (l_ki - l_{k+1,j}) / D_i xi_{+ki}
+            E_{k+1,k} xi = sum_i prod_j (l_ki - l_{k-1,j}) / D_i xi_{-ki}
 
-    # -- operators -----------------------------------------------------------
-
-    def coordinates(self, vec):
-        """Sparse coordinates {basis index: c} of a sparse tensor (a
-        combination of basis vectors), read weight space by weight space."""
-        parts = {}
-        for key, x in vec.items():
-            parts.setdefault(_content(key, self.n), {})[key] = x
-        coords = {}
-        for weight, part in parts.items():
-            if weight not in self.echelon:
-                raise ValueError("vector outside the module")
-            for pivot, c in self.echelon[weight].coordinates(part).items():
-                coords[self.index_of[(weight, pivot)]] = c
-        return coords
+        with D_i = prod_{j != i} (l_ki - l_kj) and l_ki = lam_ki - i + 1
+        (x - i at the 0-based position i), where xi_{+-ki} adds or
+        subtracts 1 at entry i of row k; an array that is not a pattern is
+        skipped."""
+        r = min(a, b)
+        row = pattern[r]
+        if a < b:
+            sign, step, other = -1, 1, pattern[r + 1]
+        else:
+            sign, step, other = 1, -1, pattern[r - 1] if r else ()
+        l = [x - i for i, x in enumerate(row)]
+        lo = [x - i for i, x in enumerate(other)]
+        col = {}
+        for i, li in enumerate(l):
+            moved = row[:i] + (row[i] + step,) + row[i + 1 :]
+            target = self._index.get(pattern[:r] + (moved,) + pattern[r + 1 :])
+            num = prod(li - lj for lj in lo)
+            if target is not None and num:
+                den = prod(li - lj for j, lj in enumerate(l) if j != i)
+                col[target] = small(Fraction(sign * num, den))
+        return col
 
     def act_matrix(self, x):
         """Sparse columns {row: c} of the module matrix of an arbitrary n x n
-        matrix, flattened (a sparse row or a dense sequence), acting by
-        derivations, one per basis vector."""
-        units = [(divmod(k, self.n), c) for k, c in entries(x) if c]
-        cols = []
-        for _, _, vec in self.basis:
-            img = {}
-            for (a, b), c in units:
-                add_multiple(img, c, self._apply_unit(vec, a, b))
-            cols.append(self.coordinates(img))
+        matrix, flattened (a sparse row or a dense sequence), one per basis
+        vector."""
+        cols = [{} for _ in range(self.dim)]
+        for k, c in entries(x):
+            if c:
+                for col, img in zip(cols, self._unit(*divmod(k, self.n))):
+                    add_multiple(col, c, img)
         return cols
 
     def weight_space_indices(self, mu):
         mu = tuple(mu)
-        return tuple(i for i, (w, _, _) in enumerate(self.basis) if w == mu)
-
-    def character(self):
-        out = {}
-        for w, _, _ in self.basis:
-            out[w] = out.get(w, 0) + 1
-        return out
+        return tuple(i for i, (w, _) in enumerate(self.basis) if w == mu)
 
 
 # ---------------------------------------------------------------------------

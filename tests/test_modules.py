@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,15 @@ from hypothesis import strategies as st
 from nilpair.characters import kostka
 from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse, partitions
 from nilpair import modules
-from nilpair.linalg import Matrix, Subspace, combine, relations
+from nilpair.linalg import (
+    EchelonBasis,
+    Matrix,
+    Subspace,
+    add_multiple,
+    combine,
+    entries,
+    relations,
+)
 from nilpair.modules import (
     PairAction,
     WeightModule,
@@ -18,8 +27,10 @@ from nilpair.modules import (
     multiplicity_crosscheck,
     weyl_dimension,
 )
+from nilpair.multiplicity import _perm_sign
 from nilpair.pairs import build_pair, centralizer
 from nilpair.polys import BivariatePoly
+from nilpair.surveys import admissible_highest_weights, multiplicity_checks_for
 from test_linalg import mat_is_nilpotent
 
 
@@ -62,7 +73,7 @@ def test_direct_multiplicity_counts_weight_spaces_degenerate():
     pair, h = build_pair(parse("3"))
     m = WeightModule(3, (2, 1))
     act = PairAction.build(m, pair)
-    for mu in sorted({w for w, _, _ in m.basis}):
+    for mu in m.weights:
         p = direct_multiplicity(act, m.weight_space_indices(mu))
         assert p.eval_ones() == len(m.weight_space_indices(mu))
         assert all(j == 0 for (_, j) in p.coeffs)  # one-variable regime
@@ -119,7 +130,7 @@ def test_module_limit_strict_for_cubes():
 def test_module_limit_containment_all_weights():
     pair, h = build_pair(parse("2,1"))
     m = WeightModule(3, (2, 1))
-    for mu in sorted({w for w, _, _ in m.basis}):
+    for mu in m.weights:
         rep = module_limit_check(pair, h, m, mu)
         assert rep["contained"]
 
@@ -143,6 +154,253 @@ def test_module_rejects_bad_weight():
         WeightModule(2, (1, 2))
     with pytest.raises(ValueError):
         WeightModule(2, (1, 1, 1))
+
+
+def test_module_rejects_non_integral_weight():
+    # int() would truncate (2.5, 1) to the 8-dimensional module of (2, 1)
+    with pytest.raises(ValueError):
+        WeightModule(3, (2.5, 1))
+    with pytest.raises(ValueError):
+        multiplicity_checks_for("2,1", (2.5, 1))
+
+
+# -- Gelfand-Tsetlin patterns against the tensor-power closure ---------------
+
+
+def _highest_weight_tensor(n, lam):
+    """Product over columns of antisymmetrised elementary tensors."""
+    cols = []
+    for j in range(max(lam) if lam else 0):
+        height = sum(1 for part in lam if part > j)
+        cols.append(height)
+    vec = {(): 1}
+    for height in cols:
+        new = {}
+        for perm in permutations(range(height)):
+            sign = _perm_sign(perm)
+            for key, c in vec.items():
+                nk = key + tuple(perm)
+                new[nk] = new.get(nk, 0) + c * sign
+        vec = {k: v for k, v in new.items() if v}
+    return vec
+
+
+def _content(key, n):
+    out = [0] * n
+    for i in key:
+        out[i] += 1
+    return tuple(out)
+
+
+class _TensorModule:
+    """Reference: the simple module realised in a tensor power, by closing
+    the highest-weight tensor under the lowering generators and reading
+    every image back into the basis by elimination."""
+
+    def __init__(self, n, lam):
+        lam = tuple(int(x) for x in lam)
+        if any(l < 0 for l in lam) or list(lam) != sorted(lam, reverse=True):
+            raise ValueError("highest weight must be a partition")
+        if len([l for l in lam if l]) > n:
+            raise ValueError("too many parts")
+        if sum(lam) > modules.MAX_TENSOR_DEGREE:
+            raise ValueError("tensor degree over the configured bound")
+        self.n = n
+        self.lam = lam
+        self.k = sum(lam)
+        self._build()
+        expected = weyl_dimension(n, lam)
+        if self.dim != expected:
+            raise AssertionError(
+                f"module closure gave dim {self.dim}, dimension formula {expected}"
+            )
+
+    def _build(self):
+        n = self.n
+        hw = _highest_weight_tensor(n, self.lam)
+        self.echelon = {}  # weight -> EchelonBasis of sparse tensors
+        queue = [hw] if hw else []
+        while queue:
+            vec = queue.pop()
+            weight = _content(next(iter(vec)), n)
+            rem = self.echelon.setdefault(weight, EchelonBasis()).add(vec)
+            if not rem:
+                continue
+            for i in range(n - 1):
+                img = self._apply_unit(rem, i + 1, i)
+                if img:
+                    queue.append(img)
+        self.basis = []  # (weight, pivot, vector)
+        for weight in sorted(self.echelon):
+            for pivot, vec in sorted(self.echelon[weight].rows.items()):
+                self.basis.append((weight, pivot, vec))
+        self.dim = len(self.basis)
+        self.index_of = {
+            (w, p): i for i, (w, p, _) in enumerate(self.basis)
+        }
+        self.weights = sorted({w for w, _, _ in self.basis})
+
+    def _apply_unit(self, vec, a, b):
+        """Derivation action of the matrix unit E_ab on a sparse tensor."""
+        out = {}
+        for key, c in vec.items():
+            for slot, idx in enumerate(key):
+                if idx == b:
+                    nk = key[:slot] + (a,) + key[slot + 1 :]
+                    nv = out.get(nk, 0) + c
+                    if nv:
+                        out[nk] = nv
+                    else:
+                        del out[nk]
+        return out
+
+    def coordinates(self, vec):
+        """Sparse coordinates {basis index: c} of a sparse tensor (a
+        combination of basis vectors), read weight space by weight space."""
+        parts = {}
+        for key, x in vec.items():
+            parts.setdefault(_content(key, self.n), {})[key] = x
+        coords = {}
+        for weight, part in parts.items():
+            if weight not in self.echelon:
+                raise ValueError("vector outside the module")
+            for pivot, c in self.echelon[weight].coordinates(part).items():
+                coords[self.index_of[(weight, pivot)]] = c
+        return coords
+
+    def act_matrix(self, x):
+        """Sparse columns {row: c} of the module matrix of an arbitrary n x n
+        matrix, flattened (a sparse row or a dense sequence), acting by
+        derivations, one per basis vector."""
+        units = [(divmod(k, self.n), c) for k, c in entries(x) if c]
+        cols = []
+        for _, _, vec in self.basis:
+            img = {}
+            for (a, b), c in units:
+                add_multiple(img, c, self._apply_unit(vec, a, b))
+            cols.append(self.coordinates(img))
+        return cols
+
+    def weight_space_indices(self, mu):
+        mu = tuple(mu)
+        return tuple(i for i, (w, _, _) in enumerate(self.basis) if w == mu)
+
+
+RELATION_MODULES = [
+    (2, (1,)),
+    (2, (3, 1)),
+    (3, (2, 1)),
+    (3, (3,)),
+    (3, (2, 2, 1)),
+    (4, (2, 1, 1)),
+    (4, (3, 1)),
+    (5, (2, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("n,lam", RELATION_MODULES)
+def test_matrix_units_satisfy_the_gl_relations(n, lam):
+    # [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb for every (a, b, c, d)
+    m = WeightModule(n, lam)
+    units = {(a, b): m.act_matrix({a * n + b: 1}) for a in range(n) for b in range(n)}
+    for (a, b), x in units.items():
+        for (c, d), y in units.items():
+            for j in range(m.dim):
+                lhs = dict(combine(x, y[j]))
+                add_multiple(lhs, -1, combine(y, x[j]))
+                rhs = {}
+                if b == c:
+                    add_multiple(rhs, 1, units[(a, d)][j])
+                if d == a:
+                    add_multiple(rhs, -1, units[(c, b)][j])
+                assert lhs == rhs, (a, b, c, d, j)
+
+
+def test_pattern_counts_are_weyl_dimensions_and_kostka_numbers():
+    count = 0
+    for n in range(1, 5):
+        for size in range(9):
+            for lam in partitions(size):
+                if len(lam) > n:
+                    continue
+                m = WeightModule(n, lam)
+                assert m.dim == weyl_dimension(n, lam), (n, lam)
+                for mu in m.weights:
+                    assert sum(mu) == size and min(mu) >= 0
+                    got = len(m.weight_space_indices(mu))
+                    assert got == kostka(lam, mu), (n, lam, mu)
+                count += 1
+    assert count == 128
+
+
+def _suite_cases(max_size):
+    """The (diagram, highest weight) cases of multiplicity_suite(max_size)."""
+    return [
+        (spec, lam)
+        for spec, n in (("2", 2), ("3", 3), ("2,1", 3), ("2,2", 4))
+        for lam in admissible_highest_weights(n, max_size)
+    ]
+
+
+# the suite's cases hold the strictness witness, 2,1 with the cube (3,)
+REFERENCE_CASES = _suite_cases(6) + [("2,2", (4, 4)), ("3,1", (4, 4))]
+
+
+class _ReadOnce:
+    """A module whose act_matrix is computed once per matrix:
+    module_limit_check builds the pair's action and the invariants afresh
+    for every weight, which the tensor closure pays for by elimination."""
+
+    def __init__(self, module):
+        self.module = module
+        self.memo = {}
+
+    def __getattr__(self, name):
+        return getattr(self.module, name)
+
+    def act_matrix(self, x):
+        key = tuple((k, c) for k, c in entries(x) if c)
+        if key not in self.memo:
+            self.memo[key] = self.module.act_matrix(x)
+        return self.memo[key]
+
+
+def _weight_dims(pair, h, module):
+    """Every weight's direct multiplicity and module_limit_check dims."""
+    action = PairAction.build(module, pair)
+    out = {}
+    for mu in module.weights:
+        rep = module_limit_check(pair, h, module, mu)
+        out[mu] = (
+            direct_multiplicity(action, module.weight_space_indices(mu)),
+            rep["dim_limit"],
+            rep["dim_invariants"],
+            rep["zero_weight_dims"],
+            rep["contained"],
+            rep["strict"],
+        )
+    return out
+
+
+def test_reference_cases_are_the_suite_and_two_degree_eight_modules():
+    assert len(_suite_cases(6)) == 34
+    assert len(REFERENCE_CASES) == 36
+    assert ("2,1", (3,)) in REFERENCE_CASES
+
+
+@pytest.mark.parametrize("spec,lam", REFERENCE_CASES)
+def test_patterns_match_the_tensor_closure(spec, lam):
+    pair, h = build_pair(parse(spec))
+    module = WeightModule(pair.n, lam)
+    reference = _ReadOnce(_TensorModule(pair.n, lam))
+    assert module.dim == reference.dim
+    assert module.weights == reference.weights
+    for mu in module.weights:
+        assert len(module.weight_space_indices(mu)) == len(
+            reference.weight_space_indices(mu)
+        )
+    assert _weight_dims(pair, h, module) == _weight_dims(pair, h, reference)
+
 
 
 # -- sparse operator towers against the dense Fraction reference -----------

@@ -118,6 +118,22 @@ def test_harmonics_grows_no_two_sided_closure():
     assert 'side="both"' not in text and "side='both'" not in text
 
 
+def test_modules_build_no_tensor_closure():
+    # the Gelfand-Tsetlin matrix units are closed forms, so building a
+    # module or its matrices eliminates nothing; the tensor-power closure
+    # is the reference in test_modules.py
+    tree = _tree("modules.py")
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "EchelonBasis" not in imported
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "act_matrix" in defined
+    assert not defined & {"coordinates", "character", "_apply_unit", "_highest_weight_tensor"}
+
 def _exact_operand(node):
     return (
         isinstance(node, ast.Call)
