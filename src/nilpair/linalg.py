@@ -10,8 +10,8 @@ integral matrix's determinant is taken on ints.  A vector is a sparse row
 sequence as the row keyed by position (`entries`).  Subspaces keep their
 canonical reduced row echelon rows in one EchelonBasis, so two equal
 subspaces have equal rows and compare structurally (1 == Fraction(1), with
-equal hashes).  Dense tuples appear where a Matrix is built or flattened,
-and as the flattened members of a commuting pair, which caches hash;
+equal hashes).  Dense tuples appear where a Matrix is built, and as the
+flattened members of a commuting pair, which caches hash;
 `matmul` is the one product of flattened square matrices, either form in
 and a sparse row out.
 """
@@ -535,9 +535,6 @@ class Matrix:
             )
         return self.scale(other)
 
-    def is_zero(self):
-        return all(not x for row in self.data for x in row)
-
     def determinant(self):
         """Gaussian elimination over Fraction: the reference the
         fraction-free `determinant` is tested against."""
@@ -567,19 +564,6 @@ class Matrix:
     def kernel(self):
         """Exact null space as a canonical Subspace."""
         return _null_space(self.data, self.cols)
-
-    def flatten(self):
-        return tuple(x for row in self.data for x in row)
-
-    @staticmethod
-    def unflatten(vec, n, m=None):
-        """The n x m matrix of a flattened vector, sparse or dense."""
-        m = n if m is None else m
-        zero = Fraction(0)
-        data = [[zero] * m for _ in range(n)]
-        for k, x in entries(vec):
-            data[k // m][k % m] = x
-        return Matrix(data)
 
 
 def bracket(a, b):

@@ -253,11 +253,16 @@ def is_regular_embedding(spec):
     return True, tuple(sorted(exps))
 
 
+# the most summands a multiset named by the classification lists has: one
+# rectangle for sl and sp, up to two for so
+_LISTED_ARITY = {"sl": 1, "sp": 1, "so": 2}
+
+
 def classification_list_predicate(spec):
     """The classification lists: single rectangles for sl; a single rectangle
     of mixed parity for sp; for so a single same-parity rectangle, or one of
     the two-rectangle families {(n,m),(1,1)} and {(n,1),(1,m)} with n, m
-    odd."""
+    odd.  False for every multiset of more than _LISTED_ARITY summands."""
     J = sorted(spec.summands)
     if spec.algebra == "sl":
         return len(J) == 1
@@ -279,28 +284,19 @@ def classification_list_predicate(spec):
     return False
 
 
-def survey_embeddings(algebra, dim_bound):
-    """Exhaustive comparison of the count criterion against the published
-    lists, over every multiset of one, two or three summands (n, m) with at
-    most dim_bound boxes in all, in the order of
-    combinations_with_replacement over the sorted singles.
+def _multisets(algebra, dim_bound, singles):
+    """Every multiset of one, two or three of the sorted singles (n, m) with
+    at most dim_bound boxes in all, as (indices, boxes, summand count) in
+    the order of combinations_with_replacement; the count is
+    `summand_count`'s closed form wherever the form exists.
 
-    Each single's own summand count, box count and form parity are taken
-    once, and the cross terms once per pair of singles that fits, so each
-    multiset's closed-form count (`summand_count`) and form test are sums
-    and lookups carried along the walk; the adjoint module is decomposed
-    only where the count equals the rank."""
-    singles = [
-        (n, m)
-        for n in range(1, dim_bound + 1)
-        for m in range(1, dim_bound + 1)
-        if n * m <= dim_bound
-    ]
+    Each single's own term and box count are taken once, and the cross
+    terms once per pair of singles that fits, so each count is a sum
+    carried along the walk."""
     labels = [(n - 1, m - 1) for n, m in singles]
     boxes = [n * m for n, m in singles]
     own = [_own_term(algebra, x) for x in labels]
     trace = _TRACE_TERM[algebra]
-    wrong = [_wrong_parity(algebra, n, m) for n, m in singles]
     # cross[i][j] for j >= i, where the two singles fit together
     cross = [
         {
@@ -310,32 +306,6 @@ def survey_embeddings(algebra, dim_bound):
         }
         for i in range(len(singles))
     ]
-    rows = []
-    agree = True
-
-    def visit(idx, dim, count):
-        nonlocal agree
-        if dim < 2 or (algebra == "sp" and dim % 2):
-            return
-        J = tuple([singles[i] for i in idx])
-        spec = EmbeddingSpec(algebra, J)
-        odd = [i for i in idx if wrong[i]]
-        form_ok = not odd or _pairs_up(odd)
-        if form_ok and count + trace == _rank(algebra, dim):
-            accepted, exps = is_regular_embedding(spec)
-        else:
-            accepted, exps = False, None
-        expected = form_ok and classification_list_predicate(spec)
-        agree = agree and accepted == expected
-        rows.append(
-            {
-                "type": algebra,
-                "J": [list(x) for x in J],
-                "is_pn_pair": accepted,
-                "expected": expected,
-                "biexponents": None if exps is None else [list(e) for e in exps],
-            }
-        )
 
     def fitting(start, room):
         """The singles from start on with at most room boxes; singles are
@@ -347,20 +317,88 @@ def survey_embeddings(algebra, dim_bound):
                 yield j
 
     for i in fitting(0, dim_bound):
-        visit((i,), boxes[i], own[i])
+        yield (i,), boxes[i], trace + own[i]
     for i in fitting(0, dim_bound):
         for j in fitting(i, dim_bound - boxes[i]):
-            visit((i, j), boxes[i] + boxes[j], own[i] + own[j] + cross[i][j])
+            count = trace + own[i] + own[j] + cross[i][j]
+            yield (i, j), boxes[i] + boxes[j], count
     for i in fitting(0, dim_bound):
         for j in fitting(i, dim_bound - boxes[i]):
-            dim, count = boxes[i] + boxes[j], own[i] + own[j] + cross[i][j]
+            dim, count = boxes[i] + boxes[j], trace + own[i] + own[j] + cross[i][j]
             for k in fitting(j, dim_bound - dim):
-                visit(
+                yield (
                     (i, j, k),
                     dim + boxes[k],
                     count + own[k] + cross[i][k] + cross[j][k],
                 )
-    return {"algebra": algebra, "dim_bound": dim_bound, "rows": rows, "agree": agree}
+
+
+def survey_embeddings(algebra, dim_bound):
+    """Exhaustive comparison of the count criterion against the published
+    lists, over every multiset of one, two or three summands (n, m) with at
+    most dim_bound boxes in all (`_multisets`), less those of dimension
+    under 2 and, for sp, of odd dimension.
+
+    Each multiset is judged by its summand count first: one whose count
+    misses the rank is not accepted, and one of more than _LISTED_ARITY
+    summands is not listed, so a multiset that is both is only counted as
+    walked, as is one that carries no invariant form.  Every other one is
+    built as an `EmbeddingSpec`, and its adjoint module is decomposed only
+    where the count equals the rank.  Rows are kept, in walk order, only
+    for multisets accepted or listed; "walked" is the number of multisets
+    judged, and "agree" covers every one of them."""
+    singles = [
+        (n, m)
+        for n in range(1, dim_bound + 1)
+        for m in range(1, dim_bound + 1)
+        if n * m <= dim_bound
+    ]
+    wrong = [_wrong_parity(algebra, n, m) for n, m in singles]
+    # the rank each dimension's multisets must reach, None where skipped
+    target = [
+        None if dim < 2 or (algebra == "sp" and dim % 2) else _rank(algebra, dim)
+        for dim in range(dim_bound + 1)
+    ]
+    arity = _LISTED_ARITY[algebra]
+    rows = []
+    agree = True
+    walked = 0
+    for idx, dim, count in _multisets(algebra, dim_bound, singles):
+        rank = target[dim]
+        if rank is None:
+            continue
+        walked += 1
+        if count != rank and len(idx) > arity:
+            continue
+        odd = [i for i in idx if wrong[i]]
+        if odd and not _pairs_up(odd):
+            # no invariant form: neither accepted nor listed
+            continue
+        J = tuple([singles[i] for i in idx])
+        spec = EmbeddingSpec(algebra, J)
+        if count == rank:
+            accepted, exps = is_regular_embedding(spec)
+        else:
+            accepted, exps = False, None
+        expected = classification_list_predicate(spec)
+        agree = agree and accepted == expected
+        if accepted or expected:
+            rows.append(
+                {
+                    "type": algebra,
+                    "J": [list(x) for x in J],
+                    "is_pn_pair": accepted,
+                    "expected": expected,
+                    "biexponents": None if exps is None else [list(e) for e in exps],
+                }
+            )
+    return {
+        "algebra": algebra,
+        "dim_bound": dim_bound,
+        "rows": rows,
+        "walked": walked,
+        "agree": agree,
+    }
 
 
 # ---------------------------------------------------------------------------

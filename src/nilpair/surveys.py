@@ -455,7 +455,7 @@ def rect_suite(dim_bound=20, algebras=("sl", "sp", "so")):
     ok = True
     for alg in algebras:
         rep = re_.survey_embeddings(alg, dim_bound)
-        if not rep["rows"]:
+        if not rep["walked"]:
             raise UsageError(
                 f"the rectangular suite has no cases at this bound: no {alg} "
                 f"embedding of dimension at most {dim_bound}"

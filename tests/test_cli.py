@@ -109,6 +109,52 @@ def test_rect_bound_without_embeddings_exits_two():
         assert "no cases" in proc.stderr
 
 
+RECT_GOLDEN = Path(__file__).parent / "data" / "rect_suite_20.json"
+
+
+@pytest.mark.parametrize("algebra", ["sl", "sp", "so"])
+def test_rect_payload_at_every_bound(algebra, capsys):
+    # `rect ALGEBRA B` for B in 1..24: the classification row's accepted
+    # count and agreement come from the decompose-first reference (its rows
+    # up to B boxes), the sl rectangles and the so orthogonal pairs do not
+    # depend on B and are those of the golden report, and a bound with no
+    # embedding exits 2
+    from nilpair.cli import main
+    from test_rectangular import _reference_survey
+
+    reference = [
+        (sum(n * m for n, m in r["J"]), r)
+        for r in _reference_survey(algebra, 24)["rows"]
+    ]
+    prefix = {"sl": "rectangle_", "so": "even_orthogonal_"}.get(algebra)
+    extra = [
+        r
+        for r in json.loads(RECT_GOLDEN.read_text())["rows"]
+        if prefix and r["check"].startswith(prefix)
+    ]
+    for bound in range(1, 25):
+        code = main(["rect", algebra, str(bound), "--format", "json"])
+        out, err = capsys.readouterr()
+        rows = [r for dim, r in reference if dim <= bound]
+        if not rows:
+            assert code == 2 and out == "" and "no cases" in err, bound
+            continue
+        agree = all(r["is_pn_pair"] == r["expected"] for r in rows)
+        classification = {
+            "check": f"classification_{algebra}",
+            "agree": agree,
+            "accepted": sum(1 for r in rows if r["is_pn_pair"]),
+            "ok": agree,
+        }
+        ok = agree and all(r["ok"] for r in extra)
+        assert code == (0 if ok else 1), bound
+        assert json.loads(out) == {
+            "suite": "rectangular",
+            "rows": [classification, *extra],
+            "ok": ok,
+        }, bound
+
+
 def test_lefschetz_failure_exits_one():
     proc = run_cli("pair", "lefschetz", "--diagram", "3,2/1", "--format", "json")
     assert proc.returncode == 1

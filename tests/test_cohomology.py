@@ -29,13 +29,13 @@ from nilpair.cohomology import (
     young_se_slice,
 )
 from nilpair.diagrams import ShapeClass, enumerate_diagrams, parse
-from nilpair.linalg import EchelonBasis, Matrix, Subspace, bracket, combine
+from nilpair.linalg import EchelonBasis, Subspace, bracket, combine
 from nilpair.linalg import relations, shifted
 from nilpair.pairs import NilPair, SemisimplePair, ad, bigraded_pieces, build_pair
 from nilpair.pairs import ClassificationError, ad_image, centralizer
 from nilpair.pairs import centralizer_bigraded, member_kernels, weak_lefschetz_report
 from nilpair.polys import one_minus, prod_poly
-from test_linalg import mat_pow
+from test_linalg import mat_flatten, mat_is_zero, mat_pow, mat_unflatten
 from test_pairs import joint_centralizer
 
 
@@ -111,11 +111,11 @@ def test_slice_counts_and_points():
 def test_slice_matrices_commute_with_fixed_member():
     pair, h = build_pair(parse("3,1"))
     n = pair.n
-    e1, e2 = Matrix.unflatten(pair.e1, n), Matrix.unflatten(pair.e2, n)
+    e1, e2 = mat_unflatten(pair.e1, n), mat_unflatten(pair.e2, n)
     for m in slice_basis(pair, h, "se").matrices():
-        assert bracket(e1, Matrix.unflatten(m, n)).is_zero()
+        assert mat_is_zero(bracket(e1, mat_unflatten(m, n)))
     for m in slice_basis(pair, h, "nw").matrices():
-        assert bracket(e2, Matrix.unflatten(m, n)).is_zero()
+        assert mat_is_zero(bracket(e2, mat_unflatten(m, n)))
 
 
 def test_young_recipe_counts():
@@ -134,13 +134,13 @@ def test_degenerate_slice_forms():
     pair, h = build_pair(parse("4"))
     se = slice_basis(pair, h, "se")
     n = pair.n
-    e1 = Matrix.unflatten(pair.e1, n)
+    e1 = mat_unflatten(pair.e1, n)
     for _, m in se.entries:
-        assert bracket(e1, Matrix.unflatten(m, n)).is_zero()
+        assert mat_is_zero(bracket(e1, mat_unflatten(m, n)))
     powers = [mat_pow(e1, k) for k in range(1, n)]
     from nilpair.linalg import Subspace
 
-    span = Subspace(n * n, [p.flatten() for p in powers])
+    span = Subspace(n * n, [mat_flatten(p) for p in powers])
     assert span == Subspace(n * n, se.matrices())
 
 
@@ -178,7 +178,7 @@ def test_slice_centralizers_match_dense_joint_kernel():
                     for pick, x1, x2, zdim, zx in slice_samples(pair, h, sb):
                         seen.append(pick)
                         ref = joint_centralizer(
-                            Matrix.unflatten(x1, n), Matrix.unflatten(x2, n)
+                            mat_unflatten(x1, n), mat_unflatten(x2, n)
                         )
                         where = (d.serialize(), quad, reverse, pick)
                         assert zdim == ref.dim, where

@@ -13,6 +13,7 @@ from nilpair.linalg import (
     combine,
     complement,
     determinant,
+    entries,
     exact,
     jordan_type,
     kernel_in,
@@ -29,7 +30,28 @@ from nilpair.linalg import (
 
 # Dense Matrix operations that only the tests use: the package multiplies
 # dense matrices and takes their kernels, and nothing more; Matrix.determinant
-# is the reference for the fraction-free `determinant`.
+# is the reference for the fraction-free `determinant`.  Package code works
+# on flattened rows, so building, flattening and testing a Matrix for zero
+# live here too.
+
+
+def mat_is_zero(m):
+    return all(not x for row in m.data for x in row)
+
+
+def mat_flatten(m):
+    """The Matrix as its flattened dense tuple, row by row."""
+    return tuple(x for row in m.data for x in row)
+
+
+def mat_unflatten(vec, n, m=None):
+    """The n x m Matrix of a flattened vector, sparse or dense."""
+    m = n if m is None else m
+    zero = Fraction(0)
+    data = [[zero] * m for _ in range(n)]
+    for k, x in entries(vec):
+        data[k // m][k % m] = x
+    return Matrix(data)
 
 
 def mat_pow(m, k):
@@ -58,10 +80,10 @@ def mat_trace(m):
 def mat_is_nilpotent(m):
     power = m
     for _ in range(m.rows):
-        if power.is_zero():
+        if mat_is_zero(power):
             return True
         power = power * m
-    return power.is_zero()
+    return mat_is_zero(power)
 
 
 def mat_rank(m):
@@ -197,9 +219,9 @@ def test_relations_match_kernel_of_column_matrix(m, rng):
     # matmul of the square corner blocks of the rows (n from 1 to 5), dense,
     # sparse and mixed, against Matrix.__mul__
     n = min(len(rows), len(cols))
-    a = Matrix([r[:n] for r in rows[:n]]).flatten()
-    b = Matrix([r[-n:] for r in rows[-n:]]).flatten()
-    want = _sparse((Matrix.unflatten(a, n) * Matrix.unflatten(b, n)).flatten())
+    a = mat_flatten(Matrix([r[:n] for r in rows[:n]]))
+    b = mat_flatten(Matrix([r[-n:] for r in rows[-n:]]))
+    want = _sparse(mat_flatten(mat_unflatten(a, n) * mat_unflatten(b, n)))
     for x, y in ((a, b), (_sparse(a), _sparse(b)), (a, _sparse(b)), (_sparse(a), b)):
         got = matmul(x, y, n)
         assert got == want
@@ -391,7 +413,7 @@ def _strictly_upper(draw):
 @settings(max_examples=200, deadline=None)
 def test_jordan_type_matches_dense_reference(case, sparse):
     n, vec = case
-    want = _dense_jordan_type(Matrix.unflatten(vec, n))
+    want = _dense_jordan_type(mat_unflatten(vec, n))
     got = jordan_type({k: x for k, x in enumerate(vec) if x} if sparse else vec, n)
     assert got == want
     assert sum(got) == n
@@ -405,7 +427,7 @@ def test_jordan_type_of_the_even_orthogonal_members():
         N = data["dim"]
         for name in ("e1", "e2"):
             got = jordan_type(data[name], N)
-            assert got == _dense_jordan_type(Matrix.unflatten(data[name], N))
+            assert got == _dense_jordan_type(mat_unflatten(data[name], N))
         assert jordan_type(data["e1"], N) == (2 * n + 1, 2 * n + 1)
         assert jordan_type(data["e2"], N) == (2,) * (2 * n) + (1, 1)
 

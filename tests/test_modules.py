@@ -31,7 +31,7 @@ from nilpair.multiplicity import _perm_sign
 from nilpair.pairs import build_pair, centralizer
 from nilpair.polys import BivariatePoly
 from nilpair.surveys import admissible_highest_weights, multiplicity_checks_for
-from test_linalg import mat_is_nilpotent
+from test_linalg import mat_is_nilpotent, mat_is_zero
 
 
 def test_weyl_dimension_values():
@@ -65,7 +65,7 @@ def test_module_operators_commute_and_nilpotent():
     pair, h = build_pair(parse("2,1"))
     m = WeightModule(3, (3,))
     e1, e2 = _dense(m.act_matrix(pair.e1)), _dense(m.act_matrix(pair.e2))
-    assert (e1 * e2 - e2 * e1).is_zero()
+    assert mat_is_zero(e1 * e2 - e2 * e1)
     assert mat_is_nilpotent(e1) and mat_is_nilpotent(e2)
 
 
@@ -427,7 +427,7 @@ def _dense_case(d, lam):
     for x in (pair.e1, pair.e2):
         e = _dense(module.act_matrix(x))
         p = [Matrix.identity(module.dim)]
-        while not p[-1].is_zero():
+        while not mat_is_zero(p[-1]):
             p.append(p[-1] * e)
         p.append(p[-1] * e)
         pows.append(p)

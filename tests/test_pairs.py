@@ -39,7 +39,16 @@ from nilpair.pairs import (
     shift_basis_check,
     weak_lefschetz_report,
 )
-from test_linalg import mat_apply, mat_is_nilpotent, mat_pow, mat_rank, mat_trace
+from test_linalg import (
+    mat_apply,
+    mat_flatten,
+    mat_is_nilpotent,
+    mat_is_zero,
+    mat_pow,
+    mat_rank,
+    mat_trace,
+    mat_unflatten,
+)
 
 
 def graded_kernels(pair, h, ambient="sl"):
@@ -68,15 +77,15 @@ def joint_centralizer(x1, x2, extra_rows=()):
 
 def test_build_single_row():
     pair, h = build_pair(parse("3"))
-    assert Matrix.unflatten(pair.e1, 3) == Matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    assert Matrix.unflatten(pair.e2, 3).is_zero()
+    assert mat_unflatten(pair.e1, 3) == Matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    assert mat_is_zero(mat_unflatten(pair.e2, 3))
     assert h.h1 == (0, 1, 2)
     assert h.h2 == (0, 0, 0)
 
 
 def test_build_hook_entries():
     pair, h = build_pair(parse("2,1"))
-    e1, e2 = Matrix.unflatten(pair.e1, 3), Matrix.unflatten(pair.e2, 3)
+    e1, e2 = mat_unflatten(pair.e1, 3), mat_unflatten(pair.e2, 3)
     nz1 = [(i, j) for i in range(3) for j in range(3) if e1.data[i][j]]
     nz2 = [(i, j) for i in range(3) for j in range(3) if e2.data[i][j]]
     assert nz1 == [(1, 0)] and nz2 == [(2, 0)]
@@ -101,8 +110,8 @@ def test_centralizer_blockwise_matches_global():
     for spec in ("2,1", "2,2", "3,1", "3,2/1"):
         pair, h = build_pair(parse(spec))
         rows = (
-            list(ad_matrix(Matrix.unflatten(pair.e1, pair.n)).data)
-            + list(ad_matrix(Matrix.unflatten(pair.e2, pair.n)).data)
+            list(ad_matrix(mat_unflatten(pair.e1, pair.n)).data)
+            + list(ad_matrix(mat_unflatten(pair.e2, pair.n)).data)
             + [trace_row(pair.n)]
         )
         assert centralizer(pair, "sl", h=h) == Matrix(rows).kernel()
@@ -133,7 +142,7 @@ def test_direct_sum_of_hooks_is_nil_pair():
 def _dense_is_nilpotent_family(space, n):
     """Dense reference for is_nilpotent_family: the same closure rounds on
     Matrix products, then Matrix.is_nilpotent on each closed row."""
-    basis = [Matrix.unflatten(v, n) for v in space.basis]
+    basis = [mat_unflatten(v, n) for v in space.basis]
     ech = EchelonBasis()
     for v in space.basis:
         ech.add(v)
@@ -143,12 +152,12 @@ def _dense_is_nilpotent_family(space, n):
         for a in current:
             for b in basis:
                 m = a * b
-                if ech.add(m.flatten()):
+                if ech.add(mat_flatten(m)):
                     new_mats.append(m)
         if not new_mats:
             break
         current = new_mats
-    closed = [Matrix.unflatten(v, n) for v in ech.rows.values()]
+    closed = [mat_unflatten(v, n) for v in ech.rows.values()]
     return all(mat_is_nilpotent(m) for m in closed)
 
 
@@ -174,17 +183,17 @@ def test_is_nilpotent_family_matches_dense_reference():
     # span{E12, E21} in gl_2 closes to all of gl_2; the Cartan of gl_3 is
     # closed and holds non-nilpotent diagonals
     e12, e21 = Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0)
-    cartan = [Matrix.unit(3, i, i).flatten() for i in range(3)]
+    cartan = [mat_flatten(Matrix.unit(3, i, i)) for i in range(3)]
     for space, n in (
-        (Subspace(4, [e12.flatten(), e21.flatten()]), 2),
-        (Subspace(4, [e12.flatten()]), 2),
+        (Subspace(4, [mat_flatten(e12), mat_flatten(e21)]), 2),
+        (Subspace(4, [mat_flatten(e12)]), 2),
         (Subspace(9, cartan), 3),
         (Subspace(9, [cartan[0]]), 3),
         (Subspace.zero(9), 3),
     ):
         assert is_nilpotent_family(space, n) == _dense_is_nilpotent_family(space, n)
-    assert is_nilpotent_family(Subspace(4, [e12.flatten()]), 2)
-    assert not is_nilpotent_family(Subspace(4, [e12.flatten(), e21.flatten()]), 2)
+    assert is_nilpotent_family(Subspace(4, [mat_flatten(e12)]), 2)
+    assert not is_nilpotent_family(Subspace(4, [mat_flatten(e12), mat_flatten(e21)]), 2)
 
 
 def test_bigrade_gl3_hook_dims():
@@ -423,7 +432,7 @@ def test_limit_of_cartan_is_centralizer():
         pair, h = build_pair(parse(spec))
         n = pair.n
         cartan = Subspace(
-            n * n, [Matrix.unit(n, i, i).flatten() for i in range(n)]
+            n * n, [mat_flatten(Matrix.unit(n, i, i)) for i in range(n)]
         )
         lim = limit_space(PairAction.adjoint(pair), cartan)
         assert lim == centralizer(pair, "gl")
@@ -434,7 +443,7 @@ def test_limit_of_mixed_centralizer():
     n = pair.n
     h1m = Matrix.diagonal(h.h1)
     rows = list(ad_matrix(h1m).data)
-    rows += list(ad_matrix(Matrix.unflatten(pair.e2, n)).data)
+    rows += list(ad_matrix(mat_unflatten(pair.e2, n)).data)
     z_h1_e2 = Matrix(rows).kernel()
     lim = limit_space(PairAction.adjoint(pair), z_h1_e2)
     assert lim == centralizer(pair, "gl")
@@ -452,7 +461,7 @@ def test_limit_fixes_centralizer():
 def _dense_nilpotency_index(op):
     m = Matrix.identity(op.rows)
     k = 0
-    while not m.is_zero():
+    while not mat_is_zero(m):
         m = m * op
         k += 1
         if k > op.rows + 1:
@@ -512,11 +521,11 @@ def _limit_outcome(limit, ops, E):
 
 
 def _cartan(n):
-    return Subspace(n * n, [Matrix.unit(n, i, i).flatten() for i in range(n)])
+    return Subspace(n * n, [mat_flatten(Matrix.unit(n, i, i)) for i in range(n)])
 
 
 def _lower_triangular(n):
-    units = [Matrix.unit(n, a, b).flatten() for a in range(n) for b in range(a + 1)]
+    units = [mat_flatten(Matrix.unit(n, a, b)) for a in range(n) for b in range(a + 1)]
     return Subspace(n * n, units)
 
 
@@ -533,7 +542,7 @@ def _lower_triangular(n):
 def test_limit_space_matches_dense_reference(d):
     pair, _ = build_pair(d)
     action = PairAction.adjoint(pair)
-    ops = tuple(ad_matrix(Matrix.unflatten(x, pair.n)) for x in (pair.e1, pair.e2))
+    ops = tuple(ad_matrix(mat_unflatten(x, pair.n)) for x in (pair.e1, pair.e2))
     for E in (_cartan(pair.n), _lower_triangular(pair.n)):
         assert _limit_outcome(limit_space, action, E) == _limit_outcome(
             _dense_limit_space, ops, E
@@ -557,8 +566,8 @@ def test_classify_examples():
 def test_classify_invalid_noncommuting():
     from nilpair.pairs import NilPair
 
-    a = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]).flatten()
-    b = Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]]).flatten()
+    a = mat_flatten(Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+    b = mat_flatten(Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
     with pytest.raises(ValueError):
         NilPair(a, b)
     pair = NilPair(a, b, check=False)
@@ -871,7 +880,7 @@ def test_indexed_bracket_matches_ad_matrix(case):
     from nilpair.pairs import ad_each
 
     x, vectors, n = case
-    op = ad_matrix(Matrix.unflatten(x, n))
+    op = ad_matrix(mat_unflatten(x, n))
     dense = [
         tuple(v.get(k, 0) for k in range(n * n)) if isinstance(v, dict) else v
         for v in vectors
@@ -930,12 +939,12 @@ def _dense_check_grading(pair, h):
     from nilpair.pairs import GradingError
 
     h1m, h2m = Matrix.diagonal(h.h1), Matrix.diagonal(h.h2)
-    e1, e2 = Matrix.unflatten(pair.e1, pair.n), Matrix.unflatten(pair.e2, pair.n)
+    e1, e2 = mat_unflatten(pair.e1, pair.n), mat_unflatten(pair.e2, pair.n)
     if not (
         bracket(h1m, e1) == e1
         and bracket(h2m, e2) == e2
-        and bracket(h1m, e2).is_zero()
-        and bracket(h2m, e1).is_zero()
+        and mat_is_zero(bracket(h1m, e2))
+        and mat_is_zero(bracket(h2m, e1))
     ):
         raise GradingError("the semisimple pair does not grade the nilpotent pair")
 
@@ -1012,7 +1021,7 @@ def test_killing_pairing_dims():
             gram = Matrix(
                 [
                     [
-                        mat_trace(Matrix.unflatten(u, pair.n) * Matrix.unflatten(v, pair.n))
+                        mat_trace(mat_unflatten(u, pair.n) * mat_unflatten(v, pair.n))
                         for v in b.basis
                     ]
                     for u in a.basis
@@ -1036,7 +1045,7 @@ def test_ungraded_centralizer_matches_dense_reference():
         for ambient in ("sl", "gl"):
             extra = [trace_row(n)] if ambient == "sl" else []
             got = centralizer(bare, ambient)
-            e1, e2 = Matrix.unflatten(pair.e1, n), Matrix.unflatten(pair.e2, n)
+            e1, e2 = mat_unflatten(pair.e1, n), mat_unflatten(pair.e2, n)
             assert got == joint_centralizer(e1, e2, extra), (
                 d.serialize(),
                 ambient,
@@ -1051,7 +1060,7 @@ def test_graded_kernels_match_dense_kernels():
         for ambient in ("sl", "gl"):
             extra = [trace_row(n)] if ambient == "sl" else []
             k1, k2, k12 = graded_kernels(pair, h, ambient)
-            e1, e2 = Matrix.unflatten(pair.e1, n), Matrix.unflatten(pair.e2, n)
+            e1, e2 = mat_unflatten(pair.e1, n), mat_unflatten(pair.e2, n)
             for x, blocks in ((e1, k1), (e2, k2)):
                 dense = Matrix(list(ad_matrix(x).data) + extra).kernel()
                 assert _span(blocks, n) == dense, (d.serialize(), ambient)
@@ -1089,15 +1098,15 @@ def test_sparse_ad_matches_bracket(case):
     x, v = case
     n = x.rows
     nn = n**2
-    got = ad(x.flatten(), v, n)
+    got = ad(mat_flatten(x), v, n)
     # a sparse row of the nonzero entries, equal to the dense references
     assert all(y and type(y) is Fraction for y in got.values())
-    assert _dense(got, nn) == bracket(x, Matrix.unflatten(v, x.rows)).flatten()
+    assert _dense(got, nn) == mat_flatten(bracket(x, mat_unflatten(v, x.rows)))
     assert _dense(got, nn) == mat_apply(ad_matrix(x), v)
     # the same v as a sparse row
-    assert ad(x.flatten(), {k: y for k, y in enumerate(v) if y}, n) == got
+    assert ad(mat_flatten(x), {k: y for k, y in enumerate(v) if y}, n) == got
     # x as a sparse row, with v dense and sparse
-    x_sparse = {k: y for k, y in enumerate(x.flatten()) if y}
+    x_sparse = {k: y for k, y in enumerate(mat_flatten(x)) if y}
     assert ad(x_sparse, v, n) == got
     assert ad(x_sparse, {k: y for k, y in enumerate(v) if y}, n) == got
 

@@ -30,7 +30,13 @@ from nilpair.rectangular import (
     sym2,
     symmetric_diagram_pair,
 )
-from test_linalg import mat_pow, mat_transpose
+from test_linalg import (
+    mat_flatten,
+    mat_is_zero,
+    mat_pow,
+    mat_transpose,
+    mat_unflatten,
+)
 
 
 def weight_multiset_decompose(weights):
@@ -214,21 +220,31 @@ def _reference_survey(algebra, dim_bound):
 
 
 def test_pruned_multisets_match_combinations():
-    # the survey's rows run through the multisets in the reference order,
-    # less those of dimension under 2 and, for sp, of odd dimension
+    # the walk yields every multiset of the reference, in its order, with
+    # its box count and, where the form exists, its summand count
     for algebra in ("sl", "sp", "so"):
         for bound in (1, 2, 5, 12, 24):
-            got = [
-                tuple(map(tuple, row["J"]))
-                for row in survey_embeddings(algebra, bound)["rows"]
-            ]
-            want = [
-                J
-                for J in _reference_multisets(bound)
-                if (dim := sum(n * m for n, m in J)) >= 2
-                and not (algebra == "sp" and dim % 2)
-            ]
-            assert got == want, (algebra, bound)
+            singles = _singles(bound)
+            walk = list(rectangular._multisets(algebra, bound, singles))
+            got = [tuple(singles[i] for i in idx) for idx, _, _ in walk]
+            assert got == list(_reference_multisets(bound)), (algebra, bound)
+            for J, (_, dim, count) in zip(got, walk):
+                spec = EmbeddingSpec(algebra, J)
+                assert dim == spec.dim_v, J
+                if _counted_form_possible(spec):
+                    assert count == summand_count(spec), (algebra, J)
+
+
+def test_listed_arity_bounds_the_lists():
+    # the survey skips a multiset of more than _LISTED_ARITY summands whose
+    # count misses the rank, because the lists name none of them
+    for algebra in ("sl", "sp", "so"):
+        arity = rectangular._LISTED_ARITY[algebra]
+        listed = Counter()
+        for J in _reference_multisets(24):
+            if classification_list_predicate(EmbeddingSpec(algebra, J)):
+                listed[len(J)] += 1
+        assert max(listed) == arity, (algebra, listed)
 
 
 @pytest.mark.parametrize("algebra", ["sl", "sp", "so"])
@@ -258,8 +274,43 @@ def test_summand_count_matches_decomposition(algebra):
 
 @pytest.mark.parametrize("algebra", ["sl", "sp", "so"])
 def test_survey_matches_decompose_first_reference(algebra):
-    # the bound of rect_suite, so its golden report has a row-level reference
-    assert survey_embeddings(algebra, 20) == _reference_survey(algebra, 20)
+    # the survey keeps the reference's rows that are accepted or listed, and
+    # walks and agrees as the reference does; 20 is the bound of rect_suite,
+    # so its golden report has a row-level reference
+    for bound in (1, 2, 3, 5, 12, 20, 24):
+        want = _reference_survey(algebra, bound)
+        got = survey_embeddings(algebra, bound)
+        assert got["rows"] == [
+            r for r in want["rows"] if r["is_pn_pair"] or r["expected"]
+        ], bound
+        assert got["walked"] == len(want["rows"]), bound
+        assert got["agree"] == want["agree"], bound
+
+
+def test_survey_builds_specs_only_for_verdicts(monkeypatch):
+    # at the bound of rect_suite a multiset is built as a spec only when its
+    # count meets the rank or the lists could name it, and it carries a form
+    built = []
+    judged = []
+
+    class CountedSpec(EmbeddingSpec):
+        __slots__ = ()
+
+        def __init__(self, algebra, summands):
+            built.append(summands)
+            super().__init__(algebra, summands)
+
+    def counted(spec):
+        judged.append(spec)
+        return is_regular_embedding(spec)
+
+    monkeypatch.setattr(rectangular, "EmbeddingSpec", CountedSpec)
+    monkeypatch.setattr(rectangular, "is_regular_embedding", counted)
+    reports = [survey_embeddings(algebra, 20) for algebra in ("sl", "sp", "so")]
+    assert len(built) == 341 and len(judged) == 188
+    assert [len(rep["rows"]) for rep in reports] == [65, 34, 89]
+    assert [rep["walked"] for rep in reports] == [3878, 2195, 3878]
+    assert all(rep["agree"] for rep in reports)
 
 
 def test_decomposition_only_behind_a_matching_count(monkeypatch):
@@ -338,7 +389,7 @@ def _dense_skew_adjoint_rows(gram):
 def _dense(members, gram, n):
     """The members and the Gram matrix as dense Matrix objects, built from
     their flattened sparse rows."""
-    return [Matrix.unflatten(x, n) for x in members], Matrix.unflatten(gram, n)
+    return [mat_unflatten(x, n) for x in members], mat_unflatten(gram, n)
 
 
 def _dense_grading_candidate(e1, e2, gram):
@@ -354,11 +405,11 @@ def _dense_grading_candidate(e1, e2, gram):
         for x, is_target in ((e1, target_first), (e2, not target_first)):
             for r, row in enumerate(ad_matrix(x).data):
                 rows.append([-v for v in row])
-                rhs.append(x.flatten()[r] if is_target else Fraction(0))
+                rhs.append(mat_flatten(x)[r] if is_target else Fraction(0))
         sol = solve_affine(rows, rhs)
         if sol is None:
             return None
-        sols.append(Matrix.unflatten(sol, N))
+        sols.append(mat_unflatten(sol, N))
     return tuple(sols)
 
 
@@ -368,7 +419,7 @@ def _dense_orthogonal_centralizer(members, gram):
 
 
 def _dense_skew_adjoint(x, gram):
-    return (gram * x + mat_transpose(x) * gram).is_zero()
+    return mat_is_zero(gram * x + mat_transpose(x) * gram)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -393,7 +444,7 @@ def test_orthogonal_systems_match_dense_reference(n, monkeypatch):
     # the dense reference of the antidiagonal form and of the checks that
     # the report runs on sparse rows
     assert dgram == Matrix([[int(i + j == N - 1) for j in range(N)] for i in range(N)])
-    assert (d1 * d2 - d2 * d1).is_zero()
+    assert mat_is_zero(d1 * d2 - d2 * d1)
     assert _dense_skew_adjoint(d1, dgram) and _dense_skew_adjoint(d2, dgram)
     assert is_form_skew_adjoint(e1, gram, N) and is_form_skew_adjoint(e2, gram, N)
     dense = _dense_orthogonal_centralizer((d1, d2), dgram)
@@ -403,12 +454,12 @@ def test_orthogonal_systems_match_dense_reference(n, monkeypatch):
     powers = [mat_pow(d1, k) for k in range(2 * n)]
     stated = [powers[k] for k in range(1, 2 * n, 2)]
     stated += [powers[k] * d2 for k in range(0, 2 * n - 1, 2)]
-    got = [Matrix.unflatten(v, N) for v in data["stated_basis"]]
+    got = [mat_unflatten(v, N) for v in data["stated_basis"]]
     assert got[:-1] == stated
     candidate = _associated_grading_candidate(e1, e2, data["columns"])
     assert candidate is not None
     dense_candidate = _dense_grading_candidate(d1, d2, dgram)
-    assert tuple(Matrix.unflatten(h, N) for h in candidate) == dense_candidate
+    assert tuple(mat_unflatten(h, N) for h in candidate) == dense_candidate
     # the report's strings list the nonzero entries in row-major order
     for name, h in zip(("candidate_h1", "candidate_h2"), dense_candidate):
         assert report[name] == [
