@@ -64,28 +64,39 @@ def rref(rows):
     return red, pivots
 
 
-_RHS = float("inf")  # key of the right-hand side, after every variable
-
-
 def solve_affine(rows, rhs):
-    """One solution x of (rows) x = rhs, or None if inconsistent.
+    """One solution x of (rows) x = rhs, or None if inconsistent: the one
+    right-hand side of solve_affine_many."""
+    sols = solve_affine_many(rows, [rhs])
+    return None if sols is None else sols[0]
 
-    The rows are sparse rows or dense sequences; x comes back in the same
-    form (a sparse row of its nonzero entries, or a tuple).  Each row joins
-    one EchelonBasis with its right-hand side keyed after every variable;
-    free variables are set to zero, so the answer is deterministic.
+
+def solve_affine_many(rows, rhss):
+    """One solution x of (rows) x = b for each right-hand side b in rhss, as
+    a tuple, or None if any of the systems is inconsistent.
+
+    The rows are sparse rows (with numeric keys) or dense sequences; each x
+    comes back in the same form (a sparse row of its nonzero entries, or a
+    tuple).  The rows are eliminated once: each joins one EchelonBasis with
+    its t-th right-hand side keyed top + t, after every variable.  A pivot
+    on a right-hand side key means some system is inconsistent; while there
+    is none, dropping the other right-hand sides leaves each system's own
+    canonical rows, so each x is read off its key with the free variables
+    set to zero, and the answer is deterministic.
     """
     sparse = bool(rows) and isinstance(rows[0], dict)
     n = 0 if sparse or not rows else len(rows[0])
     if not sparse and any(len(r) != n for r in rows):
         raise ValueError("ragged rows")
+    top = max((k + 1 for r in rows for k in r), default=0) if sparse else n
+    keys = range(top, top + len(rhss))
     ech = EchelonBasis()
-    for r, b in zip(rows, rhs):
-        ech.add({**dict(entries(r)), _RHS: b})
-    if _RHS in ech.rows:
+    for r, *bs in zip(rows, *rhss):
+        ech.add({**dict(entries(r)), **dict(zip(keys, bs))})
+    if any(key in ech.rows for key in keys):
         return None
-    x = {p: row[_RHS] for p, row in ech.rows.items() if _RHS in row}
-    return x if sparse else tuple(x.get(c, 0) for c in range(n))
+    sols = tuple({p: row[key] for p, row in ech.rows.items() if key in row} for key in keys)
+    return sols if sparse else tuple(tuple(x.get(c, 0) for c in range(n)) for x in sols)
 
 
 class Subspace:

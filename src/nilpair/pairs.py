@@ -15,7 +15,7 @@ from math import isqrt
 
 from .diagrams import Diagram, ShapeClass, ShapeError, SKEWISH, classify_shape
 from .diagrams import pairs_by_shift
-from .linalg import EchelonBasis, Matrix, Subspace, entries, exact, small
+from .linalg import EchelonBasis, Matrix, Subspace, entries, exact, frac, small
 from .linalg import kernel_in, matmul, relations, shifted
 from .multiplicity import root_data
 
@@ -407,7 +407,9 @@ def centralizer_bigraded(pair, h, ambient="sl"):
 
 def _kernel_blocks(g, name):
     """The gl blocks of GradedPair.kernels: K1 and K2 on every piece, K12
-    as the kernel of [e2, .] on every K1 block."""
+    as the kernel of [e2, .] on every K1 block.  When the members it reads
+    are monomial (every diagram pair's are) the blocks come from a weighted
+    union-find (_forest_blocks), otherwise by elimination (kernel_in)."""
     # a member whose every entry has bidegree `step` maps each block into
     # the piece `step` further on, so the images are taken as they are:
     # reading them in that piece's coordinates, an injective linear map,
@@ -418,11 +420,117 @@ def _kernel_blocks(g, name):
     if not _homogeneous(x, step, g.h, g.n):
         raise StabilityError("the pair is not homogeneous for this bigrading")
     blocks = g.kernels("K1", "gl") if name == "K12" else g.pieces("gl")
+    # the K1 blocks' rows sit on disjoint keys when the forest built them
+    read = (g.e1, g.e2) if name == "K12" else (x,)
+    if all(_monomial(m, g.n) for m in read):
+        return _forest_blocks(x, blocks, g.n)
     out = {}
     for key, block in blocks.items():
         kern = kernel_in(block, ad_each(x, block.basis, g.n))
         if kern.dim:
             out[key] = kern
+    return out
+
+
+def _monomial(m, n):
+    """Whether the flattened n x n matrix m has at most one nonzero entry in
+    each row and in each column."""
+    rows, cols = set(), set()
+    for k, x in enumerate(m):
+        if x:
+            i, j = divmod(k, n)
+            if i in rows or j in cols:
+                return False
+            rows.add(i)
+            cols.add(j)
+    return True
+
+
+def _ratio(a, b):
+    """a / b for nonzero exact rationals, on ints when b is +-1."""
+    return a * b if b == 1 or b == -1 else small(frac(a) / b)
+
+
+def _forest_blocks(x, blocks, n):
+    """The nonzero kernels of [x, .] on the blocks {(p, q): Subspace}, read
+    off a weighted union-find over the n^2 unit matrices with no
+    elimination.  x is monomial and homogeneous for the blocks' bidegrees,
+    and the blocks' canonical rows sit on disjoint keys: the pieces, or K1
+    blocks built here.
+
+    The forest starts with each row's keys tied to its pivot by the row's
+    entries and every unit outside the rows zero, so the kernel is taken on
+    the span of the rows.  Entry (i, j) of [x, V] is x_ia V_aj - V_ib x_bj,
+    where a is the one column of x's row i with a nonzero and b the one row
+    of its column j; either term is missing where there is none.  So every
+    equation has at most two terms and the kernel is exact: an equation with
+    one term makes its unit's component zero, one with two ties the two
+    components by the exact ratio of their entries, and a cycle of ties
+    whose ratios disagree makes its component zero.  Each component's root
+    is its least key, so a free component is one kernel row, its weights, 1
+    at that key; the rows sit on disjoint keys, so they are canonical as
+    they are.  x ties units of one bidegree only, so every component lies
+    in one block, and a block the kernel fills is returned itself."""
+    nn = n * n
+    parent = list(range(nn))
+    weight = [1] * nn  # V_k = weight[k] V_parent[k]; a root's weight is 1
+    zero = [True] * nn  # read at the roots
+    for block in blocks.values():
+        for pivot, row in zip(block.pivots, block.basis):
+            for k, w in row.items():
+                parent[k], weight[k], zero[k] = pivot, w, False
+
+    def find(k):
+        """k's root, with k's path compressed, so that afterwards
+        V_k = weight[k] V_root."""
+        root = parent[k]
+        if parent[root] == root:
+            return root
+        path = [k]
+        while parent[root] != root:
+            path.append(root)
+            root = parent[root]
+        w = 1
+        for node in reversed(path):
+            w *= weight[node]
+            parent[node], weight[node] = root, w
+        return root
+
+    in_row, in_col = [None] * n, [None] * n
+    for k, c in enumerate(x):
+        if c:
+            i, j = divmod(k, n)
+            in_row[i], in_col[j] = (j, c), (i, c)
+    for i in range(n):
+        for j in range(n):
+            left, right = in_row[i], in_col[j]
+            if left is None or right is None:
+                if left is not None or right is not None:
+                    k = left[0] * n + j if right is None else i * n + right[0]
+                    zero[find(k)] = True
+                continue
+            k1, k2 = left[0] * n + j, i * n + right[0]
+            r1, r2 = find(k1), find(k2)
+            # a V_r1 + b V_r2 = 0; the greater root goes under the lesser
+            a, b = left[1] * weight[k1], -right[1] * weight[k2]
+            if r1 == r2:
+                if a + b:
+                    zero[r1] = True
+                continue
+            if r1 > r2:
+                r1, r2, a, b = r2, r1, b, a
+            parent[r2], weight[r2] = r1, _ratio(-a, b)
+            zero[r1] = zero[r1] or zero[r2]
+    rows = {}
+    for k in range(nn):
+        root = find(k)
+        if not zero[root]:
+            rows.setdefault(root, {})[k] = weight[k]
+    out = {}
+    for key, block in blocks.items():
+        found = [rows[k] for row in block.basis for k in row if k in rows]
+        if found:
+            out[key] = block if len(found) == block.dim else Subspace.canonical(nn, found)
     return out
 
 

@@ -8,7 +8,7 @@ from collections import Counter
 
 from .diagrams import SKEWISH, classify_shape
 from .linalg import Subspace, add_multiple, entries, frac, jordan_type, matmul
-from .linalg import matrix_rank, relations, solve_affine, transpose
+from .linalg import matrix_rank, relations, solve_affine_many, transpose
 from .pairs import ad, ad_columns, is_nilpotent_family, power_tower
 
 
@@ -538,20 +538,18 @@ def _associated_grading_candidate(e1, e2, columns):
 
     As [h, e] = -[e, h], the equations are the rows of the members'
     `orthogonal_columns`, given as `columns` (one per entry of h), with
-    right-hand side -e_i on member i's keys."""
+    right-hand side -e_i on member i's keys.  The two systems share those
+    rows, so they are eliminated once (solve_affine_many)."""
     nn = len(columns)
     rows = transpose(columns)
-    sols = []
-    for i, target in enumerate((e1, e2)):
-        rhs = {i * nn + k: -x for k, x in entries(target) if x}
-        keys = rows.keys() | rhs.keys()
-        sol = solve_affine(
-            [rows.get(k, {}) for k in keys], [rhs.get(k, 0) for k in keys]
-        )
-        if sol is None:
-            return None
-        sols.append(sol)
-    return tuple(sols)
+    rhss = [
+        {i * nn + k: -x for k, x in entries(target) if x}
+        for i, target in enumerate((e1, e2))
+    ]
+    keys = rows.keys() | rhss[0].keys() | rhss[1].keys()
+    return solve_affine_many(
+        [rows.get(k, {}) for k in keys], [[rhs.get(k, 0) for k in keys] for rhs in rhss]
+    )
 
 
 # ---------------------------------------------------------------------------

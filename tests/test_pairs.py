@@ -849,6 +849,199 @@ def test_sl_kernels_are_the_trace_cut_of_the_gl_ones():
     assert member_kernels(box, box_h, 1, "sl") == {}
 
 
+def _eliminated_blocks(x, blocks, n):
+    """Reference for the graded kernels of monomial members: the kernel of
+    [x, .] on each block by elimination (kernel_in), nonzero kernels only."""
+    from nilpair.pairs import ad_each
+
+    out = {}
+    for key, block in blocks.items():
+        kern = kernel_in(block, ad_each(x, block.basis, n))
+        if kern.dim:
+            out[key] = kern
+    return out
+
+
+def _conjugated(pair, h, weights):
+    """D e D^-1 for both members, D = diag(weights): a monomial pair that h
+    still grades, with the weights' ratios as its entries."""
+    n = pair.n
+
+    def conj(m):
+        return [x * Fraction(weights[k // n]) / weights[k % n] for k, x in enumerate(m)]
+
+    return NilPair(conj(pair.e1), conj(pair.e2)), h
+
+
+def _forest_cases():
+    """Every Young shape up to 8 boxes and skew shape up to 7, each pair and
+    its swap, one direct sum, every shape up to 6 boxes conjugated by a
+    diagonal with negative and Fraction weights, and three pairs whose
+    members stop commuting when one entry is rescaled."""
+    from nilpair.pairs import SemisimplePair
+
+    young = [d for n in range(1, 9) for d in enumerate_diagrams(n, ShapeClass.YOUNG)]
+    skew = [d for n in range(2, 8) for d in enumerate_diagrams(n, ShapeClass.SKEW)]
+    for d in young + skew:
+        pair, h = build_pair(d)
+        yield pair, h
+        # the swap's own diagram lists its boxes in another order, so its
+        # grading is h with the diagonals exchanged
+        yield pair.swap(), SemisimplePair(h.h2, h.h1)
+    yield direct_sum([build_pair(parse(s)) for s in ("3,1", "2", "2,2/1")])
+    for d in _shapes_up_to(6):
+        pair, h = build_pair(d)
+        weights = [Fraction((-1) ** i * (i + 2), 3 - i % 2) for i in range(pair.n)]
+        yield _conjugated(pair, h, weights)
+    # e2 with its last entry rescaled no longer commutes with e1, so K12
+    # meets cycles of ties whose ratios disagree
+    for spec in ("3,3", "3,3,3", "4,4"):
+        pair, h = build_pair(parse(spec))
+        last = max(k for k, x in enumerate(pair.e2) if x)
+        for c in (2, Fraction(-1, 2)):
+            e2 = [x * c if k == last else x for k, x in enumerate(pair.e2)]
+            yield NilPair(pair.e1, e2, check=False), h
+
+
+def test_forest_kernels_match_elimination(monkeypatch):
+    # K1, K2 and K12 of monomial pairs, read off the union-find, equal the
+    # elimination route block for block and in key order, in gl and in sl;
+    # a gl block that fills its piece (its K1 block, for K12) is that piece
+    from nilpair import pairs
+
+    calls = []
+
+    def counted(piece, images):
+        calls.append(piece)
+        return kernel_in(piece, images)
+
+    cases = fractional = 0
+    for pair, h in _forest_cases():
+        n = pair.n
+        g = pair.graded(h)
+        pieces = g.pieces("gl")
+        k1 = _eliminated_blocks(pair.e1, pieces, n)
+        want = {
+            "K1": k1,
+            "K2": _eliminated_blocks(pair.e2, pieces, n),
+            "K12": _eliminated_blocks(pair.e2, k1, n),
+        }
+        monkeypatch.setattr(pairs, "kernel_in", counted)
+        got = {name: g.kernels(name, "gl") for name in want}
+        monkeypatch.undo()
+        assert calls == []
+        for name, blocks in want.items():
+            assert list(got[name].items()) == list(blocks.items()), (pair.provenance, name)
+            whole = got["K1"] if name == "K12" else pieces
+            for key, block in got[name].items():
+                assert (block is whole[key]) == (block == whole[key])
+        sl_k1 = _direct_sl_kernels(pair.e1, (1, 0), h)
+        sl_want = {
+            "K1": sl_k1,
+            "K2": _direct_sl_kernels(pair.e2, (0, 1), h),
+            "K12": _direct_sl_kernels(pair.e2, (0, 1), h, sl_k1),
+        }
+        for name, blocks in sl_want.items():
+            assert list(g.kernels(name, "sl").items()) == list(blocks.items())
+        cases += 1
+        rows = [r for b in got["K12"].values() for r in b.basis]
+        fractional += any(isinstance(x, Fraction) for r in rows for x in r.values())
+    assert cases == 2 * 181 + 1 + 67 + 6
+    assert fractional > 0
+
+
+def _non_monomial_pair():
+    """Two copies of the hook (2,1) conjugated by 1 + E_03, which ties the
+    two (0, 0) boxes: commuting, nilpotent and graded by the sum's grading,
+    with two entries in row 1 of e1."""
+    pair, h = direct_sum([build_pair(parse("2,1"))] * 2)
+    n = pair.n
+    g = Matrix.identity(n) + Matrix.unit(n, 0, 3)
+    g_inv = Matrix.identity(n) - Matrix.unit(n, 0, 3)
+    e1, e2 = (mat_flatten(g * mat_unflatten(m, n) * g_inv) for m in (pair.e1, pair.e2))
+    return NilPair(e1, e2), h
+
+
+def test_non_monomial_members_keep_the_elimination_route(monkeypatch):
+    from nilpair import pairs
+
+    pair, h = _non_monomial_pair()
+    n = pair.n
+    assert sum(1 for j in range(n) if pair.e1[n + j]) == 2
+    calls = []
+
+    def counted(piece, images):
+        calls.append(piece)
+        return kernel_in(piece, images)
+
+    monkeypatch.setattr(pairs, "kernel_in", counted)
+    g = pair.graded(h)
+    pieces = g.pieces("gl")
+    k1 = g.kernels("K1", "gl")
+    assert len(calls) == len(pieces)
+    k12 = g.kernels("K12", "gl")
+    assert len(calls) == len(pieces) + len(k1)
+    assert list(k1.items()) == list(_eliminated_blocks(pair.e1, pieces, n).items())
+    assert list(k12.items()) == list(_eliminated_blocks(pair.e2, k1, n).items())
+    k2 = g.kernels("K2", "gl")
+    assert list(k2.items()) == list(_eliminated_blocks(pair.e2, pieces, n).items())
+    # the blocks span the dense kernels
+    e1, e2 = mat_unflatten(pair.e1, n), mat_unflatten(pair.e2, n)
+    assert _span(k1, n) == ad_matrix(e1).kernel()
+    assert _span(k12, n) == joint_centralizer(e1, e2)
+    # with e2 = 0, monomial, K12 is K1 block for block; it is still found by
+    # elimination, as these K1 rows share keys and cannot seed the forest
+    lone = NilPair(pair.e1, [0] * (n * n)).graded(h)
+    lone_k1 = lone.kernels("K1", "gl")
+    keys = [k for b in lone_k1.values() for r in b.basis for k in r]
+    assert len(keys) > len(set(keys))
+    count = len(calls)
+    lone_k12 = lone.kernels("K12", "gl")
+    assert len(calls) == count + len(lone_k1)
+    assert lone_k12.keys() == lone_k1.keys()
+    assert all(lone_k12[key] is lone_k1[key] for key in lone_k1)
+
+
+def test_non_homogeneous_members_are_refused_before_either_route(monkeypatch):
+    from nilpair import pairs
+    from nilpair.pairs import SemisimplePair, StabilityError
+
+    def refuse(*args):
+        raise AssertionError("a kernel route ran")
+
+    monkeypatch.setattr(pairs, "kernel_in", refuse)
+    monkeypatch.setattr(pairs, "_forest_blocks", refuse)
+    # the swapped grading refuses both members; h1 doubled refuses e1, so
+    # K1 and K12, which reads K1, while K2 is still built
+    for pair, h in (build_pair(parse("3,2")), _non_monomial_pair()):
+        for grading, refused in (
+            (SemisimplePair(h.h2, h.h1), ("K1", "K2", "K12")),
+            (SemisimplePair([2 * p for p in h.h1], h.h2), ("K1", "K12")),
+        ):
+            record = pair.graded(grading)
+            for name in refused:
+                with pytest.raises(StabilityError):
+                    record.kernels(name, "gl")
+
+
+def test_diagram_pairs_build_no_kernel_by_elimination(monkeypatch):
+    # every diagram pair has monomial members, so its graded kernels never
+    # fall back to elimination: a change that breaks that in build_pair
+    # shows here, not only as a slower run
+    from nilpair import pairs
+
+    calls = []
+    monkeypatch.setattr(pairs, "kernel_in", lambda *args: calls.append(args))
+    shapes = 0
+    for d in _shapes_up_to(7):
+        g = build_pair(d)[0].graded()
+        for name in ("K1", "K2", "K12"):
+            g.kernels(name, "gl")
+        shapes += 1
+    assert shapes == 44 + 115
+    assert calls == []
+
+
 @st.composite
 def _bracket_cases(draw):
     """(x, vectors, n): x and each v zero, sparse or dense, with int and

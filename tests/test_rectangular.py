@@ -470,6 +470,52 @@ def test_orthogonal_systems_match_dense_reference(n, monkeypatch):
         ]
 
 
+def _two_solve_grading_candidate(e1, e2, columns):
+    """Reference for the grading candidate: one solve_affine per member, on
+    the rows and the right-hand side of that member alone."""
+    from nilpair.linalg import transpose
+
+    nn = len(columns)
+    rows = transpose(columns)
+    sols = []
+    for i, target in enumerate((e1, e2)):
+        rhs = {i * nn + k: -x for k, x in target.items() if x}
+        keys = rows.keys() | rhs.keys()
+        sol = solve_affine([rows.get(k, {}) for k in keys], [rhs.get(k, 0) for k in keys])
+        if sol is None:
+            return None
+        sols.append(sol)
+    return tuple(sols)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_grading_candidate_eliminates_once(n, monkeypatch):
+    # both members' systems eliminated together give the two separate
+    # solutions, and the report's bytes do not change
+    from nilpair.cli import canonical_json
+
+    data = even_orthogonal_pair(n)
+    args = (data["e1"], data["e2"], data["columns"])
+    candidate = _associated_grading_candidate(*args)
+    assert candidate is not None
+    assert candidate == _two_solve_grading_candidate(*args)
+    report = canonical_json(even_orthogonal_pair_report(n))
+    monkeypatch.setattr(
+        rectangular, "_associated_grading_candidate", _two_solve_grading_candidate
+    )
+    assert canonical_json(even_orthogonal_pair_report(n)) == report
+    # with e1 + e1^2 in place of either member, whose system has no
+    # solution, both routes return None
+    e1, e2, N = data["e1"], data["e2"], data["dim"]
+    bent = dict(e1)
+    for k, x in rectangular.matmul(e1, e1, N).items():
+        bent[k] = bent.get(k, 0) + x
+    for members in ((bent, e2), (e1, bent)):
+        args = (*members, data["columns"])
+        assert _associated_grading_candidate(*args) is None
+        assert _two_solve_grading_candidate(*args) is None
+
+
 def test_skew_adjointness_matches_dense_reference():
     # G X + X^T G on sparse rows against the dense products, for the
     # antidiagonal form J and random integer members; half of them are made
