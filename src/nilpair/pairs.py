@@ -130,8 +130,11 @@ class NilPair:
         return NilPair(self.e2, self.e1, prov, check=False)
 
     def to_jsonable(self):
+        def number(x):
+            return x if x.__class__ is int else f"{x.numerator}/{x.denominator}"
+
         def entries(m):
-            return [[*divmod(k, self.n), int(x)] for k, x in enumerate(m) if x]
+            return [[*divmod(k, self.n), number(x)] for k, x in enumerate(m) if x]
 
         prov = (
             self.provenance.serialize()
@@ -190,8 +193,18 @@ def build_pair(d):
     shape = classify_shape(d)
     if shape not in SKEWISH:
         raise ShapeError(f"no commuting pair for shape {shape.value}")
-    n = d.n
-    index = {box: i for i, box in enumerate(d.boxes)}
+    pair = NilPair(*_diagram_members(d.boxes), provenance=d)
+    h = SemisimplePair([p for p, _ in d.boxes], [q for _, q in d.boxes])
+    _check_grading(pair, h)
+    return pair, h
+
+
+def _diagram_members(boxes):
+    """The members on the basis labelled by the boxes, in their order, as
+    dense flattened matrices: the first steps one box right, the second one
+    box up."""
+    n = len(boxes)
+    index = {box: i for i, box in enumerate(boxes)}
     e1 = [0] * (n * n)
     e2 = [0] * (n * n)
     for (p, q), i in index.items():
@@ -199,10 +212,7 @@ def build_pair(d):
             e1[index[(p + 1, q)] * n + i] = 1
         if (p, q + 1) in index:
             e2[index[(p, q + 1)] * n + i] = 1
-    pair = NilPair(e1, e2, provenance=d)
-    h = SemisimplePair([p for p, _ in d.boxes], [q for _, q in d.boxes])
-    _check_grading(pair, h)
-    return pair, h
+    return e1, e2
 
 
 def _check_grading(pair, h):

@@ -9,7 +9,7 @@ from collections import Counter
 from .diagrams import SKEWISH, classify_shape
 from .linalg import Subspace, add_multiple, entries, frac, jordan_type, matmul
 from .linalg import matrix_rank, relations, solve_affine_many, transpose
-from .pairs import ad, ad_columns, is_nilpotent_family, power_tower
+from .pairs import _diagram_members, ad, ad_columns, is_nilpotent_family, power_tower
 
 
 class FormError(ValueError):
@@ -20,60 +20,34 @@ class EvennessError(ValueError):
     pass
 
 
+def _tensor(a, b):
+    """Highest weights of R(a) (x) R(b), one summand each: a + b down to
+    |a - b| in steps of 2 (Clebsch-Gordan)."""
+    return range(abs(a - b), a + b + 1, 2)
+
+
+def _squares(a):
+    """Highest weights of Sym^2 R(a) (2a, 2a - 4, ...) and of Alt^2 R(a)
+    (2a - 2, 2a - 6, ...), one summand each, down to 0 or 1."""
+    return range(2 * a % 4, 2 * a + 1, 4), range((2 * a - 2) % 4, 2 * a - 1, 4)
+
+
 def clebsch_gordan(a, b):
     """Irreducible pieces of the tensor product of two sl2-modules, by
     highest weight (module of weight d has dimension d + 1)."""
     if a < 0 or b < 0:
         raise ValueError("weights must be non-negative")
-    return Counter({a + b - 2 * k: 1 for k in range(min(a, b) + 1)})
+    return Counter(_tensor(a, b))
 
 
 def sym2(a):
     """Symmetric square of the weight-a module."""
-    return Counter({2 * a - 4 * k: 1 for k in range(a // 2 + 1)})
+    return Counter(_squares(a)[0])
 
 
 def alt2(a):
     """Alternating square of the weight-a module."""
-    return Counter({2 * a - 2 - 4 * k: 1 for k in range((2 * a - 2) // 4 + 1) if 2 * a - 2 - 4 * k >= 0})
-
-
-def _pair_tensor(s1, s2):
-    """Tensor product of two-sided modules given as Counters of (a, b)."""
-    out = Counter()
-    for (a1, b1), m1 in s1.items():
-        for (a2, b2), m2 in s2.items():
-            ca = clebsch_gordan(a1, a2)
-            cb = clebsch_gordan(b1, b2)
-            for x, mx in ca.items():
-                for y, my in cb.items():
-                    out[(x, y)] += m1 * m2 * mx * my
-    return out
-
-
-def _pair_sym2(piece):
-    """Symmetric square of a single (a, b) module."""
-    a, b = piece
-    out = Counter()
-    for x, mx in sym2(a).items():
-        for y, my in sym2(b).items():
-            out[(x, y)] += mx * my
-    for x, mx in alt2(a).items():
-        for y, my in alt2(b).items():
-            out[(x, y)] += mx * my
-    return out
-
-
-def _pair_alt2(piece):
-    a, b = piece
-    out = Counter()
-    for x, mx in sym2(a).items():
-        for y, my in alt2(b).items():
-            out[(x, y)] += mx * my
-    for x, mx in alt2(a).items():
-        for y, my in sym2(b).items():
-            out[(x, y)] += mx * my
-    return out
+    return Counter(_squares(a)[1])
 
 
 class EmbeddingSpec:
@@ -84,8 +58,15 @@ class EmbeddingSpec:
     __slots__ = ("algebra", "summands")
 
     def __init__(self, algebra, summands):
-        self.algebra = algebra  # sl / sp / so
-        self.summands = summands  # multiset of (n_i, m_i), n_i, m_i >= 1
+        if algebra not in ("sl", "sp", "so"):
+            raise ValueError(f"the algebra must be sl, sp or so, not {algebra!r}")
+        for s in summands:
+            if not (isinstance(s, tuple) and len(s) == 2) or any(
+                type(x) is not int or x < 1 for x in s
+            ):
+                raise ValueError(f"a summand must be a pair of ints >= 1, not {s!r}")
+        self.algebra = algebra
+        self.summands = summands  # multiset of (n_i, m_i)
 
     def __eq__(self, other):
         return (
@@ -109,9 +90,6 @@ class EmbeddingSpec:
         if self.algebra == "sp" and n % 2:
             raise FormError("symplectic form needs even dimension")
         return _rank(self.algebra, n)
-
-    def to_jsonable(self):
-        return {"type": self.algebra, "J": [list(x) for x in sorted(self.summands)]}
 
 
 def _rank(algebra, dim_v):
@@ -153,81 +131,64 @@ def _check_form(spec):
         raise FormError("no invariant form of the required symmetry")
 
 
-def decompose_adjoint(spec):
-    """Two-sided decomposition of the algebra's adjoint module."""
-    _check_form(spec)
-    v = Counter()
-    for n, m in spec.summands:
-        v[(n - 1, m - 1)] += 1
-    if spec.algebra == "sl":
-        out = _pair_tensor(v, v)
-        out[(0, 0)] -= 1
-        if not out[(0, 0)]:
-            del out[(0, 0)]
-        return out
-    pieces = list(v.elements())
-    out = Counter()
-    for i, piece in enumerate(pieces):
-        out += _pair_sym2(piece) if spec.algebra == "sp" else _pair_alt2(piece)
-        for j in range(i + 1, len(pieces)):
-            single = Counter({pieces[i]: 1})
-            other = Counter({pieces[j]: 1})
-            out += _pair_tensor(single, other)
-    return out
-
-
-def summand_count(spec):
-    """The number of irreducible summands of the adjoint module, in closed
-    form: R(a) (x) R(a') has min(a, a') + 1 of them, Sym^2 R(a) has
-    a // 2 + 1 and Alt^2 R(a) has (a - 1) // 2 + 1 (none for a = 0).
-    Equal to sum(decompose_adjoint(spec).values()), with the same
-    FormError."""
-    _check_form(spec)
-    return _closed_form_count(spec.algebra, spec.summands)
-
-
 # V (x) V for sl holds the trace, which sl leaves out
 _TRACE_TERM = {"sl": -1, "sp": 0, "so": 0}
 
 
-def _closed_form_count(algebra, summands):
-    labels = [(n - 1, m - 1) for n, m in summands]
-    count = _TRACE_TERM[algebra]
-    for i, label in enumerate(labels):
-        count += _own_term(algebra, label)
-        for other in labels[i + 1 :]:
-            count += _cross_term(algebra, label, other)
-    return count
-
-
-def _own_term(algebra, label):
-    """Summands a single summand R(a) (x) R(b) of V contributes on its own:
-    those of R(a) (x) R(a) times R(b) (x) R(b) for sl, of its symmetric
-    square for sp and of its alternating square for so."""
+def _own_factors(algebra, label):
+    """The summands a single summand R(a) (x) R(b) of V contributes to the
+    adjoint module on its own, as (first labels, second labels) factor
+    pairs: R(a) (x) R(a) by R(b) (x) R(b) for sl, its symmetric square
+    (Sym by Sym and Alt by Alt) for sp and its alternating square (Sym by
+    Alt and Alt by Sym) for so."""
     a, b = label
     if algebra == "sl":
-        return (a + 1) * (b + 1)
+        return ((_tensor(a, a), _tensor(b, b)),)
+    (sym_a, alt_a), (sym_b, alt_b) = _squares(a), _squares(b)
     if algebra == "sp":
-        return _sym(a) * _sym(b) + _alt(a) * _alt(b)
-    return _sym(a) * _alt(b) + _alt(a) * _sym(b)
+        return ((sym_a, sym_b), (alt_a, alt_b))
+    return ((sym_a, alt_b), (alt_a, sym_b))
 
 
-def _cross_term(algebra, label, other):
-    """Summands two summands of V contribute together: their tensor product,
-    which V (x) V holds twice for sl."""
+def _cross_factors(algebra, label, other):
+    """The factor pairs two summands of V contribute together: their tensor
+    product, which V (x) V holds twice for sl."""
     (a1, b1), (a2, b2) = label, other
-    term = (min(a1, a2) + 1) * (min(b1, b2) + 1)
-    return 2 * term if algebra == "sl" else term
+    pair = (_tensor(a1, a2), _tensor(b1, b2))
+    return (pair, pair) if algebra == "sl" else (pair,)
 
 
-def _sym(a):
-    """Summands of Sym^2 R(a)."""
-    return a // 2 + 1
+def _size(factors):
+    """The number of summands the factor pairs describe."""
+    return sum(len(xs) * len(ys) for xs, ys in factors)
 
 
-def _alt(a):
-    """Summands of Alt^2 R(a)."""
-    return (a - 1) // 2 + 1 if a else 0
+def _factors(spec):
+    """Every factor pair of the adjoint module: each summand's own, then its
+    cross pairs with the summands after it.  Raises FormError when V
+    carries no invariant form of the algebra's symmetry."""
+    _check_form(spec)
+    labels = [(n - 1, m - 1) for n, m in spec.summands]
+    for i, label in enumerate(labels):
+        yield from _own_factors(spec.algebra, label)
+        for other in labels[i + 1 :]:
+            yield from _cross_factors(spec.algebra, label, other)
+
+
+def decompose_adjoint(spec):
+    """Two-sided decomposition of the algebra's adjoint module, by highest
+    weight pair."""
+    out = Counter({(0, 0): _TRACE_TERM[spec.algebra]})
+    for xs, ys in _factors(spec):
+        out.update((x, y) for x in xs for y in ys)
+    return +out
+
+
+def summand_count(spec):
+    """The number of irreducible summands of the adjoint module, read from
+    the sizes of its factor pairs: sum(decompose_adjoint(spec).values()),
+    with the same FormError."""
+    return _TRACE_TERM[spec.algebra] + _size(_factors(spec))
 
 
 def is_regular_embedding(spec):
@@ -270,17 +231,10 @@ def classification_list_predicate(spec):
         return len(J) == 1 and (J[0][0] - J[0][1]) % 2 == 1
     if len(J) == 1:
         return (J[0][0] - J[0][1]) % 2 == 0
-    if len(J) == 2:
-        a, b = J
-        odd = lambda x: x % 2 == 1
-        if a == (1, 1) and odd(b[0]) and odd(b[1]):
-            return True
-        if b == (1, 1) and odd(a[0]) and odd(a[1]):
-            return True
-        if odd(a[0]) and odd(a[1]) and odd(b[0]) and odd(b[1]):
-            if (a[1] == 1 and b[0] == 1) or (a[0] == 1 and b[1] == 1):
-                return True
-        return False
+    if len(J) == 2 and all(x % 2 for x in J[0] + J[1]):
+        # sorted, so (1, 1) can only come first
+        (a1, b1), (a2, b2) = J
+        return (a1, b1) == (1, 1) or (b1 == 1 and a2 == 1) or (a1 == 1 and b2 == 1)
     return False
 
 
@@ -288,19 +242,19 @@ def _multisets(algebra, dim_bound, singles):
     """Every multiset of one, two or three of the sorted singles (n, m) with
     at most dim_bound boxes in all, as (indices, boxes, summand count) in
     the order of combinations_with_replacement; the count is
-    `summand_count`'s closed form wherever the form exists.
+    `summand_count` wherever the form exists.
 
-    Each single's own term and box count are taken once, and the cross
-    terms once per pair of singles that fits, so each count is a sum
-    carried along the walk."""
+    Each single's own factor size and box count are taken once, and the
+    cross factor sizes once per pair of singles that fits, so each count is
+    a sum carried along the walk."""
     labels = [(n - 1, m - 1) for n, m in singles]
     boxes = [n * m for n, m in singles]
-    own = [_own_term(algebra, x) for x in labels]
+    own = [_size(_own_factors(algebra, x)) for x in labels]
     trace = _TRACE_TERM[algebra]
     # cross[i][j] for j >= i, where the two singles fit together
     cross = [
         {
-            j: _cross_term(algebra, labels[i], labels[j])
+            j: _size(_cross_factors(algebra, labels[i], labels[j]))
             for j in range(i, len(singles))
             if boxes[i] + boxes[j] <= dim_bound
         }
@@ -580,14 +534,11 @@ def symmetric_diagram_pair(d):
     if not d.is_connected():
         raise FormError("diagram must be connected")
     n = len(boxes)
+    e1, e2 = _diagram_members(boxes)
     index = {b: i for i, b in enumerate(boxes)}
-    e1, e2, gram = {}, {}, {}
-    for (p, q), i in index.items():
-        if (p + 1, q) in index:
-            e1[index[(p + 1, q)] * n + i] = 1
-        if (p, q + 1) in index:
-            e2[index[(p, q + 1)] * n + i] = 1
-        gram[i * n + index[(-p, -q)]] = -1 if (p + q) % 2 else 1
+    gram = {
+        i * n + index[(-p, -q)]: -1 if (p + q) % 2 else 1 for (p, q), i in index.items()
+    }
     shape = classify_shape(d)
     report = {
         "diagram": d.serialize(),

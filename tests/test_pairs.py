@@ -1437,3 +1437,18 @@ def test_pair_and_its_record_are_freed_together():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_pair_json_writes_entries_exactly():
+    # integral entries stay ints, so `pair build` output keeps its bytes;
+    # the others are written exactly as "p/q" strings, never truncated
+    half = NilPair((0, Fraction(1, 2), 0, 0), (0,) * 4).to_jsonable()
+    assert half["e1"] == [[0, 1, "1/2"]] and half["e2"] == []
+    e1 = [0, Fraction(4, 2), Fraction(-2, 3), 0, 0, Fraction(7, 7), 0, 0, 0]
+    payload = NilPair(e1, [0] * 9).to_jsonable()
+    assert payload["e1"] == [[0, 1, 2], [0, 2, "-2/3"], [1, 2, 1]]
+    assert [type(x) for _, _, x in payload["e1"]] == [int, str, int]
+    pair, _ = build_pair(parse("3,2/1"))
+    payload = pair.to_jsonable()
+    assert all(type(x) is int for m in ("e1", "e2") for _, _, x in payload[m])
+    assert payload["e1"] == [[*divmod(k, 4), 1] for k, x in enumerate(pair.e1) if x]

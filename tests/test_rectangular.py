@@ -1,12 +1,12 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from nilpair import rectangular
-from nilpair.diagrams import Diagram, parse
-from nilpair.linalg import Matrix, solve_affine
+from nilpair.diagrams import Diagram, ShapeClass, enumerate_diagrams, parse
+from nilpair.linalg import Matrix, entries, solve_affine
 from nilpair.pairs import ad_matrix, biexponents, build_pair
 from nilpair.rectangular import (
     EmbeddingSpec,
@@ -14,6 +14,7 @@ from nilpair.rectangular import (
     FormError,
     _associated_grading_candidate,
     _form_possible,
+    centered_coordinates,
     alt2,
     classification_list_predicate,
     clebsch_gordan,
@@ -41,32 +42,45 @@ from test_linalg import (
 
 def weight_multiset_decompose(weights):
     """Independent oracle: peel a weight multiset into irreducibles from the
-    top."""
+    top.  Weights are ints for one sl2, or pairs for two commuting ones,
+    where the largest pair (the largest first coordinate, and among those
+    the largest second) has no weight above it in either coordinate, so it
+    is a highest weight."""
     weights = Counter(weights)
     out = Counter()
     while weights:
         top = max(weights)
         out[top] += 1
-        for w in range(-top, top + 1, 2):
+        for w in module_weights(top):
             weights[w] -= 1
+            assert weights[w] >= 0, (top, w)
             if not weights[w]:
                 del weights[w]
     return out
 
 
-def module_weights(a):
-    return list(range(-a, a + 1, 2))
+def module_weights(top):
+    """The weights of the irreducible module of highest weight top, an int
+    or a pair of ints, one per basis vector."""
+    if isinstance(top, tuple):
+        return list(product(*map(module_weights, top)))
+    return list(range(-top, top + 1, 2))
 
 
 def test_clebsch_gordan_basics():
     assert clebsch_gordan(1, 1) == Counter({2: 1, 0: 1})
     assert sym2(1) == Counter({2: 1})
     assert alt2(2) == Counter({2: 1})
+    with pytest.raises(ValueError):
+        clebsch_gordan(-1, 2)
 
 
 def test_plethysm_against_weight_oracle():
     for a in range(7):
         ws = module_weights(a)
+        for b in range(7):
+            tensor_w = [x + y for x in ws for y in module_weights(b)]
+            assert weight_multiset_decompose(tensor_w) == clebsch_gordan(a, b)
         sym_w = [ws[i] + ws[j] for i in range(len(ws)) for j in range(i, len(ws))]
         alt_w = [ws[i] + ws[j] for i in range(len(ws)) for j in range(i + 1, len(ws))]
         assert weight_multiset_decompose(sym_w) == sym2(a)
@@ -272,6 +286,79 @@ def test_summand_count_matches_decomposition(algebra):
     assert checked > 1000 and (errors > 0) == (algebra != "sl")
 
 
+def _adjoint_weights(spec):
+    """The weights of the adjoint module, built from V's weights alone:
+    V (x) V less one (0, 0) for sl, Sym^2 V for sp and Alt^2 V for so."""
+    v = [w for n, m in spec.summands for w in module_weights((n - 1, m - 1))]
+    if spec.algebra == "sl":
+        pairs = [(i, j) for i in range(len(v)) for j in range(len(v))]
+    else:
+        # Alt^2 leaves out the diagonal
+        skip = spec.algebra == "so"
+        pairs = [(i, j) for i in range(len(v)) for j in range(i + skip, len(v))]
+    weights = Counter((v[i][0] + v[j][0], v[i][1] + v[j][1]) for i, j in pairs)
+    weights[(0, 0)] -= spec.algebra == "sl"
+    return +weights
+
+
+@pytest.mark.parametrize("algebra", ["sl", "sp", "so"])
+def test_decomposition_matches_two_variable_weight_oracle(algebra):
+    # the factor table, which the summand count reads too, against the
+    # adjoint module's weights peeled from the top, on every multiset of up
+    # to 10 boxes that carries a form
+    checked = 0
+    for J in _reference_multisets(10):
+        spec = EmbeddingSpec(algebra, J)
+        if not _counted_form_possible(spec) or (algebra == "sp" and spec.dim_v % 2):
+            with pytest.raises(FormError):
+                decompose_adjoint(spec)
+            continue
+        dec = decompose_adjoint(spec)
+        assert dec == weight_multiset_decompose(_adjoint_weights(spec)), J
+        assert summand_count(spec) == sum(dec.values()), J
+        checked += 1
+    assert checked == {"sl": 309, "sp": 98, "so": 92}[algebra]
+
+
+@pytest.mark.parametrize(
+    "summands",
+    [
+        ((0, 2), (2, 2)),
+        ((2, 0),),
+        ((-1, 3),),
+        ((2,),),
+        ((2, 2, 1),),
+        ((2.0, 2),),
+        ((Fraction(2), 2),),
+        ((True, 2),),
+        ([2, 2],),
+    ],
+)
+def test_embedding_spec_refuses_a_summand_that_is_not_two_sides(summands):
+    # a summand is a pair of ints >= 1: ((0, 2), (2, 2)) used to be counted
+    # (3 summands for sl) while its decomposition raised, and the factor
+    # table's ranges would decompose it silently
+    with pytest.raises(ValueError, match="pair of ints"):
+        EmbeddingSpec("sl", summands)
+    for entry in (
+        decompose_adjoint,
+        summand_count,
+        is_regular_embedding,
+        classification_list_predicate,
+    ):
+        for algebra in ("sl", "sp", "so"):
+            with pytest.raises(ValueError, match="pair of ints"):
+                entry(EmbeddingSpec(algebra, summands))
+
+
+def test_embedding_spec_refuses_an_unknown_algebra():
+    # the list predicate used to judge any other name as so, while the
+    # count raised KeyError
+    for algebra in ("gl", "SO", None):
+        with pytest.raises(ValueError, match="sl, sp or so"):
+            EmbeddingSpec(algebra, ((3, 3),))
+
+
 @pytest.mark.parametrize("algebra", ["sl", "sp", "so"])
 def test_survey_matches_decompose_first_reference(algebra):
     # the survey keeps the reference's rows that are accepted or listed, and
@@ -362,6 +449,58 @@ def test_symmetric_plus_shape():
     assert rep["form_nondegenerate"] and rep["skew_adjoint"]
     assert not rep["commute"]
     assert "distinguished" not in rep
+
+
+def _reference_symmetric_members(d):
+    """The members and the form of symmetric_diagram_pair built on their
+    own, as sparse rows on the centred boxes."""
+    boxes = centered_coordinates(d)
+    n = len(boxes)
+    index = {b: i for i, b in enumerate(boxes)}
+    e1, e2, gram = {}, {}, {}
+    for (p, q), i in index.items():
+        if (p + 1, q) in index:
+            e1[index[(p + 1, q)] * n + i] = 1
+        if (p, q + 1) in index:
+            e2[index[(p, q + 1)] * n + i] = 1
+        gram[i * n + index[(-p, -q)]] = -1 if (p + q) % 2 else 1
+    return e1, e2, gram
+
+
+def _nonzero(members):
+    """The members, sparse rows or dense sequences, as sparse rows of their
+    nonzero entries."""
+    return [{k: x for k, x in entries(e) if x} for e in members]
+
+
+def test_symmetric_diagram_members_are_build_pairs(monkeypatch):
+    # symmetric_diagram_pair takes its members from build_pair's
+    # construction; on every centrally symmetric Young and skew shape up to
+    # 9 boxes they and the form equal the sparse reference, and the members
+    # are build_pair's
+    seen = []
+
+    def spied(members, gram, n):
+        seen.append((members, gram))
+        return orthogonal_centralizer(members, gram, n)
+
+    monkeypatch.setattr(rectangular, "orthogonal_centralizer", spied)
+    shapes = 0
+    for n in range(1, 10):
+        for shape in (ShapeClass.YOUNG, ShapeClass.SKEW):
+            for d in enumerate_diagrams(n, shape):
+                try:
+                    centered_coordinates(d)
+                except FormError:
+                    continue
+                symmetric_diagram_pair(d)
+                members, gram = seen.pop()
+                r1, r2, rgram = _reference_symmetric_members(d)
+                assert _nonzero(members) == [r1, r2] and gram == rgram, d
+                pair, _ = build_pair(d)
+                assert _nonzero(members) == _nonzero((pair.e1, pair.e2)), d
+                shapes += 1
+    assert shapes == 37 and not seen
 
 
 def test_asymmetric_rejected():

@@ -358,3 +358,36 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     added = set(proc.stdout.split())
     assert "nilpair.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_adjoint_module_is_described_once():
+    # one factor table describes the adjoint module: the decomposition and
+    # the summand count both read _factors, which lists each summand's own
+    # and cross factor pairs, and the survey walk reads their sizes; the
+    # Counter-building and closed-form helpers they replaced are gone
+    table = {"_own_factors", "_cross_factors"}
+    assert table <= _called_names(_function("rectangular.py", "_factors"))
+    for name in ("decompose_adjoint", "summand_count"):
+        assert "_factors" in _called_names(_function("rectangular.py", name)), name
+    assert table <= _called_names(_function("rectangular.py", "_multisets"))
+    defined = {
+        node.name
+        for node in ast.walk(_tree("rectangular.py"))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert table <= defined
+    assert not defined & {
+        "_pair_tensor",
+        "_pair_sym2",
+        "_pair_alt2",
+        "_own_term",
+        "_cross_term",
+        "_sym",
+        "_alt",
+        "_closed_form_count",
+    }
+    # the diagram pair and the centrally symmetric one share one member
+    # construction
+    assert "_diagram_members" in _called_names(_function("pairs.py", "build_pair"))
+    called = _called_names(_function("rectangular.py", "symmetric_diagram_pair"))
+    assert "_diagram_members" in called
