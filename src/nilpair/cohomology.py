@@ -109,54 +109,54 @@ def _h1_table(g):
     return out
 
 
-def h1_dims(pair, h=None):
-    return dict(h1_table(pair, h))
+def family(p, q):
+    """The class family of bidegree (p, q): "se" for {p >= 1, q <= 0}, "nw"
+    for {p <= 0, q >= 1}, None off both."""
+    if p >= 1 and q <= 0:
+        return "se"
+    if p <= 0 and q >= 1:
+        return "nw"
+    return None
+
+
+# the member whose kernel tower describes each family
+_MEMBER = {"se": 1, "nw": 2}
 
 
 def support_ok(dims):
-    """Nonzero classes only in {p<=0, q>=1} or {p>=1, q<=0}."""
-    return all(
-        (p <= 0 and q >= 1) or (p >= 1 and q <= 0) for (p, q) in dims
-    )
+    """Nonzero classes only in the two families."""
+    return all(family(*k) for k in dims)
 
 
 def quadrant_totals(dims):
-    nw = sum(d for (p, q), d in dims.items() if p <= 0 and q >= 1)
-    se = sum(d for (p, q), d in dims.items() if p >= 1 and q <= 0)
-    return nw, se
+    """(nw, se): the number of classes in each family."""
+    totals = Counter()
+    for k, d in dims.items():
+        totals[family(*k)] += d
+    return totals["nw"], totals["se"]
 
 
 def coker_formula_check(pair, h=None):
     """Cohomology dimensions against the cokernel description on both sides:
-    the {p<=0,q>=1} classes via [e1,.] on the kernel tower of e2 and the
-    mirror for {p>=1,q<=0}."""
+    each family's classes are the cokernels of one step of its member's
+    kernel tower (tower_steps)."""
     h = pair.graded(h).h
-    dims = h1_dims(pair, h)
-    nw = tower_steps(pair, h, 2)
-    se = tower_steps(pair, h, 1)
-    ok = True
-    checked = {}
-    for (p, q) in sorted(set(dims) | set(nw) | set(se)):
-        if p <= 0 and q >= 1:
-            step = nw.get((p, q))
-        elif p >= 1 and q <= 0:
-            step = se.get((p, q))
-        else:
-            step = None
-        expect = step[0].dim - step[1].dim if step else 0
-        got = dims.get((p, q), 0)
-        checked[(p, q)] = (got, expect)
-        ok = ok and got == expect
-    return ok, checked
+    dims = h1_table(pair, h)
+    steps = {f: tower_steps(pair, h, member) for f, member in _MEMBER.items()}
+    steps[None] = {}
+
+    def expected(k):
+        step = steps[family(*k)].get(k)
+        return step[0].dim - step[1].dim if step else 0
+
+    return all(dims.get(k, 0) == expected(k) for k in set(dims).union(*steps.values()))
 
 
 def duality_check(pair, h=None):
     """Pairing between the two class families: dim H_{p,q} = dim H_{1-p,1-q},
     compared on the H^1 dimensions."""
-    dims = h1_dims(pair, h)
-    return all(
-        dims.get((1 - p, 1 - q), 0) == d for (p, q), d in dims.items()
-    ), dims
+    dims = h1_table(pair, h)
+    return all(dims.get((1 - p, 1 - q), 0) == d for (p, q), d in dims.items())
 
 
 def generating_polys(pair, h=None):
@@ -167,7 +167,7 @@ def generating_polys(pair, h=None):
     z = BivariatePoly(
         {k: sp.dim for k, sp in centralizer_bigraded(pair, h, "sl").items()}
     )
-    hh = BivariatePoly(h1_dims(pair, h))
+    hh = BivariatePoly(h1_table(pair, h))
     return g, z, hh
 
 
@@ -190,7 +190,7 @@ def exponent_sums_check(pair, h=None):
     z = centralizer_bigraded(pair, h, "sl")
     s1 = sum(p * sp.dim for (p, q), sp in z.items())
     s2 = sum(q * sp.dim for (p, q), sp in z.items())
-    return s1 == len(rd.axis1) and s2 == len(rd.axis2), (s1, s2)
+    return s1 == len(rd.axis1) and s2 == len(rd.axis2)
 
 
 def product_identity_check(pair, h=None):
@@ -289,22 +289,13 @@ def factor_products_equal(left, right):
     return product(Counter(left) - shared) == product(Counter(right) - shared)
 
 
-def higher_biexponents(pair, h=None):
-    """Bidegrees of the {p<=0, q>=1} cohomology classes, with multiplicity."""
-    dims = h1_dims(pair, h)
+def higher_biexponents(pair, h=None, quadrant="nw"):
+    """Bidegrees of the classes in one family, "nw" or "se", with
+    multiplicity."""
     out = []
-    for (p, q), d in sorted(dims.items()):
-        if p <= 0 and q >= 1:
-            out.extend([(p, q)] * d)
-    return tuple(out)
-
-
-def se_biexponents(pair, h=None):
-    dims = h1_dims(pair, h)
-    out = []
-    for (p, q), d in sorted(dims.items()):
-        if p >= 1 and q <= 0:
-            out.extend([(p, q)] * d)
+    for k, d in sorted(h1_table(pair, h).items()):
+        if family(*k) == quadrant:
+            out.extend([k] * d)
     return tuple(out)
 
 
@@ -312,59 +303,30 @@ def se_biexponents(pair, h=None):
 # partial slices
 
 
-class SliceBasis:
-    """A transverse-slice basis in one quadrant family.
-
-    quadrant "se" collects complements inside the kernel tower of e1 (each
-    basis matrix commutes with e1, and slice points perturb e2); quadrant
-    "nw" is the mirror.  The basis matrices are flattened sparse rows,
-    shared with the tower's subspaces, so they must not be mutated.
-    """
-
-    def __init__(self, quadrant, entries, rule):
-        self.quadrant = quadrant
-        self.entries = entries  # list of (bidegree of the class, sparse row)
-        self.rule = rule
-
-    @property
-    def count(self):
-        return len(self.entries)
-
-    def matrices(self):
-        return [m for _, m in self.entries]
-
-    def to_jsonable(self):
-        return {
-            "quadrant": self.quadrant,
-            "rule": self.rule,
-            "count": self.count,
-            "bidegrees": [list(k) for k, _ in self.entries],
-        }
-
-
 def slice_basis(pair, h=None, quadrant="se", reverse=False):
-    """Deterministic complement system for one quadrant family, "se" or
-    "nw"; any other quadrant raises ValueError."""
-    if quadrant not in ("se", "nw"):
+    """Deterministic complement system for one family, "se" or "nw"; any
+    other quadrant raises ValueError.  Its entries are (class bidegree,
+    flattened sparse row), shared with the tower's subspaces, so they must
+    not be mutated.
+
+    The "se" matrices are complements inside the kernel tower of e1 (each
+    commutes with e1, and slice points perturb e2); "nw" is the mirror."""
+    if quadrant not in _MEMBER:
         raise ValueError(f"unknown quadrant {quadrant!r}: use 'se' or 'nw'")
     h = pair.graded(h).h
-    steps = tower_steps(pair, h, 1 if quadrant == "se" else 2)
     entries = []
-    for (p, q), (tgt, img) in sorted(steps.items()):
-        in_family = (p >= 1 and q <= 0) if quadrant == "se" else (p <= 0 and q >= 1)
-        if not in_family or tgt.dim == img.dim:
-            continue
-        comp = complement(img, tgt, reverse=reverse)
-        entries.extend(((p, q), v) for v in comp.basis)
-    return SliceBasis(quadrant, entries, "reverse echelon" if reverse else "echelon")
+    for k, (tgt, img) in sorted(tower_steps(pair, h, _MEMBER[quadrant]).items()):
+        if family(*k) == quadrant and tgt.dim > img.dim:
+            entries.extend((k, v) for v in complement(img, tgt, reverse=reverse).basis)
+    return entries
 
 
-def young_se_slice(pair, include_skipped=False):
+def young_se_slice(pair):
     """Explicit slice maps for a Young-diagram pair: one translation map per
     box, sending the top segment of the box's column to the right end of the
-    box's row.  The box at the top of the leftmost column gives a rank-one
-    diagonal map (the extra center direction); it is skipped unless asked
-    for.  Each map comes as (box, flattened sparse row)."""
+    box's row.  Each map comes as (class bidegree, flattened sparse row),
+    the class being the map's shift plus (1, 0); the center direction, which
+    the trace-zero cut removes, is one of the classes at (1, 0)."""
     d = pair.provenance
     if not isinstance(d, Diagram) or classify_shape(d) != ShapeClass.YOUNG:
         raise ValueError("explicit slice recipe needs a Young-diagram pair")
@@ -372,23 +334,17 @@ def young_se_slice(pair, include_skipped=False):
     index = {box: i for i, box in enumerate(d.boxes)}
     col_top = {p: max(qs) for p, qs in d.columns().items()}
     row_end = {q: max(ps) for q, ps in d.rows().items()}
-    skip = (0, col_top[0])
     out = []
     for (p, q) in d.boxes:
-        if (p, q) == skip and not include_skipped:
-            continue
-        qmax = col_top[p]
-        pmax = row_end[q]
-        m = {
-            index[(pmax - p + i, q)] * n + index[(i, qmax)]: 1
-            for i in range(p + 1)
-        }
-        out.append(((p, q), m))
+        a, b = row_end[q] - p, q - col_top[p]
+        m = {index[(a + i, q)] * n + index[(i, col_top[p])]: 1 for i in range(p + 1)}
+        out.append(((a + 1, b), m))
     return out
 
 
-def slice_samples(pair, h, sb):
-    """The deterministic sample points of a slice with their gl centralizers:
+def slice_samples(pair, h, quadrant, mats):
+    """The deterministic sample points of the slice spanned by the matrices
+    `mats` of slice_basis(pair, h, quadrant), with their gl centralizers:
     (members, x1, x2, dim Z(x1, x2), Z(x1, x2) or None) for each single
     member, each pair of members and, beyond two, the full sum.  The moved
     member of the point is a sparse row, the other one is the pair's own
@@ -405,13 +361,13 @@ def slice_samples(pair, h, sb):
     with its dimension, from the rank of their images.
     """
     n = pair.n
-    blocks = member_kernels(pair, h, 1 if sb.quadrant == "se" else 2, "gl")
+    member = _MEMBER[quadrant]
+    blocks = member_kernels(pair, h, member, "gl")
     # blocks of different bidegrees sit on disjoint keys, so their canonical
     # rows together are canonical
     z_fixed = Subspace.canonical(n * n, [v for sp in blocks.values() for v in sp.basis])
-    fixed, start = (pair.e1, pair.e2) if sb.quadrant == "se" else (pair.e2, pair.e1)
+    fixed, start = (pair.e1, pair.e2) if member == 1 else (pair.e2, pair.e1)
     start = {k: x for k, x in enumerate(start) if x}
-    mats = sb.matrices()
     start_images = ad_each(start, z_fixed.basis, n)
     mat_images = [ad_each(m, z_fixed.basis, n) for m in mats]
     picks = [(i,) for i in range(len(mats))]
@@ -424,7 +380,7 @@ def slice_samples(pair, h, sb):
             add_multiple(moved, 1, mats[i])
             for img, extra in zip(images, mat_images[i]):
                 add_multiple(img, 1, extra)
-        x1, x2 = (fixed, moved) if sb.quadrant == "se" else (moved, fixed)
+        x1, x2 = (fixed, moved) if member == 1 else (moved, fixed)
         if len(pick) == 1 or len(pick) == len(mats):
             zx = kernel_in(z_fixed, images)
             yield pick, x1, x2, zx.dim, zx
@@ -438,18 +394,18 @@ def slice_report(pair, h=None, quadrant="se", reverse=False):
     sample with the centralizer of the pair."""
     h = pair.graded(h).h
     n = pair.n
-    sb = slice_basis(pair, h, quadrant, reverse=reverse)
+    mats = [m for _, m in slice_basis(pair, h, quadrant, reverse=reverse)]
     report = {
         "quadrant": quadrant,
-        "count": sb.count,
-        "count_ok": sb.count == n - 1,
+        "count": len(mats),
+        "count_ok": len(mats) == n - 1,
         "samples": [],
     }
     # the symbol-containment pass runs on the samples that come with their
     # centralizer (the singletons and the full sum), regularity on every one
     frames = _corner_frames(pair, h)
     all_ok = report["count_ok"]
-    for pick, x1, x2, zdim, zx in slice_samples(pair, h, sb):
+    for pick, x1, x2, zdim, zx in slice_samples(pair, h, quadrant, mats):
         commutes = not ad(x1, x2, n)
         zdim -= 1  # the identity always centralises, trace cuts one
         corners_ok = None if zx is None else _corner_containment_ok(n, zx, frames)
@@ -468,9 +424,8 @@ def slice_report(pair, h=None, quadrant="se", reverse=False):
     if quadrant == "se" and isinstance(pair.provenance, Diagram) and classify_shape(
         pair.provenance
     ) == ShapeClass.YOUNG:
-        sl_part = young_se_slice(pair)
-        full = young_se_slice(pair, include_skipped=True)
-        recipe_ok = len(sl_part) == n - 1 and _recipe_is_complement(pair, h, full)
+        recipe = young_se_slice(pair)
+        recipe_ok = len(recipe) == n and _recipe_is_complement(pair, h, recipe)
         report["young_recipe_ok"] = recipe_ok
         all_ok = all_ok and recipe_ok
     report["ok"] = all_ok
@@ -484,30 +439,20 @@ def _recipe_is_complement(pair, h, recipe):
     n = pair.n
     steps = tower_steps(pair, h, 1, ambient="gl")
     zero = Subspace.zero(n * n)
-    d = pair.provenance
-    col_top = {pp: max(qs) for pp, qs in d.columns().items()}
-    row_end = {qq: max(ps) for qq, ps in d.rows().items()}
     by_class = {}
-    for (p, q), m in recipe:
+    for k, m in recipe:
         if ad(pair.e1, m, n):
             return False
-        # class bidegree of the translation map: its shift plus (1, 0)
-        a = row_end[q] - p
-        b = q - col_top[p]
-        by_class.setdefault((a + 1, b), []).append(m)
-    for (p, q), vecs in by_class.items():
-        tgt, img = steps.get((p, q), (zero, zero))
+        by_class.setdefault(k, []).append(m)
+    for k, vecs in by_class.items():
+        tgt, img = steps.get(k, (zero, zero))
         span = Subspace(n * n, vecs)
-        if span.dim != len(vecs) or span.intersect(img).dim:
-            return False
-        if (span + img) != tgt:
+        if span.dim != len(vecs) or span.intersect(img).dim or span + img != tgt:
             return False
     # class multiplicities must exhaust the gl cohomology in this family
-    dims = h1_dims(pair, h)
-    se = {k: v for k, v in dims.items() if k[0] >= 1 and k[1] <= 0}
+    se = {k: d for k, d in h1_table(pair, h).items() if family(*k) == "se"}
     se[(1, 0)] = se.get((1, 0), 0) + 1  # center class
-    got = {k: len(v) for k, v in by_class.items()}
-    return got == se
+    return {k: len(v) for k, v in by_class.items()} == se
 
 
 def _corner_frames(pair, h):

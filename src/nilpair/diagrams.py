@@ -277,13 +277,6 @@ class SubsetPair:
             f"shift={self.shift!r})"
         )
 
-    def to_jsonable(self):
-        return {
-            "in": [list(b) for b in self.nu_in],
-            "out": [list(b) for b in self.nu_out],
-            "shift": list(self.shift),
-        }
-
 
 def _closure_subsets(boxes, direction):
     """Connected subsets closed under moving south-west (+1) or north-east

@@ -471,7 +471,7 @@ def module_limit_check(pair, h, module, mu):
     mu = tuple(mu)
     cols = module.weight_space_indices(mu)
     lim = _limit_of_columns(action, cols)
-    invariants = invariant_subspace(module, centralizer(pair, ambient="sl").basis)
+    invariants = invariant_subspace(module, centralizer(pair, ambient="sl", h=h).basis)
     contained = all(invariants.contains(v) for v in lim.basis)
     # zero-weight comparison for the strictness flag
     zero_weight = tuple([sum(mu) // module.n] * module.n) if sum(mu) % module.n == 0 else None

@@ -69,16 +69,6 @@ class RootData:
         v[j] -= 1
         return tuple(v)
 
-    def to_jsonable(self):
-        return {
-            "positive": [list(r) for r in self.positive],
-            "ne": [list(r) for r in self.ne],
-            "axis1": [list(r) for r in self.axis1],
-            "axis2": [list(r) for r in self.axis2],
-            "interior": [list(r) for r in self.interior],
-            "alt": self.alt,
-        }
-
 
 def root_data(h, alt=False):
     """Split the roots by the grading values and pick a deterministic

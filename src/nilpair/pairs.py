@@ -122,11 +122,16 @@ class NilPair:
         return record
 
     def swap(self):
-        prov = (
-            self.provenance.transpose()
-            if isinstance(self.provenance, Diagram)
-            else "custom"
-        )
+        """The pair (e2, e1) on the same basis.  Its provenance is the
+        grading with the diagonals exchanged, not the transposed Diagram,
+        whose sorted boxes would label the basis in another order."""
+        d = self.provenance
+        if isinstance(d, Diagram):
+            prov = SemisimplePair([q for _, q in d.boxes], [p for p, _ in d.boxes])
+        elif isinstance(d, SemisimplePair):
+            prov = SemisimplePair(d.h2, d.h1)
+        else:
+            prov = "custom"
         return NilPair(self.e2, self.e1, prov, check=False)
 
     def to_jsonable(self):
@@ -253,10 +258,12 @@ def direct_sum(pairs_and_gradings):
 
 
 def provenance_grading(pair):
-    if isinstance(pair.provenance, Diagram):
-        d = pair.provenance
+    """The grading a pair's provenance gives: a Diagram's box coordinates, or
+    the SemisimplePair a swapped pair keeps; None for any other."""
+    d = pair.provenance
+    if isinstance(d, Diagram):
         return SemisimplePair([p for p, _ in d.boxes], [q for _, q in d.boxes])
-    return None
+    return d if isinstance(d, SemisimplePair) else None
 
 
 # ---------------------------------------------------------------------------

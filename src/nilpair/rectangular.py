@@ -42,11 +42,15 @@ def clebsch_gordan(a, b):
 
 def sym2(a):
     """Symmetric square of the weight-a module."""
+    if a < 0:
+        raise ValueError("weights must be non-negative")
     return Counter(_squares(a)[0])
 
 
 def alt2(a):
     """Alternating square of the weight-a module."""
+    if a < 0:
+        raise ValueError("weights must be non-negative")
     return Counter(_squares(a)[1])
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,14 +14,13 @@ from nilpair.cohomology import (
     euler_identity_check,
     exponent_sums_check,
     factor_products_equal,
+    family,
     generating_polys,
-    h1_dims,
     h1_table,
     higher_biexponents,
     product_identity_check,
     product_identity_nw_check,
     quadrant_totals,
-    se_biexponents,
     slice_basis,
     slice_report,
     slice_samples,
@@ -42,17 +42,17 @@ from test_pairs import joint_centralizer
 def test_hook_table_frozen():
     # computed by hand from the generating identity and by direct kernels
     pair, h = build_pair(parse("2,1"))
-    assert h1_dims(pair, h) == {(-1, 2): 1, (0, 1): 1, (1, 0): 1, (2, -1): 1}
+    assert h1_table(pair, h) == {(-1, 2): 1, (0, 1): 1, (1, 0): 1, (2, -1): 1}
 
 
 def test_single_row_table_frozen():
     pair, h = build_pair(parse("3"))
-    assert h1_dims(pair, h) == {(-2, 1): 1, (-1, 1): 1, (2, 0): 1, (3, 0): 1}
+    assert h1_table(pair, h) == {(-2, 1): 1, (-1, 1): 1, (2, 0): 1, (3, 0): 1}
 
 
 def test_square_table_frozen():
     pair, h = build_pair(parse("2,2"))
-    assert h1_dims(pair, h) == {
+    assert h1_table(pair, h) == {
         (-1, 1): 1,
         (-1, 2): 1,
         (0, 2): 1,
@@ -65,7 +65,7 @@ def test_square_table_frozen():
 def test_total_and_support():
     for spec in ("2,1", "3", "2,2", "3,1", "2,2,1"):
         pair, h = build_pair(parse(spec))
-        dims = h1_dims(pair, h)
+        dims = h1_table(pair, h)
         n = pair.n
         assert sum(dims.values()) == 2 * (n - 1)
         assert support_ok(dims)
@@ -76,9 +76,9 @@ def test_identities_small():
     for spec in ("2,1", "3", "2,2", "4", "3,1"):
         pair, h = build_pair(parse(spec))
         assert euler_identity_check(pair, h)
-        assert coker_formula_check(pair, h)[0]
-        assert duality_check(pair, h)[0]
-        assert exponent_sums_check(pair, h)[0]
+        assert coker_formula_check(pair, h)
+        assert duality_check(pair, h)
+        assert exponent_sums_check(pair, h)
         assert product_identity_check(pair, h)
         assert product_identity_nw_check(pair, h)
 
@@ -86,7 +86,7 @@ def test_identities_small():
 def test_higher_biexponents_hook():
     pair, h = build_pair(parse("2,1"))
     nw = higher_biexponents(pair, h)
-    se = se_biexponents(pair, h)
+    se = higher_biexponents(pair, h, "se")
     assert nw == ((-1, 2), (0, 1))
     assert se == tuple(sorted((1 - p, 1 - q) for p, q in nw))
 
@@ -95,6 +95,42 @@ def test_higher_biexponents_classical():
     pair, h = build_pair(parse("3"))
     # degenerate pair: classes sit at (-exponent, 1) on one side
     assert higher_biexponents(pair, h) == ((-2, 1), (-1, 1))
+
+
+def _nw_reference(p, q):
+    return p <= 0 and q >= 1
+
+
+def _se_reference(p, q):
+    return p >= 1 and q <= 0
+
+
+def test_family_readers_match_literal_predicates():
+    # references spelled with the two predicates, on the H^1 table of every
+    # Young shape up to 7 boxes and skew shape up to 6, and on one-class
+    # tables around both families, which reach the bidegrees no table has
+    shapes = [d for n in range(1, 8) for d in enumerate_diagrams(n, ShapeClass.YOUNG)]
+    shapes += [d for n in range(2, 7) for d in enumerate_diagrams(n, ShapeClass.SKEW)]
+    for d in shapes:
+        pair, h = build_pair(d)
+        dims = h1_table(pair, h)
+        nw = tuple(k for k, v in sorted(dims.items()) if _nw_reference(*k) for _ in range(v))
+        se = tuple(k for k, v in sorted(dims.items()) if _se_reference(*k) for _ in range(v))
+        where = d.serialize()
+        assert higher_biexponents(pair, h) == nw, where
+        assert higher_biexponents(pair, h, "nw") == nw, where
+        assert higher_biexponents(pair, h, "se") == se, where
+        assert quadrant_totals(dims) == (len(nw), len(se)), where
+        assert support_ok(dims) == (len(nw) + len(se) == sum(dims.values())), where
+    for p in range(-3, 4):
+        for q in range(-3, 4):
+            dims = Counter({(1, 0): 1, (0, 1): 1}) + Counter({(p, q): 2})
+            nw = 1 + 2 * _nw_reference(p, q)
+            se = 1 + 2 * _se_reference(p, q)
+            assert quadrant_totals(dims) == (nw, se), (p, q)
+            assert support_ok(dims) == (_nw_reference(p, q) or _se_reference(p, q))
+            want = "nw" if _nw_reference(p, q) else "se" if _se_reference(p, q) else None
+            assert family(p, q) == want, (p, q)
 
 
 def test_slice_counts_and_points():
@@ -112,9 +148,9 @@ def test_slice_matrices_commute_with_fixed_member():
     pair, h = build_pair(parse("3,1"))
     n = pair.n
     e1, e2 = mat_unflatten(pair.e1, n), mat_unflatten(pair.e2, n)
-    for m in slice_basis(pair, h, "se").matrices():
+    for _, m in slice_basis(pair, h, "se"):
         assert mat_is_zero(bracket(e1, mat_unflatten(m, n)))
-    for m in slice_basis(pair, h, "nw").matrices():
+    for _, m in slice_basis(pair, h, "nw"):
         assert mat_is_zero(bracket(e2, mat_unflatten(m, n)))
 
 
@@ -122,9 +158,28 @@ def test_young_recipe_counts():
     for spec in ("2,1", "2,2", "3,1", "3,2,1"):
         pair, h = build_pair(parse(spec))
         recipe = young_se_slice(pair)
-        assert len(recipe) == pair.n - 1
+        assert len(recipe) == pair.n
         rep = slice_report(pair, h, "se")
         assert rep["young_recipe_ok"]
+
+
+def test_young_recipe_maps_sit_at_their_class_bidegrees():
+    # each map's entries have h-bidegree its listed class minus (1, 0), and
+    # the maps listed at (1, 0) carry the center: one class more there than
+    # in sl, and with the tower's image there they span the identity
+    for n in range(1, 8):
+        for d in enumerate_diagrams(n, ShapeClass.YOUNG):
+            pair, h = build_pair(d)
+            recipe = young_se_slice(pair)
+            assert len(recipe) == n
+            for (a, b), m in recipe:
+                for k in m:
+                    assert h.bidegree(*divmod(k, n)) == (a - 1, b), d.serialize()
+            center = [m for k, m in recipe if k == (1, 0)]
+            assert len(center) == h1_table(pair, h).get((1, 0), 0) + 1
+            _, img = tower_steps(pair, h, 1, "gl")[(1, 0)]
+            identity = {i * (n + 1): 1 for i in range(n)}
+            assert (Subspace(n * n, center) + img).contains(identity), d.serialize()
 
 
 def test_degenerate_slice_forms():
@@ -135,13 +190,13 @@ def test_degenerate_slice_forms():
     se = slice_basis(pair, h, "se")
     n = pair.n
     e1 = mat_unflatten(pair.e1, n)
-    for _, m in se.entries:
+    for _, m in se:
         assert mat_is_zero(bracket(e1, mat_unflatten(m, n)))
     powers = [mat_pow(e1, k) for k in range(1, n)]
     from nilpair.linalg import Subspace
 
     span = Subspace(n * n, [mat_flatten(p) for p in powers])
-    assert span == Subspace(n * n, se.matrices())
+    assert span == Subspace(n * n, [m for _, m in se])
 
 
 def test_tower_steps_images_lie_in_targets():
@@ -172,10 +227,10 @@ def test_slice_centralizers_match_dense_joint_kernel():
             pair, h = build_pair(d)
             for quad in ("se", "nw"):
                 for reverse in (False, True):
-                    sb = slice_basis(pair, h, quad, reverse=reverse)
-                    k = sb.count
+                    mats = [m for _, m in slice_basis(pair, h, quad, reverse=reverse)]
+                    k = len(mats)
                     seen = []
-                    for pick, x1, x2, zdim, zx in slice_samples(pair, h, sb):
+                    for pick, x1, x2, zdim, zx in slice_samples(pair, h, quad, mats):
                         seen.append(pick)
                         ref = joint_centralizer(
                             mat_unflatten(x1, n), mat_unflatten(x2, n)
@@ -375,8 +430,9 @@ def test_rank_routes_match_the_eliminating_references(spec):
     frames = _corner_frames(pair, h)
     spaces = []
     for quadrant in ("se", "nw"):
-        sb = slice_basis(pair, h, quadrant)
-        spaces += [zx for *_, zx in slice_samples(pair, h, sb) if zx is not None]
+        mats = [m for _, m in slice_basis(pair, h, quadrant)]
+        samples = slice_samples(pair, h, quadrant, mats)
+        spaces += [zx for *_, zx in samples if zx is not None]
     rng = random.Random(spec)
     z = centralizer(pair, "gl", h)
     for moved in (1, 1, 2, 2):
@@ -465,7 +521,7 @@ def test_cohomology_row_eliminates_each_tower_step_once(monkeypatch, spec):
 @pytest.mark.parametrize(
     "check",
     [
-        h1_dims,
+        h1_table,
         coker_formula_check,
         generating_polys,
         slice_report,

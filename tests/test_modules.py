@@ -28,7 +28,7 @@ from nilpair.modules import (
     weyl_dimension,
 )
 from nilpair.multiplicity import _perm_sign
-from nilpair.pairs import build_pair, centralizer
+from nilpair.pairs import NilPair, build_pair, centralizer
 from nilpair.polys import BivariatePoly
 from nilpair.surveys import admissible_highest_weights, multiplicity_checks_for
 from test_linalg import mat_is_nilpotent, mat_is_zero
@@ -125,6 +125,18 @@ def test_module_limit_strict_for_cubes():
     rep = module_limit_check(pair, h, m, (1, 1, 1))
     assert rep["contained"] and rep["strict"]
     assert rep["zero_weight_dims"] == [1, 4]
+
+
+def test_module_limit_check_reads_the_given_grading():
+    # a pair with no diagram takes its centralizer from the grading passed,
+    # so its record for h holds the K12 blocks after the call
+    pair, h = build_pair(parse("2,1"))
+    m = WeightModule(3, (3,))
+    bare = NilPair(pair.e1, pair.e2)
+    rep = module_limit_check(bare, h, m, (1, 1, 1))
+    memo = bare._graded[h].memo
+    assert ("K12", "gl") in memo and ("K12", "sl") in memo
+    assert rep == module_limit_check(pair, h, m, (1, 1, 1))
 
 
 def test_module_limit_containment_all_weights():

@@ -1194,6 +1194,35 @@ def test_swap_pair_swaps_biexponents():
     )
 
 
+def test_swapped_pairs_default_to_the_exchanged_grading():
+    # the swap keeps the grading with the diagonals exchanged as its
+    # provenance, so omitting h grades it as passing (h2, h1) does; each
+    # side gets its own swapped pair, so no record is shared
+    from nilpair.cohomology import h1_table, young_se_slice
+    from nilpair.pairs import SemisimplePair
+
+    shapes = [d for n in range(1, 8) for d in enumerate_diagrams(n, ShapeClass.YOUNG)]
+    shapes += [d for n in range(2, 8) for d in enumerate_diagrams(n, ShapeClass.SKEW)]
+    assert len(shapes) == 159
+    for d in shapes:
+        pair, h = build_pair(d)
+        results = []
+        for grading in (None, SemisimplePair(h.h2, h.h1)):
+            swapped = pair.swap()
+            verdict = classify_pair(swapped, grading)
+            exps = biexponents(swapped, grading) if verdict == "principal" else None
+            results.append((verdict, exps, h1_table(swapped, grading)))
+        assert results[0] == results[1], d.serialize()
+        assert results[0][0] == classify_pair(pair, h), d.serialize()
+    # no reader of a Young diagram's box order takes the swapped pair
+    swapped = build_pair(parse("3,1"))[0].swap()
+    with pytest.raises(ValueError):
+        young_se_slice(swapped)
+    for check in (monomial_basis_check, shift_basis_check):
+        with pytest.raises(ShapeError):
+            check(swapped)
+
+
 def test_positive_quadrant_support_of_young_centralizers():
     for n in range(2, 7):
         for d in enumerate_diagrams(n, ShapeClass.YOUNG):
@@ -1327,8 +1356,8 @@ def test_pair_spaces_hold_exact_rationals():
                 # the ungraded route: the relations among the ad columns
                 spaces.append(centralizer(NilPair(pair.e1, pair.e2), ambient))
             for quadrant in ("se", "nw"):
-                sb = slice_basis(pair, h, quadrant)
-                for _, x1, x2, _, zx in slice_samples(pair, h, sb):
+                mats = [m for _, m in slice_basis(pair, h, quadrant)]
+                for _, x1, x2, _, zx in slice_samples(pair, h, quadrant, mats):
                     assert all(type(x) in (int, Fraction) for _, x in entries(x1))
                     assert all(type(x) in (int, Fraction) for _, x in entries(x2))
                     if zx is not None:
@@ -1423,7 +1452,7 @@ def test_pair_and_its_record_are_freed_together():
 
     pair, _ = build_pair(parse("3,2,1"))
     probe = Probe(pair.e1, pair.e2, pair.provenance)
-    assert coker_formula_check(probe)[0] and slice_report(probe)["ok"]
+    assert coker_formula_check(probe) and slice_report(probe)["ok"]
     weak_lefschetz_report(probe)
     record = probe.graded()
     assert record is probe.graded(record.h) and len(record.memo) > 5

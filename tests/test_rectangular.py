@@ -73,6 +73,10 @@ def test_clebsch_gordan_basics():
     assert alt2(2) == Counter({2: 1})
     with pytest.raises(ValueError):
         clebsch_gordan(-1, 2)
+    for square in (sym2, alt2):
+        for a in (-1, -3):
+            with pytest.raises(ValueError):
+                square(a)
 
 
 def test_plethysm_against_weight_oracle():

@@ -391,3 +391,51 @@ def test_adjoint_module_is_described_once():
     assert "_diagram_members" in _called_names(_function("pairs.py", "build_pair"))
     called = _called_names(_function("rectangular.py", "symmetric_diagram_pair"))
     assert "_diagram_members" in called
+
+
+def _family_predicate_owners(tree):
+    """The functions holding a conjunction of `x >= 1` and `y <= 0`, in
+    either order: the test for one of the two H^1 class families."""
+    owners = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And)):
+                continue
+            tests = {
+                (type(v.ops[0]), v.comparators[0].value)
+                for v in node.values
+                if isinstance(v, ast.Compare)
+                and len(v.ops) == 1
+                and isinstance(v.comparators[0], ast.Constant)
+            }
+            if {(ast.GtE, 1), (ast.LtE, 0)} <= tests:
+                owners.add(func.name)
+    return owners
+
+
+def test_class_families_are_named_once():
+    # cohomology.family alone decides which family a bidegree belongs to,
+    # and the names its table made unnecessary are gone from the package
+    owners = {
+        (path.name, name)
+        for path in Path(nilpair.__file__).parent.glob("*.py")
+        for name in _family_predicate_owners(ast.parse(path.read_text()))
+    }
+    assert owners == {("cohomology.py", "family")}
+    for name in ("support_ok", "quadrant_totals", "coker_formula_check", "slice_basis"):
+        assert "family" in _called_names(_function("cohomology.py", name)), name
+    gone = {"SliceBasis", "h1_dims", "se_biexponents", "include_skipped"}
+    for path in Path(nilpair.__file__).parent.glob("*.py"):
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                named.add(node.name)
+            elif isinstance(node, (ast.arg, ast.keyword)):
+                named.add(node.arg)
+        assert not named & gone, path.name
